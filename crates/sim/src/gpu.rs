@@ -7,6 +7,7 @@ use crate::mem::{Backing, Completion, MemSubsystem, PersistDest, ReqTag};
 use crate::sm::Sm;
 use crate::stats::SimStats;
 use crate::trace::TraceCapture;
+use sbrp_core::scope::MAX_WARPS_PER_SM;
 use sbrp_isa::{Kernel, LaunchConfig};
 
 /// Why a run stopped.
@@ -105,19 +106,18 @@ pub struct Gpu {
     /// Scratch buffer for completion routing, reused across steps so the
     /// hot loop never allocates for event delivery.
     completions: Vec<Completion>,
-    /// Whether `SBRP_DEBUG_DRAIN` was set when this GPU was built. The
-    /// environment is sampled once per instance: checking it every step
-    /// costs a syscall-backed lookup on the hot path.
-    debug_drain: bool,
-    /// Last debug-print bucket, per instance. (A thread-local here would
-    /// leak across `Gpu` instances run back-to-back on one sweep worker
-    /// thread, suppressing or duplicating the first debug line of
-    /// subsequent cells.)
-    debug_bucket: u64,
     /// Disable fast-forwarding: advance strictly one cycle at a time.
     /// Not a `GpuConfig` field so sweep-cache fingerprints are
     /// unaffected; used by equivalence tests.
     serial: bool,
+    /// Scheduling steps taken: one per cycle the fast-forwarding loop
+    /// visits. The SMs' round-robin issue pointer is this count, so it
+    /// advances per step, not per cycle.
+    steps: u64,
+    /// Under serial stepping, the cycle a fast-forward would have leapt
+    /// to. The cycles before it are visited but are not scheduling
+    /// steps, so both modes issue warps in the same order.
+    idle_until: u64,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -132,8 +132,16 @@ impl std::fmt::Debug for Gpu {
 
 impl Gpu {
     /// Builds a GPU from a configuration.
+    ///
+    /// # Panics
+    /// Panics if the SM has more warp slots than a persist buffer's warp
+    /// bitmask can name.
     #[must_use]
     pub fn new(cfg: &GpuConfig) -> Self {
+        assert!(
+            cfg.max_warps_per_sm as usize <= MAX_WARPS_PER_SM,
+            "max_warps_per_sm exceeds the {MAX_WARPS_PER_SM} warp slots an SM supports"
+        );
         Gpu {
             cfg: cfg.clone(),
             sms: (0..cfg.num_sms).map(|i| Sm::new(i, cfg)).collect(),
@@ -151,9 +159,9 @@ impl Gpu {
             active: None,
             fault_trigger: None,
             completions: Vec::new(),
-            debug_drain: std::env::var_os("SBRP_DEBUG_DRAIN").is_some(),
-            debug_bucket: 0,
             serial: false,
+            steps: 0,
+            idle_until: 0,
         }
     }
 
@@ -402,9 +410,6 @@ impl Gpu {
         }
         if !active.draining {
             active.draining = true;
-            if self.debug_drain {
-                eprintln!("[debug] blocks done at cycle {}", self.cycle);
-            }
             for sm in &mut self.sms {
                 sm.begin_final_drain(&mut self.ms, self.cycle);
             }
@@ -431,18 +436,6 @@ impl Gpu {
     /// them during a fast-forward jump.
     fn step_until(&mut self, bound: u64) -> Result<bool, SimError> {
         debug_assert!(self.cycle < bound, "step_until past its bound");
-        if self.debug_drain {
-            let bucket = self.cycle / 2048;
-            if bucket != self.debug_bucket {
-                self.debug_bucket = bucket;
-                let flushes: u64 = self.sms.iter().map(|s| s.counters().persist_flushes).sum();
-                let buffered: usize = self.sms.iter().map(Sm::debug_buffered).sum();
-                eprintln!(
-                    "[debug] cyc={} flushes={} buffered={}",
-                    self.cycle, flushes, buffered
-                );
-            }
-        }
         // Charge stalls up to the *previous* cycle before completions
         // land: a completion that unblocks a warp this cycle must not
         // erase the stalled span behind it (under fast-forward the whole
@@ -453,7 +446,10 @@ impl Gpu {
         self.route_completions()?;
         let mut progress = false;
         for sm in &mut self.sms {
-            progress |= sm.tick(self.cycle, &mut self.ms, &mut self.tracer);
+            progress |= sm.tick(self.cycle, self.steps, &mut self.ms, &mut self.tracer);
+        }
+        if self.cycle >= self.idle_until {
+            self.steps += 1;
         }
         self.dispatch();
         if self.launch_finished() {
@@ -482,6 +478,7 @@ impl Gpu {
                     target = target.min(backoff_until - 1);
                 }
                 if self.serial {
+                    self.idle_until = target;
                     target = self.cycle + 1;
                 }
                 self.cycle = target;
@@ -702,7 +699,7 @@ impl Gpu {
 
     /// Per-warp-slot stall breakdowns of SM `sm`.
     #[must_use]
-    pub fn warp_stall_breakdowns(&self, sm: usize) -> &[sbrp_core::stall::StallBreakdown] {
+    pub fn warp_stall_breakdowns(&self, sm: usize) -> Vec<sbrp_core::stall::StallBreakdown> {
         self.sms[sm].warp_stall_breakdowns()
     }
 

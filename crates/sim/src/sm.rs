@@ -98,6 +98,9 @@ struct WarpCtx {
     /// Which fence put this warp into `Blocked::EpochWait`, for stall
     /// attribution.
     fence_cause: Option<StallCause>,
+    /// `Sm::last_charge` when this warp's pending fixed-cause stall span
+    /// began (see [`Sm::charge_stalls`]); meaningless while ready.
+    since: u64,
 }
 
 struct ResidentBlock {
@@ -142,7 +145,6 @@ pub struct Sm {
     /// the line). Flushes commit only these bytes to the durable image,
     /// so falsely-shared lines cannot leak other SMs' unflushed writes.
     line_written: HashMap<u32, u128>,
-    rr: usize,
     issue_width: u32,
     l1_hit_latency: u64,
     line_bytes: u32,
@@ -151,13 +153,12 @@ pub struct Sm {
     /// and the warp lifecycle, so the per-cycle issue scan and the GPU's
     /// ready check are O(1) instead of O(warp slots).
     ready: u32,
-    /// Resident warps currently blocked (any cause). Zero lets
-    /// `charge_stalls` skip its slot scan entirely.
-    blocked_count: u32,
-    /// Bit per warp slot: set iff that slot holds a blocked warp
-    /// (slots ≥ 128 unsupported; `charge_stalls` then falls back to a
-    /// full scan). Lets stall charging visit only blocked slots.
-    blocked_mask: u128,
+    /// Bit per warp slot: set iff that slot holds a `Blocked::Engine`
+    /// warp, the only kind whose stall cause `charge_stalls` samples.
+    engine_mask: u32,
+    /// The PCIe-backoff flag every charge since the pending fixed-cause
+    /// spans' stamps was made under.
+    pending_backoff: bool,
     /// Cached minimum of all `Blocked::Sleep(until)` targets
     /// (`u64::MAX` when no warp sleeps). Sleepers only wake in the tick
     /// scan, which recomputes the minimum, so the cache is exact.
@@ -200,13 +201,12 @@ impl Sm {
             blocks: Vec::new(),
             line_tokens: HashMap::new(),
             line_written: HashMap::new(),
-            rr: 0,
             issue_width: cfg.issue_width,
             l1_hit_latency: u64::from(cfg.l1_hit_latency),
             line_bytes: cfg.line_bytes,
             ready: 0,
-            blocked_count: 0,
-            blocked_mask: 0,
+            engine_mask: 0,
+            pending_backoff: false,
             next_sleep_wake: u64::MAX,
             free_slots: slots as u32,
             scratch_vals: Vec::new(),
@@ -225,16 +225,24 @@ impl Sm {
         self.counters
     }
 
-    /// SM-wide stall cycles by cause.
+    /// SM-wide stall cycles by cause, up to the last charge.
     #[must_use]
     pub fn stall_breakdown(&self) -> StallBreakdown {
-        self.stall
+        let mut total = self.stall;
+        for (_, cause, span) in self.pending_spans() {
+            total.charge(cause, span);
+        }
+        total
     }
 
-    /// Per-warp-slot stall cycles by cause.
+    /// Per-warp-slot stall cycles by cause, up to the last charge.
     #[must_use]
-    pub fn warp_stall_breakdowns(&self) -> &[StallBreakdown] {
-        &self.warp_stalls
+    pub fn warp_stall_breakdowns(&self) -> Vec<StallBreakdown> {
+        let mut warps = self.warp_stalls.clone();
+        for (slot, cause, span) in self.pending_spans() {
+            warps[slot].charge(cause, span);
+        }
+        warps
     }
 
     /// Closes and drains the timeline recorder (empty if tracing off).
@@ -260,15 +268,6 @@ impl Sm {
         match &self.engine {
             Engine::Sbrp(_) => 0,
             Engine::Epoch(e) => e.rounds(),
-        }
-    }
-
-    /// Buffered PB entries (debug).
-    #[must_use]
-    pub fn debug_buffered(&self) -> usize {
-        match &self.engine {
-            Engine::Sbrp(u) => u.buffered(),
-            Engine::Epoch(_) => 0,
         }
     }
 
@@ -341,6 +340,7 @@ impl Sm {
                 done: false,
                 retried: false,
                 fence_cause: None,
+                since: 0,
             });
         }
         self.blocks[block_slot] = Some(ResidentBlock {
@@ -594,45 +594,50 @@ impl Sm {
     // The per-cycle tick
     // ------------------------------------------------------------------
 
-    /// Blocks warp `slot`, maintaining the ready/blocked counters and
-    /// the cached sleep minimum. Callers only block currently-ready
-    /// warps (a warp must have issued to hit a stall condition).
+    /// Blocks warp `slot`, maintaining the ready count, the engine mask,
+    /// the cached sleep minimum and the warp's stall stamp. Callers only
+    /// block currently-ready warps (a warp must have issued to hit a
+    /// stall condition).
     fn set_blocked(&mut self, slot: usize, b: Blocked) {
+        self.settle(slot);
         let ctx = self.warps[slot].as_mut().expect("warp");
         debug_assert!(!ctx.done, "blocking a finished warp");
         if ctx.blocked.is_none() {
             self.ready -= 1;
-            self.blocked_count += 1;
-            if slot < 128 {
-                self.blocked_mask |= 1 << slot;
-            }
         }
         ctx.blocked = Some(b);
+        ctx.since = self.last_charge;
+        if b == Blocked::Engine {
+            self.engine_mask |= 1 << slot;
+        } else {
+            self.engine_mask &= !(1 << slot);
+        }
         if let Blocked::Sleep(until) = b {
             self.next_sleep_wake = self.next_sleep_wake.min(until);
         }
     }
 
-    /// Unblocks warp `slot`. Idempotent: completion paths can reach a
-    /// warp the wake scan already released (an all-hit load finishing at
-    /// its sleep deadline).
+    /// Unblocks warp `slot`, charging its pending stall span. Idempotent:
+    /// completion paths can reach a warp the wake scan already released
+    /// (an all-hit load finishing at its sleep deadline).
     fn clear_blocked(&mut self, slot: usize) {
+        self.settle(slot);
         let ctx = self.warps[slot].as_mut().expect("warp");
         if ctx.blocked.take().is_some() {
             debug_assert!(!ctx.done, "a finished warp cannot be blocked");
             self.ready += 1;
-            self.blocked_count -= 1;
-            if slot < 128 {
-                self.blocked_mask &= !(1 << slot);
-            }
+            self.engine_mask &= !(1 << slot);
         }
     }
 
     /// Runs one cycle: engine drain, wakeups, and warp issue. Returns
-    /// whether any externally visible progress happened.
+    /// whether any externally visible progress happened. `step` is the
+    /// GPU's scheduling-step count; the round-robin issue scan starts at
+    /// slot `step % warp slots`.
     pub fn tick(
         &mut self,
         cycle: u64,
+        step: u64,
         ms: &mut MemSubsystem,
         tracer: &mut Option<TraceCapture>,
     ) -> bool {
@@ -668,16 +673,16 @@ impl Sm {
 
         // Issue warps round-robin. With no ready warp the scan is a
         // no-op (issuing is the only thing that could unblock one
-        // mid-scan), but the round-robin pointer still advances so
-        // schedules are unchanged.
+        // mid-scan).
         let n = self.warps.len();
+        let rr = (step % n as u64) as usize;
         let mut issued = 0;
         if self.ready > 0 {
             for k in 0..n {
                 if issued >= self.issue_width {
                     break;
                 }
-                let slot = (self.rr + k) % n;
+                let slot = (rr + k) % n;
                 let ready = matches!(
                     self.warps[slot].as_ref(),
                     Some(ctx) if ctx.blocked.is_none() && !ctx.done
@@ -689,7 +694,6 @@ impl Sm {
                 issued += 1;
             }
         }
-        self.rr = (self.rr + 1) % n;
         progress | (issued > 0)
     }
 
@@ -705,64 +709,87 @@ impl Sm {
     /// state. Serial stepping makes the pre-routing call a delta-0
     /// no-op, which is exactly why fast-forwarded and serial runs
     /// produce identical stall breakdowns.
+    ///
+    /// Only `Blocked::Engine` warps are sampled here: their cause is
+    /// the persist unit's live state. Every other kind has a cause that
+    /// cannot change while the warp stays blocked, except through the
+    /// PCIe-backoff flag, so its whole span is charged at once by
+    /// [`Sm::settle`] when the warp unblocks or is re-blocked. Before
+    /// the flag flips, every pending span is settled up to the last
+    /// charge, so each span is charged under the flag it accrued under.
     pub(crate) fn charge_stalls(&mut self, cycle: u64, ms: &MemSubsystem) {
-        let delta = cycle.saturating_sub(self.last_charge);
-        if delta == 0 && self.timeline.is_none() {
-            return;
-        }
-        // Only blocked warps accrue stall cycles; with none resident the
-        // scan is pure overhead (unless the timeline needs the per-slot
-        // running/vacant states).
-        if self.blocked_count == 0 && self.timeline.is_none() {
-            self.last_charge = cycle;
-            return;
-        }
         let backoff = ms.pcie_backoff_active(cycle);
-        // Without a timeline only blocked slots matter, so walk the
-        // blocked-slot bitmask instead of every slot. Falls through to
-        // the full scan for timeline runs (which must observe running
-        // and vacant slots too) and for >128-slot configurations.
-        if self.timeline.is_none() && self.warps.len() <= 128 {
-            debug_assert_eq!(self.blocked_mask.count_ones(), self.blocked_count);
-            let mut mask = self.blocked_mask;
+        if cycle > self.last_charge {
+            if backoff != self.pending_backoff {
+                for slot in 0..self.warps.len() {
+                    self.settle(slot);
+                }
+                self.pending_backoff = backoff;
+            }
+            let delta = cycle - self.last_charge;
+            let mut mask = self.engine_mask;
             while mask != 0 {
                 let slot = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let ctx = self.warps[slot].as_ref().expect("masked slot has a warp");
-                let b = ctx.blocked.expect("masked slot is blocked");
-                let cause = Self::stall_cause_of(&self.engine, ctx, b, backoff, slot);
+                let cause = Self::stall_cause_of(&self.engine, ctx, Blocked::Engine, backoff, slot);
                 self.stall.charge(cause, delta);
                 self.warp_stalls[slot].charge(cause, delta);
             }
             self.last_charge = cycle;
-            return;
         }
-        for slot in 0..self.warps.len() {
-            let state = match self.warps[slot].as_ref() {
-                None => None,
-                Some(ctx) if ctx.done => None,
-                Some(ctx) => match ctx.blocked {
-                    None => Some(WarpState::Running),
-                    Some(b) => Some(WarpState::Stalled(Self::stall_cause_of(
-                        &self.engine,
-                        ctx,
-                        b,
-                        backoff,
-                        slot,
-                    ))),
-                },
-            };
-            if delta > 0 {
-                if let Some(WarpState::Stalled(cause)) = state {
-                    self.stall.charge(cause, delta);
-                    self.warp_stalls[slot].charge(cause, delta);
-                }
-            }
-            if let Some(tl) = self.timeline.as_mut() {
+        if let Some(tl) = self.timeline.as_mut() {
+            for (slot, warp) in self.warps.iter().enumerate() {
+                let state = match warp {
+                    None => None,
+                    Some(ctx) if ctx.done => None,
+                    Some(ctx) => Some(match ctx.blocked {
+                        None => WarpState::Running,
+                        Some(b) => WarpState::Stalled(Self::stall_cause_of(
+                            &self.engine,
+                            ctx,
+                            b,
+                            backoff,
+                            slot,
+                        )),
+                    }),
+                };
                 tl.observe(slot, state, cycle);
             }
         }
-        self.last_charge = cycle;
+    }
+
+    /// Charges warp `slot`'s pending fixed-cause span and restamps it at
+    /// the last charge. A no-op for ready and engine-blocked warps.
+    fn settle(&mut self, slot: usize) {
+        if let Some((cause, span)) = self.pending_span(slot) {
+            self.stall.charge(cause, span);
+            self.warp_stalls[slot].charge(cause, span);
+            self.warps[slot]
+                .as_mut()
+                .expect("pending span has a warp")
+                .since = self.last_charge;
+        }
+    }
+
+    /// The cause and length of warp `slot`'s uncharged span, if it is
+    /// blocked with a fixed cause and has accrued any cycles.
+    fn pending_span(&self, slot: usize) -> Option<(StallCause, u64)> {
+        let ctx = self.warps[slot].as_ref()?;
+        let b = ctx.blocked.filter(|&b| b != Blocked::Engine)?;
+        let span = self.last_charge - ctx.since;
+        (span > 0).then(|| {
+            let cause = Self::stall_cause_of(&self.engine, ctx, b, self.pending_backoff, slot);
+            (cause, span)
+        })
+    }
+
+    /// Every uncharged span: (slot, cause, cycles).
+    fn pending_spans(&self) -> impl Iterator<Item = (usize, StallCause, u64)> + '_ {
+        (0..self.warps.len()).filter_map(|slot| {
+            self.pending_span(slot)
+                .map(|(cause, span)| (slot, cause, span))
+        })
     }
 
     /// Which cause a blocked warp is experiencing *right now*. Engine

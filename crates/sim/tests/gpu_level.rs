@@ -602,3 +602,15 @@ fn correct_device_scope_closes_the_bug() {
         "correct scope: nothing to flag"
     );
 }
+
+/// An SM with more warp slots than a persist buffer's warp bitmask can
+/// name is rejected when the GPU is built, not mid-run.
+#[test]
+#[should_panic(expected = "max_warps_per_sm")]
+fn too_many_warp_slots_is_rejected_up_front() {
+    let cfg = GpuConfig {
+        max_warps_per_sm: 48,
+        ..GpuConfig::small(ModelKind::Epoch, SystemDesign::PmNear)
+    };
+    let _ = Gpu::new(&cfg);
+}
