@@ -1,9 +1,8 @@
 //! # sbrp-bench
 //!
 //! The paper-evaluation harness: one binary per table/figure of §7
-//! (`table1`, `table2`, `figure6` … `figure11`), plus Criterion
-//! micro-benchmarks (`cargo bench`) over the persist buffer, the PMO
-//! checker, the memory system, and small end-to-end kernels.
+//! (`table1`, `table2`, `figure6` … `figure11`), plus the `benchmark`
+//! binary that `BENCHMARK.json` declares.
 //!
 //! Every figure binary accepts:
 //!

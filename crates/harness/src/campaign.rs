@@ -17,9 +17,14 @@
 //! 3. checks driver metadata ([`Namespace::verify_image`]) when present;
 //! 4. checks the durable image with the workload's
 //!    `verify_crash_consistent`;
-//! 5. boots recovery from the image ([`crash::recover`] for workloads
-//!    with a recovery kernel), re-runs the main kernel, and checks
+//! 5. boots recovery from the image with
+//!    [`sbrp_gpu_sim::crash::recover`] (running the recovery kernel for
+//!    workloads that have one), re-runs the main kernel, and checks
 //!    `verify_complete`.
+//!
+//! Steps 1 and 5 are the same crash and recovery halves Figure 11
+//! times ([`crate::run_recovery`]); only the checks of steps 2–4 are
+//! the campaign's own.
 //!
 //! Any failing stage marks the point a **violation**. The first
 //! violation in a trigger family is then *shrunk*: a binary search over
@@ -29,14 +34,13 @@
 use crate::json::Json;
 use crate::report::Table;
 use crate::sweep::{spec_fingerprint, sweep_with, CellOutcome, SweepCell, SweepOpts, CACHE_SCHEMA};
-use crate::{default_scale, RunSpec, CYCLE_LIMIT};
+use crate::{crash_run, default_scale, recover_and_rerun, RerunError, RunSpec};
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
-use sbrp_gpu_sim::crash::{self, CrashImage};
 use sbrp_gpu_sim::fault::{CrashTrigger, FaultEventCounts, FaultPlan};
 use sbrp_gpu_sim::pmem::Namespace;
-use sbrp_gpu_sim::{Gpu, RunOutcome, SimError};
+use sbrp_gpu_sim::{RunOutcome, SimError};
 use sbrp_workloads::WorkloadKind;
 use std::collections::BTreeSet;
 
@@ -363,12 +367,8 @@ fn probe(spec: &RunSpec, plan: FaultPlan) -> ProbeVerdict {
     cfg.sanitize = true;
     let w = spec.workload.instantiate(spec.scale, spec.seed);
     let opts = spec.build_opts();
-    let l = w.kernel(opts);
-    let mut gpu = Gpu::new(&cfg);
-    w.init(&mut gpu);
-    gpu.set_fault_plan(plan);
-    gpu.launch(&l.kernel, l.launch);
-    let report = match gpu.run_faulted(CYCLE_LIMIT) {
+    let (mut gpu, report) = crash_run(w.as_ref(), &cfg, opts, plan);
+    let report = match report {
         Ok(r) => r,
         Err(SimError::PmoViolation { violation, cycle }) => {
             return ProbeVerdict::violation(
@@ -417,36 +417,16 @@ fn probe(spec: &RunSpec, plan: FaultPlan) -> ProbeVerdict {
         return ProbeVerdict::violation("crash-consistent", v, true);
     }
 
-    // Recovery: dedicated recovery kernel where the workload has one,
-    // then the re-run of the main kernel; both must complete.
-    let cimage = CrashImage {
-        nvm: image,
-        cycle: report.cycles,
-    };
-    let mut rgpu = if let Some(r) = w.recovery(opts) {
-        match crash::recover(
-            &cfg,
-            &cimage,
-            |g| w.init_volatile(g),
-            &r.kernel,
-            r.launch,
-            CYCLE_LIMIT,
-        ) {
-            Ok(g) => g,
-            Err(e) => {
-                return ProbeVerdict::violation("recover", e.to_string(), true);
-            }
+    // Recovery and the re-run of the main kernel must both complete.
+    let rgpu = match recover_and_rerun(w.as_ref(), &cfg, opts, &image) {
+        Ok(g) => g,
+        Err(RerunError::Recover(e)) => {
+            return ProbeVerdict::violation("recover", e.to_string(), true);
         }
-    } else {
-        let mut g = Gpu::from_image(&cfg, &cimage.nvm);
-        w.init_volatile(&mut g);
-        g
+        Err(RerunError::Rerun(e)) => {
+            return ProbeVerdict::violation("rerun", e.to_string(), true);
+        }
     };
-    let l2 = w.kernel(opts);
-    rgpu.launch(&l2.kernel, l2.launch);
-    if let Err(e) = rgpu.run(CYCLE_LIMIT) {
-        return ProbeVerdict::violation("rerun", e.to_string(), true);
-    }
     match w.verify_complete(&rgpu) {
         Ok(()) => ProbeVerdict {
             outcome: PointOutcome::Pass,
@@ -463,11 +443,8 @@ fn baseline(spec: &RunSpec) -> Result<(FaultEventCounts, u64), String> {
     let mut cfg = spec.config();
     cfg.trace = true;
     let w = spec.workload.instantiate(spec.scale, spec.seed);
-    let l = w.kernel(spec.build_opts());
-    let mut gpu = Gpu::new(&cfg);
-    w.init(&mut gpu);
-    gpu.launch(&l.kernel, l.launch);
-    let report = gpu.run_faulted(CYCLE_LIMIT).map_err(|e| e.to_string())?;
+    let (mut gpu, report) = crash_run(w.as_ref(), &cfg, spec.build_opts(), FaultPlan::default());
+    let report = report.map_err(|e| e.to_string())?;
     if report.outcome != RunOutcome::Completed {
         return Err(format!("baseline ended {:?}", report.outcome));
     }

@@ -10,16 +10,18 @@
 
 pub mod campaign;
 pub mod json;
-pub mod perf;
 pub mod report;
 pub mod serve;
 pub mod sweep;
 
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::{GpuConfig, SystemDesign};
+use sbrp_gpu_sim::crash::{self, RecoverError};
+use sbrp_gpu_sim::fault::{CrashTrigger, FaultPlan};
+use sbrp_gpu_sim::mem::Backing;
 use sbrp_gpu_sim::stats::SimStats;
-use sbrp_gpu_sim::{Gpu, RunOutcome, SimError, Timeline};
-use sbrp_workloads::{BuildOpts, WorkloadKind};
+use sbrp_gpu_sim::{Gpu, RunOutcome, RunReport, SimError, Timeline};
+use sbrp_workloads::{BuildOpts, Workload, WorkloadKind};
 
 /// Cycle budget for any single simulated kernel.
 pub const CYCLE_LIMIT: u64 = 20_000_000_000;
@@ -71,6 +73,18 @@ impl HarnessError {
             | HarnessError::Outcome { cell, .. }
             | HarnessError::Panicked { cell, .. }
             | HarnessError::Deadline { cell, .. } => cell,
+        }
+    }
+
+    /// A failed [`crash::recover`] of cell `cell`: simulator errors stay
+    /// [`HarnessError::Sim`], an incomplete recovery is an outcome error.
+    pub(crate) fn recover(cell: String, e: RecoverError) -> Self {
+        match e {
+            RecoverError::Sim(source) => HarnessError::Sim { cell, source },
+            e @ RecoverError::Incomplete { .. } => HarnessError::Outcome {
+                cell,
+                detail: e.to_string(),
+            },
         }
     }
 
@@ -254,11 +268,8 @@ pub fn run_workload_traced(
     let mut cfg = spec.config();
     cfg.timeline = timeline;
     let w = spec.workload.instantiate(spec.scale, spec.seed);
-    let l = w.kernel(spec.build_opts());
-    let mut gpu = Gpu::new(&cfg);
-    w.init(&mut gpu);
-    gpu.launch(&l.kernel, l.launch);
-    let report = gpu.run(CYCLE_LIMIT).map_err(|source| HarnessError::Sim {
+    let (mut gpu, report) = crash_run(w.as_ref(), &cfg, spec.build_opts(), FaultPlan::default());
+    let report = report.map_err(|source| HarnessError::Sim {
         cell: spec.cell_name(),
         source,
     })?;
@@ -304,11 +315,9 @@ pub fn run_recovery(spec: &RunSpec, fraction: f64) -> Result<RecoveryOutput, Har
     let crash_cycle = ((crash_free as f64) * fraction) as u64;
 
     let w = spec.workload.instantiate(spec.scale, spec.seed);
-    let l = w.kernel(opts);
-    let mut gpu = Gpu::new(&cfg);
-    w.init(&mut gpu);
-    gpu.launch(&l.kernel, l.launch);
-    let report = gpu.run_until(crash_cycle).map_err(sim_err)?;
+    let plan = FaultPlan::crash_at(CrashTrigger::AtCycle(crash_cycle));
+    let (gpu, report) = crash_run(w.as_ref(), &cfg, opts, plan);
+    let report = report.map_err(sim_err)?;
     if report.outcome != RunOutcome::Crashed {
         return Err(HarnessError::Outcome {
             cell: spec.cell_name(),
@@ -319,23 +328,63 @@ pub fn run_recovery(spec: &RunSpec, fraction: f64) -> Result<RecoveryOutput, Har
         });
     }
     let image = gpu.durable_image();
-
-    let mut rgpu = Gpu::from_image(&cfg, &image);
-    w.init_volatile(&mut rgpu);
-    let start = rgpu.cycle();
-    if let Some(r) = w.recovery(opts) {
-        rgpu.launch(&r.kernel, r.launch);
-        rgpu.run(CYCLE_LIMIT).map_err(sim_err)?;
-    }
-    let l2 = w.kernel(opts);
-    rgpu.launch(&l2.kernel, l2.launch);
-    rgpu.run(CYCLE_LIMIT).map_err(sim_err)?;
+    let rgpu = recover_and_rerun(w.as_ref(), &cfg, opts, &image).map_err(|e| match e {
+        RerunError::Recover(e) => HarnessError::recover(spec.cell_name(), e),
+        RerunError::Rerun(e) => sim_err(e),
+    })?;
     Ok(RecoveryOutput {
         crash_cycle,
-        recovery_cycles: rgpu.cycle() - start,
+        // The recovery GPU boots at cycle 0, so its clock is the time
+        // the whole recovery pass took.
+        recovery_cycles: rgpu.cycle(),
         crash_free_cycles: crash_free,
         verified: w.verify_complete(&rgpu).is_ok(),
     })
+}
+
+/// Runs `w`'s main kernel on a fresh GPU under `plan` (a default plan
+/// runs crash-free). The GPU comes back whatever the outcome, for its
+/// durable image or the sanitizer's verdict on a partial trace.
+pub(crate) fn crash_run(
+    w: &dyn Workload,
+    cfg: &GpuConfig,
+    opts: BuildOpts,
+    plan: FaultPlan,
+) -> (Gpu, Result<RunReport, SimError>) {
+    let l = w.kernel(opts);
+    let mut gpu = Gpu::new(cfg);
+    w.init(&mut gpu);
+    gpu.set_fault_plan(plan);
+    gpu.launch(&l.kernel, l.launch);
+    let report = gpu.run(CYCLE_LIMIT);
+    (gpu, report)
+}
+
+/// Which half of [`recover_and_rerun`] failed.
+pub(crate) enum RerunError {
+    /// The recovery boot or the workload's recovery kernel.
+    Recover(RecoverError),
+    /// The re-run of the main kernel.
+    Rerun(SimError),
+}
+
+/// Boots `w` from a crash image through [`crash::recover`] (with the
+/// workload's recovery kernel where it has one; the clock starts at 0),
+/// then re-runs the main kernel.
+pub(crate) fn recover_and_rerun(
+    w: &dyn Workload,
+    cfg: &GpuConfig,
+    opts: BuildOpts,
+    image: &Backing,
+) -> Result<Gpu, RerunError> {
+    let recovery = w.recovery(opts);
+    let kernels: Vec<_> = recovery.iter().map(|r| (&r.kernel, r.launch)).collect();
+    let mut gpu = crash::recover(cfg, image, |g| w.init_volatile(g), &kernels, CYCLE_LIMIT)
+        .map_err(RerunError::Recover)?;
+    let l = w.kernel(opts);
+    gpu.launch(&l.kernel, l.launch);
+    gpu.run(CYCLE_LIMIT).map_err(RerunError::Rerun)?;
+    Ok(gpu)
 }
 
 /// The five bars of Figure 6, in paper order.

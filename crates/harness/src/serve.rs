@@ -50,7 +50,7 @@ use crate::{HarnessError, CYCLE_LIMIT};
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::{GpuConfig, SystemDesign};
-use sbrp_gpu_sim::{Gpu, RunOutcome};
+use sbrp_gpu_sim::{crash, Gpu, RunOutcome};
 use sbrp_workloads::service::{
     generate_trace, initial_value, ArrivalKind, LaneOp, ReqOp, Request, ServiceStore, TraceParams,
     OP_GET, OP_WRITE,
@@ -467,7 +467,7 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
                 &rec_l,
                 &mut gpu,
                 &reference,
-                &sim_err,
+                &cell,
                 &mut recovery_cycles,
                 &mut rollback_ok,
             )?;
@@ -569,7 +569,7 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
                 &rec_l,
                 &mut gpu,
                 &reference,
-                &sim_err,
+                &cell,
                 &mut recovery_cycles,
                 &mut rollback_ok,
             )?;
@@ -678,17 +678,19 @@ fn do_recovery(
     rec_l: &sbrp_workloads::Launchable,
     gpu: &mut Gpu,
     reference: &[u64],
-    sim_err: &impl Fn(sbrp_gpu_sim::SimError) -> HarnessError,
+    cell: &str,
     recovery_cycles: &mut u64,
     rollback_ok: &mut bool,
 ) -> Result<(), HarnessError> {
     let crash_cycle = gpu.cycle();
+    let init_volatile = |g: &mut Gpu| {
+        g.skip_idle(crash_cycle);
+        store.init_volatile(g);
+    };
+    let kernels = [(&rec_l.kernel, rec_l.launch)];
     let image = gpu.durable_image();
-    let mut rgpu = Gpu::from_image(cfg, &image);
-    rgpu.skip_idle(crash_cycle);
-    store.init_volatile(&mut rgpu);
-    rgpu.launch(&rec_l.kernel, rec_l.launch);
-    rgpu.run(CYCLE_LIMIT).map_err(sim_err)?;
+    let mut rgpu = crash::recover(cfg, &image, init_volatile, &kernels, CYCLE_LIMIT)
+        .map_err(|e| HarnessError::recover(cell.to_string(), e))?;
     *recovery_cycles = rgpu.cycle() - crash_cycle;
     store.clear_marks(&mut rgpu);
     for (key, &want) in reference.iter().enumerate() {

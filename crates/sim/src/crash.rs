@@ -1,102 +1,17 @@
-//! Crash injection and recovery orchestration.
+//! Crash recovery.
 //!
 //! The failure model matches the paper's (§2, ADR): on a power failure,
 //! everything volatile — caches, persist buffers, registers, in-flight
 //! requests — is lost; the WPQ's accepted writes and the NVM contents
 //! survive. The simulator maintains that durable image continuously, so
-//! a crash is simply "stop and take the image".
+//! a crash is simply "stop and take the image": [`Gpu::run`] under a
+//! [`crate::fault::FaultPlan`], then [`Gpu::durable_image`]. Recovery
+//! is [`recover`].
 
 use crate::config::GpuConfig;
-use crate::fault::FaultPlan;
 use crate::gpu::{Gpu, RunOutcome, SimError};
 use crate::mem::Backing;
 use sbrp_isa::{Kernel, LaunchConfig};
-
-/// The persistent state surviving a crash.
-#[derive(Clone, Debug)]
-pub struct CrashImage {
-    /// Durable NVM contents.
-    pub nvm: Backing,
-    /// Cycle at which the crash occurred.
-    pub cycle: u64,
-}
-
-/// Outcome of [`run_with_crash`].
-#[derive(Debug)]
-pub enum CrashRun {
-    /// The kernel finished before the crash point; no crash happened.
-    Completed {
-        /// The GPU, for stats/inspection.
-        gpu: Box<Gpu>,
-    },
-    /// Power failed at the crash point.
-    Crashed {
-        /// What survived.
-        image: CrashImage,
-        /// The crashed GPU (volatile state is *not* meaningful for
-        /// recovery; exposed for stats/trace extraction only).
-        gpu: Box<Gpu>,
-    },
-}
-
-/// Launches `kernel` on a fresh GPU configured by `cfg`, with initial
-/// NVM/GDDR images, and crashes it at `crash_cycle`.
-///
-/// # Errors
-/// Propagates simulator deadlocks.
-pub fn run_with_crash(
-    cfg: &GpuConfig,
-    init: impl FnOnce(&mut Gpu),
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    crash_cycle: u64,
-) -> Result<CrashRun, SimError> {
-    let mut gpu = Gpu::new(cfg);
-    init(&mut gpu);
-    gpu.launch(kernel, launch);
-    let report = gpu.run_until(crash_cycle)?;
-    Ok(match report.outcome {
-        RunOutcome::Completed => CrashRun::Completed { gpu: Box::new(gpu) },
-        RunOutcome::Crashed => CrashRun::Crashed {
-            image: CrashImage {
-                nvm: gpu.durable_image(),
-                cycle: report.cycles,
-            },
-            gpu: Box::new(gpu),
-        },
-    })
-}
-
-/// Like [`run_with_crash`], but the crash point (and any injected
-/// machine bugs) come from a [`FaultPlan`] — crash at the k-th WPQ
-/// accept / PB drain / dFence wait instead of at a raw cycle number.
-///
-/// # Errors
-/// Propagates simulator deadlocks and timeouts.
-pub fn run_with_plan(
-    cfg: &GpuConfig,
-    init: impl FnOnce(&mut Gpu),
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    plan: FaultPlan,
-    max_cycles: u64,
-) -> Result<CrashRun, SimError> {
-    let mut gpu = Gpu::new(cfg);
-    init(&mut gpu);
-    gpu.set_fault_plan(plan);
-    gpu.launch(kernel, launch);
-    let report = gpu.run_faulted(max_cycles)?;
-    Ok(match report.outcome {
-        RunOutcome::Completed => CrashRun::Completed { gpu: Box::new(gpu) },
-        RunOutcome::Crashed => CrashRun::Crashed {
-            image: CrashImage {
-                nvm: gpu.durable_image(),
-                cycle: report.cycles,
-            },
-            gpu: Box::new(gpu),
-        },
-    })
-}
 
 /// Why [`recover`] failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,33 +51,35 @@ impl From<SimError> for RecoverError {
     }
 }
 
-/// Boots a recovery GPU from a crash image and runs `recovery` to
-/// completion, returning the recovered GPU. `init_volatile` may install
-/// a [`FaultPlan`] to crash the recovery run itself (nested-crash
-/// campaigns); the run honours it.
+/// Boots a recovery GPU from a crash image, runs `init_volatile` on it
+/// (what the host re-creates after power returns: GDDR inputs, the
+/// clock when the caller continues a timeline, or a
+/// [`crate::fault::FaultPlan`] to crash the recovery itself), then runs
+/// each of `kernels` in order to completion.
 ///
 /// # Errors
 /// [`RecoverError::Sim`] for simulator deadlocks/timeouts, and
-/// [`RecoverError::Incomplete`] if the recovery run ended any way other
+/// [`RecoverError::Incomplete`] if a kernel's run ended any way other
 /// than [`RunOutcome::Completed`] — an incomplete recovery is a
 /// failure, never silently accepted.
 pub fn recover(
     cfg: &GpuConfig,
-    image: &CrashImage,
+    image: &Backing,
     init_volatile: impl FnOnce(&mut Gpu),
-    recovery: &Kernel,
-    launch: LaunchConfig,
+    kernels: &[(&Kernel, LaunchConfig)],
     max_cycles: u64,
 ) -> Result<Gpu, RecoverError> {
-    let mut gpu = Gpu::from_image(cfg, &image.nvm);
+    let mut gpu = Gpu::from_image(cfg, image);
     init_volatile(&mut gpu);
-    gpu.launch(recovery, launch);
-    let report = gpu.run_faulted(max_cycles)?;
-    if report.outcome != RunOutcome::Completed {
-        return Err(RecoverError::Incomplete {
-            outcome: report.outcome,
-            cycles: report.cycles,
-        });
+    for &(kernel, launch) in kernels {
+        gpu.launch(kernel, launch);
+        let report = gpu.run(max_cycles)?;
+        if report.outcome != RunOutcome::Completed {
+            return Err(RecoverError::Incomplete {
+                outcome: report.outcome,
+                cycles: report.cycles,
+            });
+        }
     }
     Ok(gpu)
 }

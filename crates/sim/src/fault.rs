@@ -41,7 +41,8 @@ use std::collections::HashSet;
 /// with `k = 1` crashes at the very first matching event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashTrigger {
-    /// Crash at a fixed cycle (equivalent to `Gpu::run_until`).
+    /// Crash on exactly this cycle; `Gpu::run_until(c)` is `Gpu::run`
+    /// under `AtCycle(c)`.
     AtCycle(u64),
     /// Crash immediately after the `k`-th write is accepted into a
     /// memory controller's WPQ (the accepted write itself is durable —

@@ -15,7 +15,7 @@ use sbrp_isa::{Kernel, LaunchConfig};
 pub enum RunOutcome {
     /// The kernel finished and every persist drained to durability.
     Completed,
-    /// The run was stopped at the requested crash cycle.
+    /// Power failed: a fault plan's crash trigger fired, or the link died.
     Crashed,
 }
 
@@ -174,7 +174,8 @@ impl Gpu {
         self.serial = serial;
     }
 
-    /// Builds a GPU whose NVM starts from a durable image (recovery boot).
+    /// Builds a GPU whose NVM starts from a durable image: the boot
+    /// step of [`crate::crash::recover`].
     #[must_use]
     pub fn from_image(cfg: &GpuConfig, image: &Backing) -> Self {
         let mut gpu = Self::new(cfg);
@@ -200,9 +201,10 @@ impl Gpu {
     /// model host-side gaps between batch launches (waiting for
     /// arrivals, linger timers) on the same clock the simulator keeps,
     /// so kernel durations and inter-batch idle time compose into one
-    /// consistent service timeline. A recovered GPU can also be
-    /// fast-forwarded to the crash cycle so the timeline survives
-    /// crash + `from_image` reconstruction.
+    /// consistent service timeline. A recovery boot
+    /// ([`crate::crash::recover`]) can also fast-forward to the crash
+    /// cycle in its `init_volatile` step, so the timeline survives the
+    /// crash.
     ///
     /// # Panics
     /// Panics if a launch is still active — idle time only exists
@@ -489,26 +491,43 @@ impl Gpu {
     }
 
     /// Runs until the active launch completes (including the final
-    /// durability drain).
+    /// durability drain) or an installed [`FaultPlan`] cuts power: then
+    /// the run ends [`RunOutcome::Crashed`] and the durable image holds
+    /// exactly what the persistence domain had accepted.
     ///
     /// # Errors
     /// [`SimError::Timeout`] if `max_cycles` elapse first, or
     /// [`SimError::Deadlock`] if nothing can ever make progress (a
-    /// kernel bug, e.g. a spin on a flag nobody releases). With the
-    /// online sanitizer armed, a PMO violation already present in the
-    /// partial trace is reported as [`SimError::PmoViolation`] in
-    /// preference to the timeout: a run that both wedged *and* broke
-    /// the persistency model names the model violation, which is the
-    /// bug worth debugging.
+    /// kernel bug, e.g. a spin on a flag nobody releases; a power cut
+    /// that strands waiters is a crash). With the online sanitizer
+    /// armed, a PMO violation in the partial trace is reported as
+    /// [`SimError::PmoViolation`] in preference to the timeout: it is
+    /// the bug worth debugging.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunReport, SimError> {
         let limit = self.cycle.saturating_add(max_cycles);
+        // A cycle-window trigger is a bound of its own: fast-forwarding
+        // must land exactly on the trigger cycle, not leap over it.
+        let bound = match self.fault_trigger {
+            Some(CrashTrigger::AtCycle(c)) => limit.min(c.max(self.cycle + 1)),
+            _ => limit,
+        };
         while self.cycle < limit {
-            if self.step_until(limit)? {
-                self.sanitize_check()?;
-                return Ok(RunReport {
-                    outcome: RunOutcome::Completed,
-                    cycles: self.cycle,
-                });
+            if self.fault_crash_now() {
+                // Completions route at the start of a step: commit the
+                // events that landed up to the crash cycle, so the
+                // durable image is the exact event-prefix. (A no-op for
+                // power cuts inside the memory system.)
+                self.charge_pending_stalls();
+                self.route_completions()?;
+                return self.end_run(RunOutcome::Crashed);
+            }
+            match self.step_until(bound) {
+                Ok(true) => return self.end_run(RunOutcome::Completed),
+                Ok(false) => {}
+                // A power cut strands waiters mid-step; that is the
+                // crash, not a simulator wedge.
+                Err(_) if self.fault_crash_now() => return self.end_run(RunOutcome::Crashed),
+                Err(e) => return Err(e),
             }
         }
         // The clamp in `step_until` guarantees the loop exits exactly at
@@ -521,13 +540,38 @@ impl Gpu {
         Err(SimError::Timeout { limit })
     }
 
+    /// Ends a run with `outcome`, once the sanitizer has passed the trace.
+    fn end_run(&self, outcome: RunOutcome) -> Result<RunReport, SimError> {
+        self.sanitize_check()?;
+        Ok(RunReport {
+            outcome,
+            cycles: self.cycle,
+        })
+    }
+
+    /// Runs until `crash_cycle` (simulated power failure) or completion:
+    /// [`Gpu::run`] with no cycle limit under a [`CrashTrigger::AtCycle`]
+    /// trigger that replaces the installed one for this call only, so a
+    /// GPU whose run completed can keep launching. Memory-side triggers
+    /// and faults stay armed.
+    ///
+    /// # Errors
+    /// As [`Gpu::run`].
+    pub fn run_until(&mut self, crash_cycle: u64) -> Result<RunReport, SimError> {
+        let at = Some(CrashTrigger::AtCycle(crash_cycle));
+        let previous = std::mem::replace(&mut self.fault_trigger, at);
+        let report = self.run(u64::MAX);
+        self.fault_trigger = previous;
+        report
+    }
+
     // ------------------------------------------------------------------
     // Fault injection
     // ------------------------------------------------------------------
 
-    /// Installs a fault-injection plan (see [`crate::fault`]). Must be
-    /// paired with [`Gpu::run_faulted`], which turns fault-triggered
-    /// power cuts into [`RunOutcome::Crashed`] reports.
+    /// Installs a fault-injection plan (see [`crate::fault`]);
+    /// [`Gpu::run`] turns its power cuts into [`RunOutcome::Crashed`]
+    /// reports.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_trigger = plan.trigger;
         self.ms.set_fault_plan(plan);
@@ -568,100 +612,6 @@ impl Gpu {
             }
             _ => false,
         }
-    }
-
-    /// Like [`Gpu::run`], but honours an installed [`FaultPlan`]: when a
-    /// crash trigger fires (or the PCIe link dies), the run stops with
-    /// [`RunOutcome::Crashed`] and the durable image holds exactly what
-    /// the persistence domain had accepted. With no plan installed this
-    /// is identical to [`Gpu::run`].
-    ///
-    /// # Errors
-    /// [`SimError::Timeout`] if `max_cycles` elapse with neither
-    /// completion nor a crash; [`SimError::Deadlock`] only for genuine
-    /// (non-fault) wedges.
-    pub fn run_faulted(&mut self, max_cycles: u64) -> Result<RunReport, SimError> {
-        let limit = self.cycle.saturating_add(max_cycles);
-        // A cycle-window trigger is a bound of its own: fast-forwarding
-        // must land exactly on the trigger cycle, not leap over it.
-        let bound = match self.fault_trigger {
-            Some(CrashTrigger::AtCycle(c)) => limit.min(c.max(self.cycle + 1)),
-            _ => limit,
-        };
-        while self.cycle < limit {
-            if self.fault_crash_now() {
-                // Deliver the events that landed at or before the crash
-                // cycle, so the durable image is the exact event-prefix.
-                // (A no-op for power cuts injected inside the memory
-                // system, which already stop delivery at the cut.)
-                self.charge_pending_stalls();
-                self.route_completions()?;
-                self.sanitize_check()?;
-                return Ok(RunReport {
-                    outcome: RunOutcome::Crashed,
-                    cycles: self.cycle,
-                });
-            }
-            match self.step_until(bound) {
-                Ok(true) => {
-                    self.sanitize_check()?;
-                    return Ok(RunReport {
-                        outcome: RunOutcome::Completed,
-                        cycles: self.cycle,
-                    });
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    // A power cut strands waiters mid-step; that is the
-                    // crash, not a simulator wedge.
-                    if self.fault_crash_now() {
-                        self.sanitize_check()?;
-                        return Ok(RunReport {
-                            outcome: RunOutcome::Crashed,
-                            cycles: self.cycle,
-                        });
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        debug_assert_eq!(self.cycle, limit);
-        self.charge_pending_stalls();
-        // As in [`Gpu::run`]: verify the partial trace on the timeout
-        // path so a PMO violation outranks the timeout report.
-        self.sanitize_check()?;
-        Err(SimError::Timeout { limit })
-    }
-
-    /// Runs until `crash_cycle` (simulated power failure) or completion,
-    /// whichever comes first. On a crash, volatile state (caches, persist
-    /// buffers, registers) is conceptually lost; use
-    /// [`Gpu::durable_image`] for what survives.
-    ///
-    /// # Errors
-    /// [`SimError::Deadlock`] if the simulation wedges before either.
-    pub fn run_until(&mut self, crash_cycle: u64) -> Result<RunReport, SimError> {
-        while self.cycle < crash_cycle {
-            if self.step_until(crash_cycle)? {
-                self.sanitize_check()?;
-                return Ok(RunReport {
-                    outcome: RunOutcome::Completed,
-                    cycles: self.cycle,
-                });
-            }
-        }
-        // Completions route at the *start* of each step, so events that
-        // landed since the last step — up to and including `crash_cycle`
-        // itself — are still pending. They happened before the power
-        // failed: commit them, or the durable image misses the tail of
-        // the event-prefix ≤ `crash_cycle`.
-        self.charge_pending_stalls();
-        self.route_completions()?;
-        self.sanitize_check()?;
-        Ok(RunReport {
-            outcome: RunOutcome::Crashed,
-            cycles: self.cycle,
-        })
     }
 
     // ------------------------------------------------------------------

@@ -8,10 +8,12 @@
 //! *Negative*: injected machine bugs (an ADR-violating WPQ drop, a torn
 //! NVM write) MUST be detected — by the formal crash-cut checker and by
 //! the semantic WAL invariant. A checker that stays green under these
-//! faults is broken; these tests pin that down.
+//! faults is broken; these tests pin that down. Likewise a recovery
+//! whose own run crashes must be reported as failed.
 
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::{GpuConfig, SystemDesign, PM_BASE};
+use sbrp_gpu_sim::crash::{self, RecoverError};
 use sbrp_gpu_sim::fault::{CrashTrigger, FaultPlan, NvmFault, PcieFaultConfig};
 use sbrp_gpu_sim::{Gpu, RunOutcome};
 use sbrp_isa::{Kernel, KernelBuilder, LaunchConfig, MemWidth, Special};
@@ -55,7 +57,7 @@ fn run_planned(cfg: &GpuConfig, plan: FaultPlan) -> (Gpu, RunOutcome) {
     let mut gpu = Gpu::new(cfg);
     gpu.set_fault_plan(plan);
     gpu.launch(&wal3_kernel(), LaunchConfig::new(2, 64));
-    let report = gpu.run_faulted(MAX_CYCLES).expect("no deadlock/timeout");
+    let report = gpu.run(MAX_CYCLES).expect("no deadlock/timeout");
     (gpu, report.outcome)
 }
 
@@ -319,4 +321,32 @@ fn pcie_faults_are_inert_on_pm_near() {
         "PM-near never touches the PCIe link"
     );
     assert_eq!(gpu.stats().pcie_retries, 0);
+}
+
+// ---------------------------------------------------------------------
+// Recovery: a recovery run that does not complete is a failure.
+// ---------------------------------------------------------------------
+
+#[test]
+fn incomplete_recovery_is_an_error() {
+    let cfg = traced_cfg(ModelKind::Sbrp, SystemDesign::PmNear);
+    let (gpu, outcome) = run_planned(&cfg, FaultPlan::crash_at(CrashTrigger::WpqAccept(2)));
+    assert_eq!(outcome, RunOutcome::Crashed);
+    // Recovery re-runs the WAL kernel, and power fails again at its
+    // first WPQ accept.
+    let kernel = wal3_kernel();
+    let got = crash::recover(
+        &cfg,
+        &gpu.durable_image(),
+        |g| g.set_fault_plan(FaultPlan::crash_at(CrashTrigger::WpqAccept(1))),
+        &[(&kernel, LaunchConfig::new(2, 64))],
+        MAX_CYCLES,
+    );
+    match got {
+        Err(RecoverError::Incomplete {
+            outcome: RunOutcome::Crashed,
+            cycles,
+        }) => assert!(cycles > 0),
+        other => panic!("a recovery that crashed again must fail, got {other:?}"),
+    }
 }

@@ -69,7 +69,7 @@ enum Drive {
     Complete,
     /// `Gpu::run_until` the given crash cycle.
     CrashAt(u64),
-    /// `Gpu::run_faulted` under the plan.
+    /// `Gpu::run` under the plan.
     Faulted(FaultPlan),
 }
 
@@ -96,7 +96,7 @@ fn observe(
         Drive::CrashAt(cycle) => gpu.run_until(cycle).expect("no deadlock"),
         Drive::Faulted(plan) => {
             gpu.set_fault_plan(plan);
-            gpu.run_faulted(LIMIT).expect("completes or crashes")
+            gpu.run(LIMIT).expect("completes or crashes")
         }
     };
     Observed {
@@ -264,7 +264,7 @@ proptest! {
             (0..sms).map(|sm| gpu.warp_stall_breakdowns(sm)).collect();
         loop {
             let before = gpu.cycle();
-            let done = match gpu.run_faulted(1) {
+            let done = match gpu.run(1) {
                 Ok(_) => true,
                 Err(SimError::Timeout { .. }) => false,
                 Err(e) => return Err(TestCaseError::fail(e.to_string())),

@@ -112,7 +112,7 @@ fn sanitizer_catches_adr_violation() {
         let mut gpu = Gpu::new(&cfg);
         gpu.set_fault_plan(FaultPlan::default().with_nvm(NvmFault::DropWpqEntry(1)));
         gpu.launch(&kernel, LaunchConfig::new(2, 64));
-        match gpu.run_faulted(LIMIT) {
+        match gpu.run(LIMIT) {
             Err(SimError::PmoViolation { violation, .. }) => {
                 assert!(violation.before < violation.after);
             }
@@ -132,7 +132,7 @@ fn sanitizer_catches_torn_write() {
     }));
     gpu.launch(&kernel, LaunchConfig::new(2, 64));
     assert!(
-        matches!(gpu.run_faulted(LIMIT), Err(SimError::PmoViolation { .. })),
+        matches!(gpu.run(LIMIT), Err(SimError::PmoViolation { .. })),
         "a torn first commit must violate the crash cut"
     );
 }
@@ -190,7 +190,7 @@ fn sampling_can_miss_a_fault_but_never_invents_one() {
     let mut gpu = Gpu::new(&cfg);
     gpu.set_fault_plan(FaultPlan::default().with_nvm(NvmFault::DropWpqEntry(3)));
     gpu.launch(&kernel, LaunchConfig::new(2, 64));
-    match gpu.run_faulted(LIMIT) {
+    match gpu.run(LIMIT) {
         Ok(report) => assert_eq!(report.outcome, RunOutcome::Completed),
         Err(SimError::PmoViolation { .. }) => {}
         Err(e) => panic!("unexpected error: {e}"),
@@ -199,7 +199,7 @@ fn sampling_can_miss_a_fault_but_never_invents_one() {
 
 #[test]
 fn sanitizer_checks_partial_trace_on_timeout() {
-    // Regression: `Gpu::run`/`run_faulted` used to verify the trace only
+    // Regression: `Gpu::run` used to verify the trace only
     // on the completion path, so a cycle budget that expired mid-run
     // reported `Timeout` even when the events already captured proved a
     // PMO violation. The violation must outrank the timeout.
@@ -211,25 +211,14 @@ fn sanitizer_checks_partial_trace_on_timeout() {
     clean.launch(&kernel, LaunchConfig::new(2, 64));
     let total = clean.run(LIMIT).expect("clean run completes").cycles;
 
-    for use_run_faulted in [false, true] {
-        let mut gpu = Gpu::new(&cfg);
-        gpu.set_fault_plan(FaultPlan::default().with_nvm(NvmFault::DropWpqEntry(1)));
-        gpu.launch(&kernel, LaunchConfig::new(2, 64));
-        let budget = total * 3 / 4;
-        let got = if use_run_faulted {
-            gpu.run_faulted(budget)
-        } else {
-            gpu.run(budget)
-        };
-        match got {
-            Err(SimError::PmoViolation { violation, .. }) => {
-                assert!(violation.before < violation.after);
-            }
-            other => panic!(
-                "run_faulted={use_run_faulted}: expected the timeout path to \
-                 surface the PMO violation, got {other:?}"
-            ),
+    let mut gpu = Gpu::new(&cfg);
+    gpu.set_fault_plan(FaultPlan::default().with_nvm(NvmFault::DropWpqEntry(1)));
+    gpu.launch(&kernel, LaunchConfig::new(2, 64));
+    match gpu.run(total * 3 / 4) {
+        Err(SimError::PmoViolation { violation, .. }) => {
+            assert!(violation.before < violation.after);
         }
+        other => panic!("expected the timeout path to surface the PMO violation, got {other:?}"),
     }
 
     // A *clean* run that times out still reports the timeout.

@@ -169,14 +169,16 @@ fn timeout_is_clamped_to_the_limit() {
     }
 }
 
-/// Same discipline for `run_faulted` with no crash trigger installed.
+/// Same discipline with a fault plan installed whose crash cycle lies
+/// past the limit: the limit, not the trigger, bounds the leap.
 #[test]
-fn run_faulted_timeout_is_clamped_to_the_limit() {
+fn faulted_run_timeout_is_clamped_to_the_limit() {
     let cfg = GpuConfig::small(ModelKind::Sbrp, SystemDesign::PmNear);
     let kernel = sleep_then_store_kernel(PM_BASE, 10_000);
     let mut gpu = Gpu::new(&cfg);
     gpu.launch(&kernel, LaunchConfig::new(1, 32));
-    match gpu.run_faulted(5_000) {
+    gpu.set_fault_plan(FaultPlan::crash_at(CrashTrigger::AtCycle(8_000)));
+    match gpu.run(5_000) {
         Err(SimError::Timeout { limit }) => {
             assert_eq!(limit, 5_000);
             assert_eq!(gpu.cycle(), 5_000);
@@ -194,13 +196,54 @@ fn at_cycle_trigger_is_not_leapt_over() {
     let mut gpu = Gpu::new(&cfg);
     gpu.launch(&kernel, LaunchConfig::new(1, 32));
     gpu.set_fault_plan(FaultPlan::crash_at(CrashTrigger::AtCycle(3_000)));
-    let report = gpu.run_faulted(LIMIT).expect("no deadlock");
+    let report = gpu.run(LIMIT).expect("no deadlock");
     assert_eq!(report.outcome, RunOutcome::Crashed);
     assert_eq!(
         report.cycles, 3_000,
         "sleeping warps must not carry the crash past its trigger cycle"
     );
     assert_eq!(gpu.cycle(), 3_000);
+}
+
+/// `run_until` arms its `AtCycle` trigger for one call only. After a
+/// kernel that completed before the crash cycle, a second kernel on the
+/// same GPU runs past that cycle to completion, and a memory-side
+/// trigger installed beforehand still fires.
+#[test]
+fn run_until_leaves_no_trigger_behind() {
+    let cfg = GpuConfig::small(ModelKind::Sbrp, SystemDesign::PmNear);
+    let fill = persist_fill_kernel(PM_BASE);
+    let sleeper = sleep_then_store_kernel(PM_BASE + (1 << 20), 10_000);
+    let launch = LaunchConfig::new(2, 64);
+
+    let mut reference = Gpu::new(&cfg);
+    reference.launch(&fill, launch);
+    let done = reference.run(LIMIT).expect("completes").cycles;
+    let accepts = reference.fault_event_counts().wpq_accepts;
+    let crash_at = done + 1_000;
+
+    let mut gpu = Gpu::new(&cfg);
+    gpu.launch(&fill, launch);
+    let first = gpu.run_until(crash_at).expect("no deadlock");
+    assert_eq!(first.outcome, RunOutcome::Completed);
+    assert_eq!(first.cycles, done);
+    gpu.launch(&sleeper, launch);
+    let second = gpu.run(LIMIT).expect("no deadlock");
+    assert_eq!(second.outcome, RunOutcome::Completed);
+    assert!(
+        second.cycles > crash_at,
+        "the second kernel outlives the old crash cycle"
+    );
+
+    let mut gpu = Gpu::new(&cfg);
+    gpu.set_fault_plan(FaultPlan::crash_at(CrashTrigger::WpqAccept(accepts + 1)));
+    gpu.launch(&fill, launch);
+    let first = gpu.run_until(crash_at).expect("no deadlock");
+    assert_eq!(first.outcome, RunOutcome::Completed);
+    gpu.launch(&sleeper, launch);
+    let second = gpu.run(LIMIT).expect("no deadlock");
+    assert_eq!(second.outcome, RunOutcome::Crashed);
+    assert_eq!(gpu.fault_event_counts().wpq_accepts, accepts + 1);
 }
 
 /// Timeouts keep their meaning after a resumed run: a second `run`

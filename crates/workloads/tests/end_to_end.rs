@@ -4,7 +4,7 @@
 
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::{GpuConfig, SystemDesign};
-use sbrp_gpu_sim::{Gpu, RunOutcome};
+use sbrp_gpu_sim::{crash, Gpu, RunOutcome};
 use sbrp_workloads::{BuildOpts, WorkloadKind};
 
 const LIMIT: u64 = 300_000_000;
@@ -61,20 +61,15 @@ fn run_crash_recover(kind: WorkloadKind, scale: u64, crash_points: &[u64]) {
                 continue; // finished before the crash point
             }
 
-            // Boot a recovery GPU from the durable image.
-            let mut rgpu = Gpu::from_image(&cfg, &image);
-            w.init_volatile(&mut rgpu);
-            if let Some(r) = w.recovery(opts) {
-                rgpu.launch(&r.kernel, r.launch);
-                rgpu.run(LIMIT)
-                    .unwrap_or_else(|e| panic!("{kind} {model:?} recovery@{crash_at}: {e}"));
-            }
-            // Native workloads (and logging ones, post-log-replay) re-run
-            // the main kernel to finish the job.
-            let l2 = w.kernel(opts);
-            rgpu.launch(&l2.kernel, l2.launch);
-            rgpu.run(LIMIT)
-                .unwrap_or_else(|e| panic!("{kind} {model:?} rerun@{crash_at}: {e}"));
+            // Boot a recovery GPU from the durable image: the recovery
+            // kernel where the workload has one, then the main kernel
+            // again (native workloads, and logging ones post-log-replay,
+            // re-run it to finish the job).
+            let recovery = w.recovery(opts);
+            let mut kernels: Vec<_> = recovery.iter().map(|r| (&r.kernel, r.launch)).collect();
+            kernels.push((&l.kernel, l.launch));
+            let rgpu = crash::recover(&cfg, &image, |g| w.init_volatile(g), &kernels, LIMIT)
+                .unwrap_or_else(|e| panic!("{kind} {model:?} recovery@{crash_at}: {e}"));
             w.verify_complete(&rgpu)
                 .unwrap_or_else(|e| panic!("{kind} {model:?} post-recovery@{crash_at}: {e}"));
         }

@@ -76,7 +76,7 @@ fn injected_adr_violations_are_caught_at_workload_scale() {
         gpu.set_fault_plan(FaultPlan::default().with_nvm(NvmFault::DropWpqEntry(1)));
         w.init(&mut gpu);
         gpu.launch(&l.kernel, l.launch);
-        match gpu.run_faulted(CYCLE_LIMIT) {
+        match gpu.run(CYCLE_LIMIT) {
             Err(SimError::PmoViolation { violation, .. }) => {
                 assert!(violation.before < violation.after, "{violation}");
                 caught += 1;

@@ -127,7 +127,7 @@ fn seeded_fault_caught(nvm: sbrp_gpu_sim::fault::NvmFault) -> bool {
     // becomes genuinely durable, exposing the hole to both checkers.
     gpu.set_fault_plan(FaultPlan::default().with_nvm(nvm));
     gpu.launch(&l.kernel, l.launch);
-    let _ = gpu.run_faulted(50_000_000).expect("no deadlock");
+    let _ = gpu.run(50_000_000).expect("no deadlock");
     let formal_bad = gpu.take_trace().expect("traced").check().is_err();
     let semantic_bad = w.verify_crash_consistent(&gpu.durable_image()).is_err();
     formal_bad || semantic_bad

@@ -5,7 +5,7 @@
 
 use sbrp::core::ModelKind;
 use sbrp::sim::config::{GpuConfig, SystemDesign};
-use sbrp::sim::Gpu;
+use sbrp::sim::{crash, Gpu};
 use sbrp::workloads::{BuildOpts, WorkloadKind};
 
 fn main() {
@@ -32,12 +32,16 @@ fn main() {
     println!("crashed at cycle {}; durable KVS is recoverable", full / 2);
 
     // Recovery kernel: replay the undo log (dFence before clearing it).
-    let mut rgpu = Gpu::from_image(&cfg, &image);
-    w.init_volatile(&mut rgpu);
     let rec = w.recovery(opts).expect("gpKVS recovers via logging");
-    rgpu.launch(&rec.kernel, rec.launch);
-    let rec_cycles = rgpu.run(1_000_000_000).expect("completes").cycles;
-    println!("log replay took {rec_cycles} cycles");
+    let mut rgpu = crash::recover(
+        &cfg,
+        &image,
+        |g| w.init_volatile(g),
+        &[(&rec.kernel, rec.launch)],
+        1_000_000_000,
+    )
+    .expect("completes");
+    println!("log replay took {} cycles", rgpu.cycle());
 
     // Re-run the batch (idempotent): committed inserts are skipped.
     let l = w.kernel(opts);

@@ -5,7 +5,7 @@
 
 use sbrp::core::ModelKind;
 use sbrp::sim::config::{GpuConfig, SystemDesign};
-use sbrp::sim::{Gpu, RunOutcome};
+use sbrp::sim::{crash, Gpu, RunOutcome};
 use sbrp::workloads::{BuildOpts, WorkloadKind};
 
 fn main() {
@@ -37,11 +37,16 @@ fn main() {
 
     // Native recovery: boot from the image, reload volatile inputs,
     // re-run the same kernel — it resumes from the persisted partials.
-    let mut rgpu = Gpu::from_image(&cfg, &image);
-    w.init_volatile(&mut rgpu);
     let l = w.kernel(opts);
-    rgpu.launch(&l.kernel, l.launch);
-    let resumed = rgpu.run(1_000_000_000).expect("completes").cycles;
+    let rgpu = crash::recover(
+        &cfg,
+        &image,
+        |g| w.init_volatile(g),
+        &[(&l.kernel, l.launch)],
+        1_000_000_000,
+    )
+    .expect("completes");
+    let resumed = rgpu.cycle();
     w.verify_complete(&rgpu)
         .expect("recovered to the correct sum");
     println!("resumed run finished in {resumed} cycles and verified ✓");
