@@ -348,8 +348,12 @@ impl KernelBuilder {
     #[must_use]
     pub fn build(mut self, name: impl Into<String>) -> Kernel {
         assert_eq!(self.stack.len(), 1, "unbalanced control-flow blocks");
-        let top = self.stack.pop().expect("top block");
-        Kernel::new(name, top.into(), self.params)
+        let top: Arc<[Stmt]> = self.stack.pop().expect("top block").into();
+        debug_assert!(
+            self.next_reg >= crate::stmt::block_regs(&top),
+            "builder's register count is below the registers its tree names"
+        );
+        Kernel::with_regs(name, top, self.params, self.next_reg)
     }
 }
 

@@ -162,6 +162,32 @@ pub enum Instr {
     Sleep(u32),
 }
 
+impl Instr {
+    /// The highest index among the registers the instruction names, as
+    /// destination or source; `None` when it names none.
+    #[must_use]
+    pub(crate) fn max_reg(&self) -> Option<usize> {
+        let max = |regs: &[Reg]| regs.iter().map(|r| r.index()).max();
+        match *self {
+            Instr::MovI(d, _) | Instr::Spec(d, _) | Instr::Param(d, _) => max(&[d]),
+            Instr::Mov(a, b)
+            | Instr::BinI(_, a, b, _)
+            | Instr::Ld(a, b, ..)
+            | Instr::LdVol(a, b, ..)
+            | Instr::St(a, _, b, _)
+            | Instr::PAcq(a, b, _)
+            | Instr::PRel(a, b, _) => max(&[a, b]),
+            Instr::Bin(_, d, a, b) | Instr::AtomAdd(d, a, b, _) => max(&[d, a, b]),
+            Instr::Select(d, c, a, b) => max(&[d, c, a, b]),
+            Instr::OFence
+            | Instr::DFence
+            | Instr::SyncBlock
+            | Instr::EpochBarrier
+            | Instr::Sleep(_) => None,
+        }
+    }
+}
+
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

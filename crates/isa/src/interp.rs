@@ -12,11 +12,23 @@
 
 use crate::instr::{Instr, MemWidth, Special};
 use crate::kernel::{Kernel, LaunchConfig};
-use crate::reg::{Reg, NUM_REGS};
+use crate::reg::Reg;
 use crate::stmt::Stmt;
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::scope::{Scope, WARP_SIZE};
 use std::sync::Arc;
+
+/// The set bits of a lane mask, in ascending order: the lanes of a warp
+/// mask, or positions in a list of at most 32 lanes.
+pub fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
 
 /// What kind of plain memory access a warp issued.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,8 +127,9 @@ enum Frame {
 
 #[derive(Clone, Debug)]
 enum Pending {
-    /// Write completion values to `dst` for the recorded lanes.
-    Values { dst: Reg, lanes: Vec<u8> },
+    /// Write completion values to `dst` for the lanes of `mask`, which
+    /// are the issued access's lanes in ascending order.
+    Values { dst: Reg, mask: u32 },
     /// Just advance past the instruction.
     Plain,
 }
@@ -223,7 +236,7 @@ impl WarpInterp {
         assert!(block_id < launch.blocks);
         WarpInterp {
             params: Arc::clone(kernel.params()),
-            regs: vec![[0u64; WARP_SIZE]; NUM_REGS].into_boxed_slice(),
+            regs: vec![[0u64; WARP_SIZE]; kernel.regs()].into_boxed_slice(),
             frames: vec![Frame::Block {
                 stmts: Arc::clone(kernel.program()),
                 idx: 0,
@@ -261,10 +274,11 @@ impl WarpInterp {
         self.warp_in_block
     }
 
-    /// Reads a register lane (tests/debug).
+    /// Reads a register lane (tests/debug). A register the kernel never
+    /// names is architecturally zero.
     #[must_use]
     pub fn reg(&self, r: Reg, lane: usize) -> u64 {
-        self.regs[r.index()][lane]
+        self.regs.get(r.index()).map_or(0, |lanes| lanes[lane])
     }
 
     fn special(&self, s: Special, lane: usize) -> u64 {
@@ -280,10 +294,6 @@ impl WarpInterp {
                 u64::from(self.block_id) * u64::from(self.launch.threads_per_block) + tid
             }
         }
-    }
-
-    fn lanes_of(mask: u32) -> impl Iterator<Item = usize> {
-        (0..WARP_SIZE).filter(move |l| mask & (1 << l) != 0)
     }
 
     /// Executes until an externally visible action occurs.
@@ -329,7 +339,7 @@ impl WarpInterp {
                     }
                     // Condition block finished: test per lane.
                     let cond_reg = *cond;
-                    let live: u32 = Self::lanes_of(*mask)
+                    let live: u32 = lanes_of(*mask)
                         .filter(|&l| self.regs[cond_reg.index()][l] != 0)
                         .fold(0, |m, l| m | (1 << l));
                     if live == 0 {
@@ -366,7 +376,7 @@ impl WarpInterp {
                             let cond = *cond;
                             let (then_b, else_b) = (Arc::clone(then_b), Arc::clone(else_b));
                             *idx += 1;
-                            let taken: u32 = Self::lanes_of(mask)
+                            let taken: u32 = lanes_of(mask)
                                 .filter(|&l| self.regs[cond.index()][l] != 0)
                                 .fold(0, |m, l| m | (1 << l));
                             let not_taken = mask & !taken;
@@ -422,33 +432,33 @@ impl WarpInterp {
     }
 
     fn gather(&self, addr: Reg, off: i64, val: Option<Reg>, mask: u32) -> Vec<LaneAccess> {
-        Self::lanes_of(mask)
-            .map(|l| LaneAccess {
-                lane: l as u8,
-                addr: self.regs[addr.index()][l].wrapping_add_signed(off),
-                value: val.map_or(0, |v| self.regs[v.index()][l]),
-            })
-            .collect()
+        let mut lanes = Vec::with_capacity(mask.count_ones() as usize);
+        lanes.extend(lanes_of(mask).map(|l| LaneAccess {
+            lane: l as u8,
+            addr: self.regs[addr.index()][l].wrapping_add_signed(off),
+            value: val.map_or(0, |v| self.regs[v.index()][l]),
+        }));
+        lanes
     }
 
     fn exec(&mut self, instr: Instr, mask: u32) -> StepResult {
         match instr {
             Instr::MovI(d, v) => {
-                for l in Self::lanes_of(mask) {
+                for l in lanes_of(mask) {
                     self.regs[d.index()][l] = v;
                 }
                 self.advance();
                 StepResult::Alu
             }
             Instr::Mov(d, s) => {
-                for l in Self::lanes_of(mask) {
+                for l in lanes_of(mask) {
                     self.regs[d.index()][l] = self.regs[s.index()][l];
                 }
                 self.advance();
                 StepResult::Alu
             }
             Instr::Bin(op, d, a, b) => {
-                for l in Self::lanes_of(mask) {
+                for l in lanes_of(mask) {
                     self.regs[d.index()][l] =
                         op.apply(self.regs[a.index()][l], self.regs[b.index()][l]);
                 }
@@ -456,14 +466,14 @@ impl WarpInterp {
                 StepResult::Alu
             }
             Instr::BinI(op, d, a, imm) => {
-                for l in Self::lanes_of(mask) {
+                for l in lanes_of(mask) {
                     self.regs[d.index()][l] = op.apply(self.regs[a.index()][l], imm);
                 }
                 self.advance();
                 StepResult::Alu
             }
             Instr::Spec(d, s) => {
-                for l in Self::lanes_of(mask) {
+                for l in lanes_of(mask) {
                     self.regs[d.index()][l] = self.special(s, l);
                 }
                 self.advance();
@@ -474,14 +484,14 @@ impl WarpInterp {
                     .params
                     .get(usize::from(i))
                     .unwrap_or_else(|| panic!("kernel param {i} missing"));
-                for l in Self::lanes_of(mask) {
+                for l in lanes_of(mask) {
                     self.regs[d.index()][l] = v;
                 }
                 self.advance();
                 StepResult::Alu
             }
             Instr::Select(d, c, a, b) => {
-                for l in Self::lanes_of(mask) {
+                for l in lanes_of(mask) {
                     self.regs[d.index()][l] = if self.regs[c.index()][l] != 0 {
                         self.regs[a.index()][l]
                     } else {
@@ -497,10 +507,7 @@ impl WarpInterp {
             }
             Instr::Ld(d, a, off, w) => {
                 let lanes = self.gather(a, off, None, mask);
-                self.pending = Some(Pending::Values {
-                    dst: d,
-                    lanes: lanes.iter().map(|la| la.lane).collect(),
-                });
+                self.pending = Some(Pending::Values { dst: d, mask });
                 StepResult::Mem(MemAccess {
                     kind: AccessKind::Load,
                     width: w,
@@ -509,10 +516,7 @@ impl WarpInterp {
             }
             Instr::LdVol(d, a, off, w) => {
                 let lanes = self.gather(a, off, None, mask);
-                self.pending = Some(Pending::Values {
-                    dst: d,
-                    lanes: lanes.iter().map(|la| la.lane).collect(),
-                });
+                self.pending = Some(Pending::Values { dst: d, mask });
                 StepResult::Mem(MemAccess {
                     kind: AccessKind::LoadVolatile,
                     width: w,
@@ -530,10 +534,7 @@ impl WarpInterp {
             }
             Instr::AtomAdd(d, a, v, w) => {
                 let lanes = self.gather(a, 0, Some(v), mask);
-                self.pending = Some(Pending::Values {
-                    dst: d,
-                    lanes: lanes.iter().map(|la| la.lane).collect(),
-                });
+                self.pending = Some(Pending::Values { dst: d, mask });
                 StepResult::Mem(MemAccess {
                     kind: AccessKind::AtomAdd,
                     width: w,
@@ -542,10 +543,7 @@ impl WarpInterp {
             }
             Instr::PAcq(d, a, scope) => {
                 let lanes = self.gather(a, 0, None, mask);
-                self.pending = Some(Pending::Values {
-                    dst: d,
-                    lanes: lanes.iter().map(|la| la.lane).collect(),
-                });
+                self.pending = Some(Pending::Values { dst: d, mask });
                 StepResult::Fence(FenceAccess::PAcq { scope, lanes })
             }
             Instr::PRel(a, v, scope) => {
@@ -580,10 +578,14 @@ impl WarpInterp {
     /// value count mismatches.
     pub fn complete_load(&mut self, values: &[u64]) {
         match self.pending.take() {
-            Some(Pending::Values { dst, lanes }) => {
-                assert_eq!(lanes.len(), values.len(), "lane/value count mismatch");
-                for (&lane, &v) in lanes.iter().zip(values) {
-                    self.regs[dst.index()][usize::from(lane)] = v;
+            Some(Pending::Values { dst, mask }) => {
+                assert_eq!(
+                    mask.count_ones() as usize,
+                    values.len(),
+                    "lane/value count mismatch"
+                );
+                for (lane, &v) in lanes_of(mask).zip(values) {
+                    self.regs[dst.index()][lane] = v;
                 }
                 self.advance();
             }
@@ -669,12 +671,12 @@ impl WarpInterp {
         match &self.pending {
             None => fp.write_u64(0),
             Some(Pending::Plain) => fp.write_u64(1),
-            Some(Pending::Values { dst, lanes }) => {
+            Some(Pending::Values { dst, mask }) => {
                 fp.write_u64(2);
                 fp.write_u64(dst.index() as u64);
-                fp.write_u64(lanes.len() as u64);
-                for &l in lanes {
-                    fp.write_u64(u64::from(l));
+                fp.write_u64(u64::from(mask.count_ones()));
+                for l in lanes_of(*mask) {
+                    fp.write_u64(l as u64);
                 }
             }
         }
@@ -978,6 +980,73 @@ mod tests {
         let k = b.build("k");
         let (w, _) = run(&k, 0, 0);
         assert_eq!(w.retired(), 2);
+    }
+
+    /// Steps `w` (completing nothing) until it surfaces an action.
+    fn step_to_action(w: &mut WarpInterp) -> StepResult {
+        loop {
+            match w.step() {
+                StepResult::Alu | StepResult::Sleep(_) => {}
+                other => return other,
+            }
+        }
+    }
+
+    /// The digest of a pending value-producing action names its lanes as
+    /// a count followed by each lane index. The constants were computed
+    /// when the pending lanes were still a `Vec<u8>` of lane ids, so a
+    /// change of representation cannot silently re-key model-checker
+    /// states.
+    #[test]
+    fn pending_value_fingerprints_are_pinned() {
+        // A load under a partial mask (lanes 3..20 taken), then a pAcq
+        // under the full mask.
+        let mut b = KernelBuilder::new();
+        let tid = b.special(Special::Tid);
+        let lo = b.gei(tid, 3);
+        let hi = b.lti(tid, 20);
+        let c = b.mul(lo, hi);
+        let off = b.muli(tid, 8);
+        let addr = b.addi(off, 0x1000);
+        b.if_then(c, |b| {
+            let _ = b.ld(addr, 0, MemWidth::W8);
+        });
+        let _ = b.pacq(addr, Scope::Device);
+        let k = b.build("fp");
+        let blocks = k.block_index();
+        let digest = |w: &WarpInterp| {
+            let mut fp = Fingerprint::new();
+            w.fingerprint_into(&blocks, &mut fp);
+            fp.finish()
+        };
+        let mut w = WarpInterp::new(&k, lc(), 1, 0);
+        let StepResult::Mem(ld) = step_to_action(&mut w) else {
+            panic!("expected the load")
+        };
+        assert_eq!(ld.lanes.len(), 17);
+        assert_eq!(
+            digest(&w),
+            0xe294_f59b_47bc_c54a,
+            "pending partial-mask load"
+        );
+        let vals: Vec<u64> = ld.lanes.iter().map(|la| la.addr ^ 0x55).collect();
+        w.complete_load(&vals);
+        let StepResult::Fence(FenceAccess::PAcq { lanes, .. }) = step_to_action(&mut w) else {
+            panic!("expected the pAcq")
+        };
+        assert_eq!(lanes.len(), 32);
+        assert_eq!(digest(&w), 0x3866_072a_8ad5_575c, "pending full-mask pAcq");
+    }
+
+    #[test]
+    fn unnamed_registers_read_as_zero() {
+        let mut b = KernelBuilder::new();
+        let x = b.movi(5);
+        let k = b.build("k");
+        assert_eq!(k.regs(), 1);
+        let (w, _) = run(&k, 0, 0);
+        assert_eq!(w.reg(x, 7), 5);
+        assert_eq!(w.reg(Reg::new(crate::NUM_REGS - 1), 7), 0);
     }
 
     use crate::instr::BinOp;

@@ -1,6 +1,6 @@
 //! Kernels and launch configurations.
 
-use crate::stmt::{block_len, Stmt};
+use crate::stmt::{block_len, block_regs, Stmt};
 use std::fmt;
 use std::sync::Arc;
 
@@ -68,16 +68,31 @@ pub struct Kernel {
     name: String,
     program: Arc<[Stmt]>,
     params: Arc<Vec<u64>>,
+    regs: usize,
 }
 
 impl Kernel {
-    /// Creates a kernel from a finished statement block.
+    /// Creates a kernel from a finished statement block, deriving its
+    /// register count from the tree.
     #[must_use]
     pub fn new(name: impl Into<String>, program: Arc<[Stmt]>, params: Vec<u64>) -> Self {
+        let regs = block_regs(&program);
+        Self::with_regs(name, program, params, regs)
+    }
+
+    /// Creates a kernel whose register count the caller already knows
+    /// (the builder's allocation count), skipping the tree walk.
+    pub(crate) fn with_regs(
+        name: impl Into<String>,
+        program: Arc<[Stmt]>,
+        params: Vec<u64>,
+        regs: usize,
+    ) -> Self {
         Kernel {
             name: name.into(),
             program,
             params: Arc::new(params),
+            regs,
         }
     }
 
@@ -99,6 +114,16 @@ impl Kernel {
         &self.params
     }
 
+    /// Registers per thread the kernel needs: the max named register
+    /// index + 1, or 0 for a kernel that names none. A kernel from
+    /// [`KernelBuilder`](crate::KernelBuilder) counts every register the
+    /// builder allocated, which can exceed that if some go unused. A
+    /// warp's register file holds exactly this many.
+    #[must_use]
+    pub fn regs(&self) -> usize {
+        self.regs
+    }
+
     /// Returns a copy of the kernel with different parameters.
     #[must_use]
     pub fn with_params(&self, params: Vec<u64>) -> Kernel {
@@ -106,6 +131,7 @@ impl Kernel {
             name: self.name.clone(),
             program: Arc::clone(&self.program),
             params: Arc::new(params),
+            regs: self.regs,
         }
     }
 

@@ -57,7 +57,9 @@ pub use affine::Affine;
 pub use builder::KernelBuilder;
 pub use geometry::{rep_pairs, sample_threads, RepThread, ScopeLevel};
 pub use instr::{BinOp, Instr, MemWidth, Special};
-pub use interp::{AccessKind, FenceAccess, LaneAccess, MemAccess, StepResult, WarpInterp};
+pub use interp::{
+    lanes_of, AccessKind, FenceAccess, LaneAccess, MemAccess, StepResult, WarpInterp,
+};
 pub use kernel::{BlockIndex, Kernel, LaunchConfig};
 pub use reg::{Reg, NUM_REGS};
 pub use stmt::Stmt;

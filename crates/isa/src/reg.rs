@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// Number of 64-bit registers per thread.
+/// Number of 64-bit registers a thread may name. A warp's register file
+/// holds only the [`Kernel::regs`](crate::Kernel::regs) its kernel needs.
 pub const NUM_REGS: usize = 128;
 
 /// A per-thread 64-bit register.

@@ -44,6 +44,29 @@ impl Stmt {
     }
 }
 
+/// Registers a block needs: one more than the highest register index
+/// named anywhere in its tree (conditions included), or 0 if none.
+#[must_use]
+pub(crate) fn block_regs(block: &[Stmt]) -> usize {
+    block
+        .iter()
+        .map(|s| match s {
+            Stmt::I(i) => i.max_reg().map_or(0, |r| r + 1),
+            Stmt::If {
+                cond,
+                then_b,
+                else_b,
+            } => (cond.index() + 1)
+                .max(block_regs(then_b))
+                .max(block_regs(else_b)),
+            Stmt::While { cond_b, cond, body } => (cond.index() + 1)
+                .max(block_regs(cond_b))
+                .max(block_regs(body)),
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 /// Total static instruction count of a block.
 #[must_use]
 pub fn block_len(block: &[Stmt]) -> usize {

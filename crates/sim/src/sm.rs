@@ -15,7 +15,8 @@ use sbrp_core::scope::{Scope, ThreadPos, WarpSlot};
 use sbrp_core::stall::{StallBreakdown, StallCause};
 use sbrp_core::ModelKind;
 use sbrp_isa::{
-    AccessKind, FenceAccess, Kernel, LaneAccess, LaunchConfig, MemWidth, StepResult, WarpInterp,
+    lanes_of, AccessKind, FenceAccess, Kernel, LaneAccess, LaunchConfig, MemWidth, StepResult,
+    WarpInterp,
 };
 use std::collections::HashMap;
 
@@ -37,7 +38,9 @@ struct RelBatch {
 /// A coalesced group of lanes touching one cache line.
 struct Group {
     addr: u64,
-    lane_idx: Vec<usize>,
+    /// Bitmask of positions in [`MemOp::lanes`] (at most 32 lanes);
+    /// iterate with [`lanes_of`], ascending as the lanes were issued.
+    lanes: u32,
     /// Pre-allocated trace tokens for PM store groups.
     tokens: Vec<u64>,
 }
@@ -386,14 +389,15 @@ impl Sm {
     fn coalesce(&self, lanes: &[LaneAccess]) -> Vec<Group> {
         // A warp touches at most 32 lines, so a linear scan beats a
         // HashMap here; insertion order (first-touch) is preserved.
+        debug_assert!(lanes.len() <= 32, "a warp access has at most 32 lanes");
         let mut groups: Vec<Group> = Vec::new();
         for (i, la) in lanes.iter().enumerate() {
             let line = la.addr & !u64::from(self.line_bytes - 1);
             match groups.iter_mut().find(|g| g.addr == line) {
-                Some(g) => g.lane_idx.push(i),
+                Some(g) => g.lanes |= 1 << i,
                 None => groups.push(Group {
                     addr: line,
-                    lane_idx: vec![i],
+                    lanes: 1 << i,
                     tokens: Vec::new(),
                 }),
             }
@@ -1169,9 +1173,8 @@ impl Sm {
                     let lane_info: Vec<(u8, u64)> = self.with_mem_op(slot, |op| {
                         let g = &op.groups[op.next];
                         if g.tokens.is_empty() {
-                            g.lane_idx
-                                .iter()
-                                .map(|&i| (op.lanes[i].lane, op.lanes[i].addr))
+                            lanes_of(g.lanes)
+                                .map(|i| (op.lanes[i].lane, op.lanes[i].addr))
                                 .collect()
                         } else {
                             Vec::new()
@@ -1234,7 +1237,7 @@ impl Sm {
                     let width = op.width.bytes();
                     let g = &op.groups[op.next];
                     let mut m = 0u128;
-                    for &i in &g.lane_idx {
+                    for i in lanes_of(g.lanes) {
                         let off = op.lanes[i].addr & off_mask;
                         debug_assert!(off + width <= line_bytes);
                         m |= ((1u128 << width) - 1) << off;
@@ -1317,7 +1320,7 @@ impl Sm {
         };
         let width = op.width.bytes();
         let g = &op.groups[op.next];
-        for &i in &g.lane_idx {
+        for i in lanes_of(g.lanes) {
             ms.write_mem(op.lanes[i].addr, op.lanes[i].value, width);
         }
         op.next += 1;
