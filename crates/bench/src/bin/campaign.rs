@@ -11,115 +11,54 @@
 //! * `--quick`    — acceptance sweep: gpKVS/HM/MQ × all models × both
 //!   systems on the small GPU at scale 256 (minutes);
 //! * `--points N` — minimum crash points per cell (default 20);
-//! * `--scale N`  — override the workload scale;
 //! * `--seed N`   — input seed (default 42);
-//! * `--small`    — use the 4-SM GPU without the rest of `--quick`;
-//! * `--csv`      — emit CSV instead of an aligned table;
-//! * `--jobs N`   — sweep worker threads (default: all hardware
-//!   threads; `--jobs 1` is the historical serial order);
-//! * `--no-cache` — ignore and don't write `outputs/.cache`;
-//! * `--cell-timeout SECS` — wall-clock budget per campaign cell;
-//! * `--retries N` / `--retry-seed N` — deterministic retry policy for
-//!   failed cells;
-//! * `--resume`   — reload completed cells from the resume journal and
-//!   run only the missing ones;
-//! * `--journal-dir DIR` — resume-journal root (default
-//!   `outputs/.cache/journal`).
+//!
+//! plus the standard sweep flags of `sbrp_bench` (`--small` alone
+//! selects the 4-SM GPU without the rest of `--quick`).
 //!
 //! Without `--quick`, the full six-workload matrix runs at the default
 //! figure scales on the Table 1 machine — an overnight-class sweep.
 
+use sbrp_bench::{parse_env, Cli, Flags, UsageError, Value};
 use sbrp_harness::campaign::{CampaignSpec, CellReport};
-use sbrp_harness::report::Table;
-use sbrp_harness::sweep::{FaultPolicy, SweepOpts};
-use std::time::Duration;
+use sbrp_harness::sweep::SweepOpts;
 
+#[derive(Default)]
 struct Args {
+    cli: Cli,
     quick: bool,
     points: Option<usize>,
-    scale: Option<u64>,
     seed: Option<u64>,
-    small: bool,
-    csv: bool,
-    jobs: Option<usize>,
-    no_cache: bool,
-    cell_timeout: Option<f64>,
-    retries: u32,
-    retry_seed: u64,
-    resume: bool,
-    journal_dir: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut out = Args {
-        quick: false,
-        points: None,
-        scale: None,
-        seed: None,
-        small: false,
-        csv: false,
-        jobs: None,
-        no_cache: false,
-        cell_timeout: None,
-        retries: 0,
-        retry_seed: 42,
-        resume: false,
-        journal_dir: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut arg = |name: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        let mut num = |name: &str| -> u64 {
-            arg(name)
-                .parse()
-                .unwrap_or_else(|_| panic!("{name} must be an integer"))
-        };
-        match a.as_str() {
-            "--quick" => out.quick = true,
-            "--points" => out.points = Some(num("--points") as usize),
-            "--scale" => out.scale = Some(num("--scale")),
-            "--seed" => out.seed = Some(num("--seed")),
-            "--small" => out.small = true,
-            "--csv" => out.csv = true,
-            "--jobs" => {
-                let n = num("--jobs") as usize;
-                assert!(n > 0, "--jobs must be at least 1");
-                out.jobs = Some(n);
-            }
-            "--no-cache" => out.no_cache = true,
-            "--cell-timeout" => {
-                let secs: f64 = arg("--cell-timeout")
-                    .parse()
-                    .expect("--cell-timeout must be seconds");
-                assert!(
-                    secs.is_finite() && secs > 0.0,
-                    "--cell-timeout must be positive"
-                );
-                out.cell_timeout = Some(secs);
-            }
-            "--retries" => out.retries = num("--retries") as u32,
-            "--retry-seed" => out.retry_seed = num("--retry-seed"),
-            "--resume" => out.resume = true,
-            "--journal-dir" => out.journal_dir = Some(arg("--journal-dir")),
-            "--help" | "-h" => {
-                println!(
-                    "usage: campaign [--quick] [--points N] [--scale N] [--seed N] [--small] \
-                     [--csv] [--jobs N] [--no-cache] [--cell-timeout SECS] [--retries N] \
-                     [--retry-seed N] [--resume] [--journal-dir DIR]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
-        }
+impl Flags for Args {
+    fn usage() -> String {
+        format!("[--quick] [--points N] [--seed N] {}", Cli::usage())
     }
-    out
+
+    fn flag(&mut self, flag: &str, value: Value<'_>) -> Result<bool, UsageError> {
+        match flag {
+            "--quick" => self.quick = true,
+            "--points" => self.points = Some(value.value(|_| true)?),
+            "--seed" => self.seed = Some(value.value(|_| true)?),
+            _ => return self.cli.flag(flag, value),
+        }
+        Ok(true)
+    }
+}
+
+impl Args {
+    fn sweep_opts(&self) -> SweepOpts {
+        let mut opts = self.cli.sweep_opts();
+        // The per-cell status lines below carry more detail than the
+        // engine's generic progress output.
+        opts.progress = false;
+        opts
+    }
 }
 
 fn main() {
-    let args = parse_args();
+    let args: Args = parse_env();
     let mut spec = if args.quick {
         CampaignSpec::quick()
     } else {
@@ -128,37 +67,16 @@ fn main() {
     if let Some(p) = args.points {
         spec.points_per_cell = p;
     }
-    if let Some(s) = args.scale {
+    if let Some(s) = args.cli.scale {
         spec.scale = Some(s);
     }
     if let Some(s) = args.seed {
         spec.seed = s;
     }
-    if args.small {
+    if args.cli.small {
         spec.small_gpu = true;
     }
-    let opts = SweepOpts {
-        jobs: args.jobs.unwrap_or(0),
-        cache_dir: if args.no_cache {
-            None
-        } else {
-            Some(SweepOpts::default_cache_dir())
-        },
-        // The per-cell status lines below carry more detail than the
-        // engine's generic progress output.
-        progress: false,
-        fault: FaultPolicy {
-            cell_timeout: args.cell_timeout.map(Duration::from_secs_f64),
-            retries: args.retries,
-            retry_seed: args.retry_seed,
-        },
-        journal_root: match &args.journal_dir {
-            Some(dir) => Some(dir.into()),
-            None if args.no_cache => None,
-            None => Some(SweepOpts::default_journal_root()),
-        },
-        resume: args.resume,
-    };
+    let opts = args.sweep_opts();
 
     let cells = spec.workloads.len() * spec.models.len() * spec.systems.len();
     eprintln!(
@@ -203,12 +121,7 @@ fn main() {
         );
     });
 
-    let table: Table = report.table();
-    if args.csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    args.cli.emit(&report.table());
 
     // Spell out every violation with its shrunk minimal crash point.
     for cell in &report.cells {
@@ -231,5 +144,44 @@ fn main() {
     );
     if !report.ok() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_flags_select_a_figure_binarys_sweep_opts_without_progress() {
+        let sweep = [
+            "--jobs",
+            "2",
+            "--no-cache",
+            "--cell-timeout",
+            "1.5",
+            "--retries",
+            "3",
+            "--retry-seed",
+            "7",
+            "--resume",
+            "--journal-dir",
+            "/tmp/j",
+        ];
+        let strings = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        for sweep in [&sweep[..], &[]] {
+            let extras = ["--quick", "--points", "3", "--seed", "9"];
+            let args: Args = sbrp_bench::parse(strings(&[&extras[..], sweep].concat()))
+                .expect("valid")
+                .expect("not --help");
+            let cli: Cli = sbrp_bench::parse(strings(sweep)).unwrap().unwrap();
+            let mut figure = cli.sweep_opts();
+            assert!(figure.progress && !args.sweep_opts().progress);
+            figure.progress = false;
+            assert_eq!(format!("{:?}", args.sweep_opts()), format!("{figure:?}"));
+            assert_eq!(
+                (args.quick, args.points, args.seed),
+                (true, Some(3), Some(9))
+            );
+        }
     }
 }

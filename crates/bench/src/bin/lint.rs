@@ -12,7 +12,8 @@
 //! * `--json`        — emit one JSON report per kernel (a JSON array)
 //!   instead of text;
 //! * `--sarif`       — emit a single SARIF 2.1.0 log for all linted
-//!   kernels instead of text (for code-scanning upload);
+//!   kernels instead of text (for code-scanning upload; not with
+//!   `--json`);
 //! * `--interthread` — run the whole-kernel inter-thread analysis
 //!   (P007–P012) on top of the intra-thread rules;
 //! * `--fix`         — apply every machine-applicable fix and re-lint
@@ -28,6 +29,7 @@
 //!   dirty). The mutant suite always runs the inter-thread analysis:
 //!   its P007–P012 entries are invisible to the intra-thread rules.
 
+use sbrp_bench::{parse_env, Flags, UsageError, Value};
 use sbrp_core::ModelKind;
 use sbrp_isa::Kernel;
 use sbrp_lint::{apply_fix, lint_all, lint_kernel, LintConfig, LintReport, Severity};
@@ -35,6 +37,7 @@ use sbrp_workloads::{BuildOpts, Launchable, Micro, WorkloadKind};
 
 const MODELS: [ModelKind; 3] = [ModelKind::Sbrp, ModelKind::Epoch, ModelKind::Gpm];
 
+#[derive(Default)]
 struct Args {
     json: bool,
     sarif: bool,
@@ -45,36 +48,26 @@ struct Args {
     mutants: bool,
 }
 
-fn parse_args() -> Args {
-    let mut out = Args {
-        json: false,
-        sarif: false,
-        interthread: false,
-        fix: false,
-        all: false,
-        demoted: false,
-        mutants: false,
-    };
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--json" => out.json = true,
-            "--sarif" => out.sarif = true,
-            "--interthread" => out.interthread = true,
-            "--fix" => out.fix = true,
-            "--all" => out.all = true,
-            "--demoted" => out.demoted = true,
-            "--mutants" => out.mutants = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: lint [--json|--sarif] [--interthread] [--fix] [--all] \
-                     [--demoted] [--mutants]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
-        }
+impl Flags for Args {
+    fn usage() -> String {
+        "[--json|--sarif] [--interthread] [--fix] [--all] [--demoted] [--mutants]".into()
     }
-    out
+
+    fn flag(&mut self, flag: &str, _: Value<'_>) -> Result<bool, UsageError> {
+        match flag {
+            "--json" if self.sarif => return Err(UsageError::Conflict("--sarif", "--json")),
+            "--sarif" if self.json => return Err(UsageError::Conflict("--json", "--sarif")),
+            "--json" => self.json = true,
+            "--sarif" => self.sarif = true,
+            "--interthread" => self.interthread = true,
+            "--fix" => self.fix = true,
+            "--all" => self.all = true,
+            "--demoted" => self.demoted = true,
+            "--mutants" => self.mutants = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
 }
 
 fn lint_launchable(l: &Launchable, interthread: bool) -> LintReport {
@@ -244,7 +237,7 @@ fn run_mutants(args: &Args) -> i32 {
 }
 
 fn main() {
-    let args = parse_args();
+    let args: Args = parse_env();
     let code = if args.mutants {
         run_mutants(&args)
     } else {

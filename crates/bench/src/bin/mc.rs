@@ -21,10 +21,12 @@
 //! Exits non-zero if any litmus fails to verify or any mutant's dynamic
 //! evidence disagrees with the lint verdict.
 
+use sbrp_bench::{parse_env, Flags, UsageError, Value};
 use sbrp_harness::report::Table;
 use sbrp_mc::evidence::cross_validate;
 use sbrp_mc::{explore, litmus, McOpts};
 
+#[derive(Default)]
 struct Args {
     mutants: bool,
     smoke: bool,
@@ -32,32 +34,21 @@ struct Args {
     jobs: usize,
 }
 
-fn parse_args() -> Args {
-    let mut out = Args {
-        mutants: false,
-        smoke: false,
-        raw: false,
-        jobs: 0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--mutants" => out.mutants = true,
-            "--smoke" => out.smoke = true,
-            "--raw" => out.raw = true,
-            "--jobs" => {
-                let v = args.next().expect("--jobs needs a value");
-                out.jobs = v.parse().expect("--jobs must be a positive integer");
-                assert!(out.jobs > 0, "--jobs must be at least 1");
-            }
-            "--help" | "-h" => {
-                println!("usage: mc [--mutants] [--smoke] [--raw] [--jobs N]");
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
-        }
+impl Flags for Args {
+    fn usage() -> String {
+        "[--mutants] [--smoke] [--raw] [--jobs N]".into()
     }
-    out
+
+    fn flag(&mut self, flag: &str, value: Value<'_>) -> Result<bool, UsageError> {
+        match flag {
+            "--mutants" => self.mutants = true,
+            "--smoke" => self.smoke = true,
+            "--raw" => self.raw = true,
+            "--jobs" => self.jobs = value.positive()?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
 }
 
 fn run_litmus(args: &Args, opts: &McOpts) -> i32 {
@@ -152,7 +143,7 @@ fn run_mutants(args: &Args, opts: &McOpts) -> i32 {
 }
 
 fn main() {
-    let args = parse_args();
+    let args: Args = parse_env();
     let opts = McOpts {
         jobs: args.jobs,
         ..McOpts::default()

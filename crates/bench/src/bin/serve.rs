@@ -7,9 +7,7 @@
 //! Usage: `serve [--smoke] [--arrival poisson|bursty] [--rate LIST]
 //! [--zipf THETA] [--batch N] [--linger CYCLES] [--queue-bound N]
 //! [--model LIST] [--requests N] [--crash-at CYCLE] [--seed N]
-//! [--out-dir DIR]` plus the standard sweep flags (`--scale`, `--small`,
-//! `--csv`, `--json`, `--jobs`, `--no-cache`, `--cell-timeout`,
-//! `--retries`, `--retry-seed`, `--resume`, `--journal-dir`).
+//! [--out-dir DIR]` plus the standard sweep flags of `sbrp_bench`.
 //!
 //! * `--rate` — comma list of offered rates in requests per kilocycle
 //!   (decimals allowed: `--rate 0.5,2,8`).
@@ -17,7 +15,7 @@
 //! * `--smoke` — the CI configuration: small GPU, reduced trace, rates
 //!   bracketing the saturation knee; seconds instead of minutes.
 
-use sbrp_bench::Cli;
+use sbrp_bench::{parse_env, Cli, Flags, UsageError, Value};
 use sbrp_harness::json::write_atomic;
 use sbrp_harness::serve::{
     hist_json, run_serve_cells_expect, serve_table, ServeCell, ServeModel, ServeSpec,
@@ -25,10 +23,11 @@ use sbrp_harness::serve::{
 use sbrp_workloads::service::ArrivalKind;
 use std::path::Path;
 
+#[derive(Default)]
 struct Args {
     cli: Cli,
     smoke: bool,
-    arrival: ArrivalKind,
+    arrival: Option<ArrivalKind>,
     rates_milli: Option<Vec<u64>>,
     models: Option<Vec<ServeModel>>,
     zipf_milli: Option<u64>,
@@ -37,179 +36,64 @@ struct Args {
     queue_bound: Option<u64>,
     requests: Option<u64>,
     crash_at: Option<u64>,
-    seed: u64,
-    out_dir: String,
+    seed: Option<u64>,
+    out_dir: Option<String>,
 }
 
-fn parse_milli(v: &str, flag: &str) -> u64 {
-    let f: f64 = v
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag} must be a number, got {v:?}"));
-    assert!(f.is_finite() && f >= 0.0, "{flag} must be non-negative");
-    (f * 1000.0).round() as u64
+/// A non-negative decimal in thousandths.
+fn milli(v: &str) -> Option<u64> {
+    let f: f64 = v.parse().ok()?;
+    (f.is_finite() && f >= 0.0).then(|| (f * 1000.0).round() as u64)
 }
 
-#[allow(clippy::too_many_lines)]
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        cli: Cli {
-            retry_seed: 42,
-            ..Cli::default()
-        },
-        smoke: false,
-        arrival: ArrivalKind::Poisson,
-        rates_milli: None,
-        models: None,
-        zipf_milli: None,
-        batch: None,
-        linger: None,
-        queue_bound: None,
-        requests: None,
-        crash_at: None,
-        seed: 42,
-        out_dir: "outputs".into(),
-    };
-    let mut args = std::env::args().skip(1);
-    let need = |flag: &str, v: Option<String>| v.unwrap_or_else(|| panic!("{flag} needs a value"));
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => parsed.smoke = true,
+impl Flags for Args {
+    fn usage() -> String {
+        format!(
+            "[--smoke] [--arrival poisson|bursty] [--rate LIST] [--zipf THETA] [--batch N] \
+             [--linger CYCLES] [--queue-bound N] [--model sbrp,epoch,gpm,eadr] [--requests N] \
+             [--crash-at CYCLE] [--seed N] [--out-dir DIR] {}",
+            Cli::usage()
+        )
+    }
+
+    fn flag(&mut self, flag: &str, value: Value<'_>) -> Result<bool, UsageError> {
+        match flag {
+            "--smoke" => self.smoke = true,
             "--arrival" => {
-                parsed.arrival = match need("--arrival", args.next()).as_str() {
-                    "poisson" => ArrivalKind::Poisson,
-                    "bursty" => ArrivalKind::Bursty,
-                    other => panic!("--arrival must be poisson or bursty, got {other:?}"),
-                };
+                self.arrival = Some(value.parse_with(|s| match s {
+                    "poisson" => Some(ArrivalKind::Poisson),
+                    "bursty" => Some(ArrivalKind::Bursty),
+                    _ => None,
+                })?);
             }
             "--rate" => {
-                let list = need("--rate", args.next());
-                let rates: Vec<u64> = list
-                    .split(',')
-                    .map(|v| {
-                        let r = parse_milli(v, "--rate");
-                        assert!(r > 0, "--rate entries must be positive");
-                        r
-                    })
-                    .collect();
-                assert!(!rates.is_empty(), "--rate needs at least one rate");
-                parsed.rates_milli = Some(rates);
+                self.rates_milli = Some(value.parse_with(|list| {
+                    list.split(',')
+                        .map(|r| milli(r).filter(|&r| r > 0))
+                        .collect()
+                })?);
             }
             "--model" => {
-                let list = need("--model", args.next());
-                let models: Vec<ServeModel> = list
-                    .split(',')
-                    .map(|v| {
-                        ServeModel::parse(v)
-                            .unwrap_or_else(|| panic!("unknown model {v:?} (sbrp,epoch,gpm,eadr)"))
-                    })
-                    .collect();
-                assert!(!models.is_empty(), "--model needs at least one model");
-                parsed.models = Some(models);
-            }
-            "--zipf" => {
-                parsed.zipf_milli = Some(parse_milli(&need("--zipf", args.next()), "--zipf"))
-            }
-            "--batch" => {
-                let n: u32 = need("--batch", args.next())
-                    .parse()
-                    .expect("--batch must be an integer");
-                assert!(n > 0, "--batch must be at least 1");
-                parsed.batch = Some(n);
-            }
-            "--linger" => {
-                parsed.linger = Some(
-                    need("--linger", args.next())
-                        .parse()
-                        .expect("--linger must be an integer cycle count"),
+                self.models = Some(
+                    value.parse_with(|list| list.split(',').map(ServeModel::parse).collect())?,
                 );
             }
-            "--queue-bound" => {
-                let n: u64 = need("--queue-bound", args.next())
-                    .parse()
-                    .expect("--queue-bound must be an integer");
-                assert!(n > 0, "--queue-bound must be at least 1");
-                parsed.queue_bound = Some(n);
-            }
-            "--requests" => {
-                let n: u64 = need("--requests", args.next())
-                    .parse()
-                    .expect("--requests must be an integer");
-                assert!(n > 0, "--requests must be at least 1");
-                parsed.requests = Some(n);
-            }
-            "--crash-at" => {
-                parsed.crash_at = Some(
-                    need("--crash-at", args.next())
-                        .parse()
-                        .expect("--crash-at must be a cycle number"),
-                );
-            }
-            "--seed" => {
-                parsed.seed = need("--seed", args.next())
-                    .parse()
-                    .expect("--seed must be an integer");
-            }
-            "--out-dir" => parsed.out_dir = need("--out-dir", args.next()),
-            // Standard sweep flags, mirrored from `Cli::parse`.
-            "--scale" => {
-                parsed.cli.scale = Some(
-                    need("--scale", args.next())
-                        .parse()
-                        .expect("--scale must be an integer"),
-                );
-            }
-            "--small" => parsed.cli.small = true,
-            "--csv" => parsed.cli.csv = true,
-            "--json" => parsed.cli.json = true,
-            "--jobs" => {
-                let n: usize = need("--jobs", args.next())
-                    .parse()
-                    .expect("--jobs must be a positive integer");
-                assert!(n > 0, "--jobs must be at least 1");
-                parsed.cli.jobs = Some(n);
-            }
-            "--no-cache" => parsed.cli.no_cache = true,
-            "--cell-timeout" => {
-                let secs: f64 = need("--cell-timeout", args.next())
-                    .parse()
-                    .expect("--cell-timeout must be seconds");
-                assert!(
-                    secs.is_finite() && secs > 0.0,
-                    "--cell-timeout must be positive"
-                );
-                parsed.cli.cell_timeout = Some(secs);
-            }
-            "--retries" => {
-                parsed.cli.retries = need("--retries", args.next())
-                    .parse()
-                    .expect("--retries must be an integer");
-            }
-            "--retry-seed" => {
-                parsed.cli.retry_seed = need("--retry-seed", args.next())
-                    .parse()
-                    .expect("--retry-seed must be an integer");
-            }
-            "--resume" => parsed.cli.resume = true,
-            "--journal-dir" => parsed.cli.journal_dir = Some(need("--journal-dir", args.next())),
-            "--help" | "-h" => {
-                println!(
-                    "usage: serve [--smoke] [--arrival poisson|bursty] [--rate LIST] \
-                     [--zipf THETA] [--batch N] [--linger CYCLES] [--queue-bound N] \
-                     [--model sbrp,epoch,gpm,eadr] [--requests N] [--crash-at CYCLE] \
-                     [--seed N] [--out-dir DIR] [--scale N] [--small] [--csv] [--json] \
-                     [--jobs N] [--no-cache] [--cell-timeout SECS] [--retries N] \
-                     [--retry-seed N] [--resume] [--journal-dir DIR]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
+            "--zipf" => self.zipf_milli = Some(value.parse_with(milli)?),
+            "--batch" => self.batch = Some(value.positive()?),
+            "--linger" => self.linger = Some(value.value(|_| true)?),
+            "--queue-bound" => self.queue_bound = Some(value.positive()?),
+            "--requests" => self.requests = Some(value.positive()?),
+            "--crash-at" => self.crash_at = Some(value.value(|_| true)?),
+            "--seed" => self.seed = Some(value.value(|_| true)?),
+            "--out-dir" => self.out_dir = Some(value.string()?),
+            _ => return self.cli.flag(flag, value),
         }
+        Ok(true)
     }
-    parsed
 }
 
 fn main() {
-    let args = parse_args();
+    let args: Args = parse_env();
     // The smoke preset is the CI configuration: small GPU, short trace,
     // offered rates bracketing the measured saturation knee so the
     // table shows both the latency floor and the overload regime.
@@ -241,7 +125,7 @@ fn main() {
             rates.iter().map(move |&rate_milli| ServeCell {
                 spec: ServeSpec {
                     model,
-                    arrival: args.arrival,
+                    arrival: args.arrival.unwrap_or(ArrivalKind::Poisson),
                     rate_milli,
                     zipf_milli: args.zipf_milli.unwrap_or(990),
                     requests,
@@ -251,7 +135,7 @@ fn main() {
                     queue_bound: args
                         .queue_bound
                         .unwrap_or(if args.smoke { 256 } else { 512 }),
-                    seed: args.seed,
+                    seed: args.seed.unwrap_or(42),
                     small_gpu: small,
                     crash_at: args.crash_at,
                     ..ServeSpec::default()
@@ -264,12 +148,13 @@ fn main() {
     let table = serve_table(&cells, &outs);
     args.cli.emit(&table);
 
-    std::fs::create_dir_all(&args.out_dir)
-        .unwrap_or_else(|e| panic!("creating {}: {e}", args.out_dir));
-    let txt_path = Path::new(&args.out_dir).join("serve.txt");
+    let out_dir = Path::new(args.out_dir.as_deref().unwrap_or("outputs"));
+    std::fs::create_dir_all(out_dir)
+        .unwrap_or_else(|e| panic!("creating {}: {e}", out_dir.display()));
+    let txt_path = out_dir.join("serve.txt");
     write_atomic(&txt_path, &table.to_text())
         .unwrap_or_else(|e| panic!("writing {}: {e}", txt_path.display()));
-    let hist_path = Path::new(&args.out_dir).join("serve_hist.json");
+    let hist_path = out_dir.join("serve_hist.json");
     write_atomic(&hist_path, &hist_json(&cells, &outs))
         .unwrap_or_else(|e| panic!("writing {}: {e}", hist_path.display()));
     eprintln!(

@@ -1,16 +1,18 @@
 //! # sbrp-bench
 //!
 //! The paper-evaluation harness: one binary per table/figure of §7
-//! (`table1`, `table2`, `figure6` … `figure11`), plus the `benchmark`
-//! binary that `BENCHMARK.json` declares.
+//! (`table1`, `table2`, `figure6` … `figure11`), the `serve`,
+//! `campaign`, `mc` and `lint` engines, plus the `benchmark` binary that
+//! `BENCHMARK.json` declares.
 //!
-//! Every figure binary accepts:
+//! Every figure binary, `serve` and `campaign` accepts the standard
+//! sweep flags of [`Cli`]:
 //!
 //! * `--scale N` — override the per-workload default size;
 //! * `--small` — simulate a scaled-down 4-SM GPU instead of the paper's
 //!   30-SM Table 1 machine (faster, same qualitative shapes);
-//! * `--csv` — emit CSV instead of an aligned text table;
-//! * `--json` — emit JSON instead of an aligned text table;
+//! * `--csv` or `--json` — emit CSV or JSON instead of an aligned text
+//!   table (not both);
 //! * `--trace-out FILE` — also write a Chrome-trace JSON timeline
 //!   (load it in Perfetto / `chrome://tracing`) for a representative
 //!   cell; binaries that don't trace ignore it;
@@ -31,13 +33,159 @@
 //!   `outputs/.cache/journal`; `--no-cache` also disables journaling
 //!   unless this flag names a directory explicitly).
 //!
+//! Every binary but `benchmark` parses its command line with
+//! [`parse_env`]: `--help` prints the usage line and exits 0, and a
+//! malformed command line prints `error: …` and the usage line to
+//! stderr and exits 2.
+//!
 //! Run one with e.g. `cargo run -p sbrp-bench --release --bin figure6`.
 
 use sbrp_harness::report::Table;
 use sbrp_harness::sweep::{FaultPolicy, SweepOpts};
+use std::fmt;
+use std::path::Path;
+use std::str::FromStr;
 use std::time::Duration;
 
-/// Options shared by all figure binaries.
+/// A malformed command line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum UsageError {
+    /// A flag the binary does not know.
+    UnknownFlag(String),
+    /// A flag that takes a value was the last argument.
+    MissingValue(String),
+    /// A value that does not parse or is out of range.
+    InvalidValue { flag: String, value: String },
+    /// Two flags that exclude each other.
+    Conflict(&'static str, &'static str),
+}
+
+impl fmt::Display for UsageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UsageError::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
+            UsageError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            UsageError::InvalidValue { flag, value } => {
+                write!(f, "invalid value {value:?} for {flag}")
+            }
+            UsageError::Conflict(a, b) => write!(f, "{a} and {b} exclude each other"),
+        }
+    }
+}
+
+impl std::error::Error for UsageError {}
+
+/// The value of the flag being applied: the next argument, consumed
+/// only by a flag that takes one.
+pub struct Value<'a> {
+    flag: &'a str,
+    args: &'a mut dyn Iterator<Item = String>,
+}
+
+impl Value<'_> {
+    /// The value as given.
+    ///
+    /// # Errors
+    /// [`UsageError::MissingValue`] if the flag was the last argument.
+    pub fn string(self) -> Result<String, UsageError> {
+        let flag = self.flag;
+        self.args
+            .next()
+            .ok_or_else(|| UsageError::MissingValue(flag.into()))
+    }
+
+    /// The value converted by `parse`, which returns `None` for an
+    /// invalid one.
+    ///
+    /// # Errors
+    /// A missing or invalid value.
+    pub fn parse_with<T>(self, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, UsageError> {
+        let flag = self.flag;
+        let value = self.string()?;
+        parse(&value).ok_or_else(|| UsageError::InvalidValue {
+            flag: flag.into(),
+            value,
+        })
+    }
+
+    /// The value parsed as a `T` for which `check` holds.
+    ///
+    /// # Errors
+    /// A missing value, one that does not parse, or one `check` rejects.
+    pub fn value<T: FromStr>(self, check: impl FnOnce(&T) -> bool) -> Result<T, UsageError> {
+        self.parse_with(|s| s.parse().ok().filter(check))
+    }
+
+    /// The value parsed as a number greater than zero.
+    ///
+    /// # Errors
+    /// A missing value, one that does not parse, or one not above zero.
+    pub fn positive<T: FromStr + PartialOrd + Default>(self) -> Result<T, UsageError> {
+        self.value(|n| *n > T::default())
+    }
+}
+
+/// A binary's flags: [`Default`] holds the values of absent flags.
+pub trait Flags: Default {
+    /// The usage line after the binary's name.
+    fn usage() -> String;
+
+    /// Applies `flag`, taking its value, if it has one, from `value`.
+    /// Returns `Ok(false)` for a flag that is not one of these.
+    ///
+    /// # Errors
+    /// A missing or invalid value, or a flag that conflicts with one
+    /// applied before it.
+    fn flag(&mut self, flag: &str, value: Value<'_>) -> Result<bool, UsageError>;
+}
+
+/// Parses a command line without the program name; `Ok(None)` asks for
+/// the usage line (`--help` or `-h`).
+///
+/// # Errors
+/// The first malformed flag or value.
+pub fn parse<F: Flags>(args: impl IntoIterator<Item = String>) -> Result<Option<F>, UsageError> {
+    let mut flags = F::default();
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        if flag == "--help" || flag == "-h" {
+            return Ok(None);
+        }
+        let value = Value {
+            flag: &flag,
+            args: &mut args,
+        };
+        if !flags.flag(&flag, value)? {
+            return Err(UsageError::UnknownFlag(flag));
+        }
+    }
+    Ok(Some(flags))
+}
+
+/// Parses the process's command line. `--help` prints the usage line to
+/// stdout and exits 0; a usage error prints `error: …` and the usage
+/// line to stderr and exits 2.
+#[must_use]
+pub fn parse_env<F: Flags>() -> F {
+    let mut args = std::env::args();
+    let argv0 = args.next().unwrap_or_default();
+    let bin = Path::new(&argv0).file_stem().unwrap_or_default();
+    let usage = format!("usage: {} {}", bin.to_string_lossy(), F::usage());
+    match parse(args) {
+        Ok(Some(flags)) => flags,
+        Ok(None) => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// The standard sweep flags, shared by the figure binaries, `serve` and
+/// `campaign`.
 #[derive(Clone, Debug, Default)]
 pub struct Cli {
     /// Override the per-workload default scale.
@@ -51,17 +199,13 @@ pub struct Cli {
     pub json: bool,
     /// Write a Chrome-trace timeline of one representative cell here.
     pub trace_out: Option<String>,
-    /// Sweep worker threads; `None` (default) uses all hardware
-    /// threads, `Some(1)` is serial.
-    pub jobs: Option<usize>,
+    /// Sweep worker threads; 0 (default) uses all hardware threads, 1
+    /// is serial.
+    pub jobs: usize,
     /// Bypass the on-disk result cache.
     pub no_cache: bool,
-    /// Per-cell wall-clock budget in seconds.
-    pub cell_timeout: Option<f64>,
-    /// Extra attempts for failed cells.
-    pub retries: u32,
-    /// Seed of the deterministic retry backoff schedule.
-    pub retry_seed: u64,
+    /// Per-cell deadline and retry policy.
+    pub fault: FaultPolicy,
     /// Reload completed cells from the resume journal.
     pub resume: bool,
     /// Resume-journal root; overrides the default and survives
@@ -69,89 +213,59 @@ pub struct Cli {
     pub journal_dir: Option<String>,
 }
 
+impl Flags for Cli {
+    fn usage() -> String {
+        "[--scale N] [--small] [--csv|--json] [--trace-out FILE] [--jobs N] [--no-cache] \
+         [--cell-timeout SECS] [--retries N] [--retry-seed N] [--resume] [--journal-dir DIR]"
+            .into()
+    }
+
+    fn flag(&mut self, flag: &str, value: Value<'_>) -> Result<bool, UsageError> {
+        match flag {
+            "--scale" => self.scale = Some(value.value(|_| true)?),
+            "--small" => self.small = true,
+            "--csv" if self.json => return Err(UsageError::Conflict("--json", "--csv")),
+            "--json" if self.csv => return Err(UsageError::Conflict("--csv", "--json")),
+            "--csv" => self.csv = true,
+            "--json" => self.json = true,
+            "--trace-out" => self.trace_out = Some(value.string()?),
+            "--jobs" => self.jobs = value.positive()?,
+            "--no-cache" => self.no_cache = true,
+            "--cell-timeout" => {
+                self.fault.cell_timeout = Some(value.parse_with(|s| {
+                    let secs = s.parse().ok().filter(|&secs: &f64| secs > 0.0)?;
+                    Duration::try_from_secs_f64(secs).ok()
+                })?);
+            }
+            "--retries" => self.fault.retries = value.value(|_| true)?,
+            "--retry-seed" => self.fault.retry_seed = value.value(|_| true)?,
+            "--resume" => self.resume = true,
+            "--journal-dir" => self.journal_dir = Some(value.string()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
 impl Cli {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    /// Panics (with usage help) on unknown flags or a malformed
-    /// `--scale`.
+    /// Parses the process's command line with [`parse_env`].
     #[must_use]
     pub fn parse() -> Self {
-        let mut cli = Cli {
-            retry_seed: 42,
-            ..Cli::default()
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--scale" => {
-                    let v = args.next().expect("--scale needs a value");
-                    cli.scale = Some(v.parse().expect("--scale must be an integer"));
-                }
-                "--small" => cli.small = true,
-                "--csv" => cli.csv = true,
-                "--json" => cli.json = true,
-                "--trace-out" => {
-                    cli.trace_out = Some(args.next().expect("--trace-out needs a file path"));
-                }
-                "--jobs" => {
-                    let v = args.next().expect("--jobs needs a value");
-                    let n: usize = v.parse().expect("--jobs must be a positive integer");
-                    assert!(n > 0, "--jobs must be at least 1");
-                    cli.jobs = Some(n);
-                }
-                "--no-cache" => cli.no_cache = true,
-                "--cell-timeout" => {
-                    let v = args.next().expect("--cell-timeout needs a value");
-                    let secs: f64 = v.parse().expect("--cell-timeout must be seconds");
-                    assert!(
-                        secs.is_finite() && secs > 0.0,
-                        "--cell-timeout must be positive"
-                    );
-                    cli.cell_timeout = Some(secs);
-                }
-                "--retries" => {
-                    let v = args.next().expect("--retries needs a value");
-                    cli.retries = v.parse().expect("--retries must be an integer");
-                }
-                "--retry-seed" => {
-                    let v = args.next().expect("--retry-seed needs a value");
-                    cli.retry_seed = v.parse().expect("--retry-seed must be an integer");
-                }
-                "--resume" => cli.resume = true,
-                "--journal-dir" => {
-                    cli.journal_dir = Some(args.next().expect("--journal-dir needs a directory"));
-                }
-                "--help" | "-h" => {
-                    println!(
-                        "usage: <figure-bin> [--scale N] [--small] [--csv] [--json] \
-                         [--trace-out FILE] [--jobs N] [--no-cache] [--cell-timeout SECS] \
-                         [--retries N] [--retry-seed N] [--resume] [--journal-dir DIR]"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}; try --help"),
-            }
-        }
-        cli
+        parse_env()
     }
 
     /// The sweep-engine configuration these flags select.
     #[must_use]
     pub fn sweep_opts(&self) -> SweepOpts {
         SweepOpts {
-            jobs: self.jobs.unwrap_or(0),
+            jobs: self.jobs,
             cache_dir: if self.no_cache {
                 None
             } else {
                 Some(SweepOpts::default_cache_dir())
             },
             progress: true,
-            fault: FaultPolicy {
-                cell_timeout: self.cell_timeout.map(Duration::from_secs_f64),
-                retries: self.retries,
-                retry_seed: self.retry_seed,
-            },
+            fault: self.fault.clone(),
             journal_root: match &self.journal_dir {
                 Some(dir) => Some(dir.into()),
                 None if self.no_cache => None,
@@ -196,6 +310,10 @@ impl Cli {
 mod tests {
     use super::*;
 
+    fn cli(args: &[&str]) -> Result<Option<Cli>, UsageError> {
+        parse(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
     fn default_cli_uses_workload_scales() {
         let cli = Cli::default();
@@ -212,16 +330,21 @@ mod tests {
 
     #[test]
     fn fault_flags_map_onto_sweep_opts() {
-        let cli = Cli {
-            cell_timeout: Some(1.5),
-            retries: 3,
-            retry_seed: 7,
-            resume: true,
-            journal_dir: Some("/tmp/j".into()),
-            no_cache: true,
-            ..Cli::default()
-        };
-        let opts = cli.sweep_opts();
+        let opts = cli(&[
+            "--cell-timeout",
+            "1.5",
+            "--retries",
+            "3",
+            "--retry-seed",
+            "7",
+            "--resume",
+            "--journal-dir",
+            "/tmp/j",
+            "--no-cache",
+        ])
+        .expect("valid")
+        .expect("not --help")
+        .sweep_opts();
         assert_eq!(opts.fault.cell_timeout, Some(Duration::from_millis(1500)));
         assert_eq!(opts.fault.retries, 3);
         assert_eq!(opts.fault.retry_seed, 7);
@@ -233,11 +356,58 @@ mod tests {
             "an explicit --journal-dir survives --no-cache"
         );
         // Without an explicit dir, --no-cache disables journaling too.
-        let opts = Cli {
-            no_cache: true,
-            ..Cli::default()
-        }
-        .sweep_opts();
+        let opts = cli(&["--no-cache"]).unwrap().unwrap().sweep_opts();
         assert_eq!(opts.journal_root, None);
+        // With no flags: caching and journaling on, the conventional
+        // retry seed, no deadline and no retries.
+        let opts = cli(&[]).unwrap().unwrap().sweep_opts();
+        assert_eq!(opts.fault.retry_seed, 42);
+        assert_eq!((opts.fault.cell_timeout, opts.fault.retries), (None, 0));
+        assert!(opts.cache_dir.is_some() && opts.journal_root.is_some());
+    }
+
+    #[test]
+    fn malformed_command_lines_are_usage_errors() {
+        let invalid = |flag: &str, value: &str| UsageError::InvalidValue {
+            flag: flag.into(),
+            value: value.into(),
+        };
+        for (args, want) in [
+            (&["--jobs"][..], UsageError::MissingValue("--jobs".into())),
+            (&["--jobs", "0"], invalid("--jobs", "0")),
+            (&["--scale", "x"], invalid("--scale", "x")),
+            (&["--cell-timeout", "nan"], invalid("--cell-timeout", "nan")),
+            (&["--cell-timeout", "0"], invalid("--cell-timeout", "0")),
+            (
+                &["--cell-timeout", "1e300"],
+                invalid("--cell-timeout", "1e300"),
+            ),
+            (
+                &["--retries", "4294967297"],
+                invalid("--retries", "4294967297"),
+            ),
+            (
+                &["--csv", "--json"],
+                UsageError::Conflict("--csv", "--json"),
+            ),
+            (
+                &["--json", "--csv"],
+                UsageError::Conflict("--json", "--csv"),
+            ),
+            (
+                &["--small", "--bogus"],
+                UsageError::UnknownFlag("--bogus".into()),
+            ),
+        ] {
+            assert_eq!(cli(args).unwrap_err(), want, "{args:?}");
+        }
+        assert_eq!(
+            UsageError::UnknownFlag("--bogus".into()).to_string(),
+            "unknown flag --bogus"
+        );
+        assert!(cli(&["--small", "--help", "--bogus"]).unwrap().is_none());
+        let ok = cli(&["--json", "--json", "--jobs", "2"]).unwrap().unwrap();
+        assert!(ok.json && !ok.csv);
+        assert_eq!(ok.jobs, 2);
     }
 }
