@@ -8,7 +8,7 @@ use sbrp_core::pbuffer::DrainPolicy;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::run_specs_expect;
+use sbrp_harness::sweep::run_cells_expect;
 use sbrp_harness::{geomean, RunSpec};
 use sbrp_workloads::WorkloadKind;
 
@@ -58,7 +58,7 @@ fn main() {
             }
         }
     }
-    let (outs, summary) = run_specs_expect(&cli.sweep_opts(), &specs);
+    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
 
     for (si, system) in SYSTEMS.into_iter().enumerate() {
         let headers: Vec<&str> = std::iter::once("app")

@@ -11,7 +11,7 @@ use sbrp_bench::Cli;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
 use sbrp_harness::report::{stall_cells, stall_headers, Table};
-use sbrp_harness::sweep::run_specs_expect;
+use sbrp_harness::sweep::run_cells_expect;
 use sbrp_harness::{run_workload_traced, RunSpec};
 use sbrp_workloads::WorkloadKind;
 
@@ -43,7 +43,7 @@ fn main() {
             })
         })
         .collect();
-    let (outs, summary) = run_specs_expect(&cli.sweep_opts(), &specs);
+    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
 
     let mut headers: Vec<&str> = vec!["app", "model", "system", "cycles"];
     headers.extend(stall_headers());

@@ -18,9 +18,11 @@
 //!
 //! Without `--quick`, the full six-workload matrix runs at the default
 //! figure scales on the Table 1 machine — an overnight-class sweep.
+//! Finished cells land in the result cache as they complete, so a
+//! killed campaign resumes by running the same command again.
 
 use sbrp_bench::{parse_env, Cli, Flags, UsageError, Value};
-use sbrp_harness::campaign::{CampaignSpec, CellReport};
+use sbrp_harness::campaign::{self, CampaignSpec, CellReport};
 use sbrp_harness::sweep::SweepOpts;
 
 #[derive(Default)]
@@ -89,7 +91,7 @@ fn main() {
     );
 
     let mut done = 0usize;
-    let report = sbrp_harness::campaign::run_with_opts(&spec, &opts, |cell: &CellReport| {
+    let (report, summary) = campaign::run_with_summary(&spec, &opts, |cell: &CellReport| {
         done += 1;
         let status = if let Some(e) = &cell.baseline_error {
             // Covers both baseline failures and engine-contained ones
@@ -142,6 +144,7 @@ fn main() {
         report.total_points(),
         report.total_violations()
     );
+    eprintln!("{}", summary.summary_line());
     if !report.ok() {
         std::process::exit(1);
     }
@@ -161,11 +164,6 @@ mod tests {
             "1.5",
             "--retries",
             "3",
-            "--retry-seed",
-            "7",
-            "--resume",
-            "--journal-dir",
-            "/tmp/j",
         ];
         let strings = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
         for sweep in [&sweep[..], &[]] {

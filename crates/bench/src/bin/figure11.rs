@@ -7,7 +7,7 @@ use sbrp_bench::Cli;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::{run_recovery_cells_expect, RecoveryCell};
+use sbrp_harness::sweep::{run_cells_expect, RecoveryCell};
 use sbrp_harness::{geomean, RunSpec};
 use sbrp_workloads::WorkloadKind;
 
@@ -34,7 +34,7 @@ fn main() {
         .collect();
     // On any failing cell this prints the aggregated failure table and
     // exits nonzero instead of panicking on the first error.
-    let (outs, summary) = run_recovery_cells_expect(&cli.sweep_opts(), &cells);
+    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &cells);
 
     let mut table = Table::new(
         "Figure 11: recovery runtime normalized to epoch-near",

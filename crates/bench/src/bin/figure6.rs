@@ -3,7 +3,7 @@
 
 use sbrp_bench::Cli;
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::run_specs_expect;
+use sbrp_harness::sweep::run_cells_expect;
 use sbrp_harness::{geomean, Fig6Bar, RunSpec};
 use sbrp_workloads::WorkloadKind;
 
@@ -26,7 +26,7 @@ fn main() {
             })
         })
         .collect();
-    let (outs, summary) = run_specs_expect(&cli.sweep_opts(), &specs);
+    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
 
     let headers: Vec<&str> = std::iter::once("app")
         .chain(Fig6Bar::ALL.iter().map(|b| b.label()))

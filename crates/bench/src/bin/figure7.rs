@@ -8,7 +8,7 @@ use sbrp_bench::Cli;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::run_specs_expect;
+use sbrp_harness::sweep::run_cells_expect;
 use sbrp_harness::RunSpec;
 use sbrp_workloads::WorkloadKind;
 
@@ -52,7 +52,7 @@ fn main() {
             })
         })
         .collect();
-    let (outs, summary) = run_specs_expect(&cli.sweep_opts(), &specs);
+    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
 
     let mut table = Table::new(
         "Figure 7: SBRP speedup breakdown (% buffers vs % scopes)",

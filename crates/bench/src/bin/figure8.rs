@@ -6,7 +6,7 @@ use sbrp_bench::Cli;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::run_specs_expect;
+use sbrp_harness::sweep::run_cells_expect;
 use sbrp_harness::RunSpec;
 use sbrp_workloads::WorkloadKind;
 
@@ -32,7 +32,7 @@ fn main() {
             })
         })
         .collect();
-    let (outs, summary) = run_specs_expect(&cli.sweep_opts(), &specs);
+    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
 
     let headers: Vec<&str> = std::iter::once("app")
         .chain(bars.iter().map(|b| b.0))

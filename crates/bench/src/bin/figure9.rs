@@ -6,7 +6,7 @@ use sbrp_bench::Cli;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::run_specs_expect;
+use sbrp_harness::sweep::run_cells_expect;
 use sbrp_harness::{geomean, RunSpec};
 use sbrp_workloads::WorkloadKind;
 
@@ -35,7 +35,7 @@ fn main() {
             ]
         })
         .collect();
-    let (outs, summary) = run_specs_expect(&cli.sweep_opts(), &specs);
+    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
 
     let mut table = Table::new(
         "Figure 9: SBRP-far speedup over epoch-far under eADR",

@@ -6,7 +6,8 @@ use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::{GpuConfig, SystemDesign};
 use sbrp_gpu_sim::Gpu;
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::{sweep, unwrap_outcomes, SweepCell};
+use sbrp_harness::sweep::{run_cells_expect, SweepCell};
+use sbrp_harness::HarnessError;
 use sbrp_workloads::{BuildOpts, Micro};
 
 const SYSTEMS: [SystemDesign; 2] = [SystemDesign::PmNear, SystemDesign::PmFar];
@@ -47,7 +48,7 @@ impl MicroCell {
 }
 
 impl SweepCell for MicroCell {
-    type Out = u64;
+    type Out = Result<u64, HarnessError>;
 
     fn name(&self) -> String {
         format!(
@@ -62,8 +63,8 @@ impl SweepCell for MicroCell {
         0 // unused: micro cells are never cached
     }
 
-    fn run(&self) -> u64 {
-        self.gpu().cycle()
+    fn run(&self) -> Self::Out {
+        Ok(self.gpu().cycle())
     }
 }
 
@@ -87,11 +88,9 @@ fn main() {
         .collect();
     let mut opts = cli.sweep_opts();
     opts.cache_dir = None;
-    opts.journal_root = None;
-    let (outcomes, summary) = sweep(&opts, &cells);
     // A panicking or hung kernel (the `expect` in gpu()) surfaces here
     // as an aggregated failure table and a nonzero exit.
-    let cycles = unwrap_outcomes(&cells, outcomes).unwrap_or_else(|f| f.exit_with_report());
+    let (cycles, summary) = run_cells_expect(&opts, &cells);
 
     let stride = Micro::ALL.len() * MODELS.len();
     for (si, system) in SYSTEMS.into_iter().enumerate() {

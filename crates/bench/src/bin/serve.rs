@@ -17,9 +17,8 @@
 
 use sbrp_bench::{parse_env, Cli, Flags, UsageError, Value};
 use sbrp_harness::json::write_atomic;
-use sbrp_harness::serve::{
-    hist_json, run_serve_cells_expect, serve_table, ServeCell, ServeModel, ServeSpec,
-};
+use sbrp_harness::serve::{hist_json, serve_table, ServeCell, ServeModel, ServeSpec};
+use sbrp_harness::sweep::run_cells_expect;
 use sbrp_workloads::service::ArrivalKind;
 use std::path::Path;
 
@@ -144,7 +143,7 @@ fn main() {
         })
         .collect();
 
-    let (outs, summary) = run_serve_cells_expect(&args.cli.sweep_opts(), &cells);
+    let (outs, summary) = run_cells_expect(&args.cli.sweep_opts(), &cells);
     let table = serve_table(&cells, &outs);
     args.cli.emit(&table);
 

@@ -20,18 +20,14 @@
 //!   threads; `--jobs 1` reproduces the historical serial behaviour,
 //!   byte-identically);
 //! * `--no-cache` — ignore and don't write the `outputs/.cache` result
-//!   cache;
+//!   cache. The cache is also what makes a killed sweep resumable: the
+//!   same command, run again, re-executes only the cells missing from
+//!   it, so a `--no-cache` run restarts from scratch;
 //! * `--cell-timeout SECS` — wall-clock budget per sweep cell; a cell
 //!   that overruns it becomes an explicit deadline failure instead of
 //!   hanging the sweep;
 //! * `--retries N` — re-run a failed cell (panic, deadline, simulation
-//!   error) up to N extra times with a deterministic seeded backoff;
-//! * `--retry-seed N` — seed of that backoff schedule (default 42);
-//! * `--resume` — reload completed cells from the crash-safe resume
-//!   journal and execute only the missing ones;
-//! * `--journal-dir DIR` — resume-journal root (default
-//!   `outputs/.cache/journal`; `--no-cache` also disables journaling
-//!   unless this flag names a directory explicitly).
+//!   error) up to N extra times with a deterministic backoff.
 //!
 //! Every binary but `benchmark` parses its command line with
 //! [`parse_env`]: `--help` prints the usage line and exits 0, and a
@@ -206,17 +202,12 @@ pub struct Cli {
     pub no_cache: bool,
     /// Per-cell deadline and retry policy.
     pub fault: FaultPolicy,
-    /// Reload completed cells from the resume journal.
-    pub resume: bool,
-    /// Resume-journal root; overrides the default and survives
-    /// `--no-cache`.
-    pub journal_dir: Option<String>,
 }
 
 impl Flags for Cli {
     fn usage() -> String {
         "[--scale N] [--small] [--csv|--json] [--trace-out FILE] [--jobs N] [--no-cache] \
-         [--cell-timeout SECS] [--retries N] [--retry-seed N] [--resume] [--journal-dir DIR]"
+         [--cell-timeout SECS] [--retries N]"
             .into()
     }
 
@@ -238,9 +229,6 @@ impl Flags for Cli {
                 })?);
             }
             "--retries" => self.fault.retries = value.value(|_| true)?,
-            "--retry-seed" => self.fault.retry_seed = value.value(|_| true)?,
-            "--resume" => self.resume = true,
-            "--journal-dir" => self.journal_dir = Some(value.string()?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -266,12 +254,6 @@ impl Cli {
             },
             progress: true,
             fault: self.fault.clone(),
-            journal_root: match &self.journal_dir {
-                Some(dir) => Some(dir.into()),
-                None if self.no_cache => None,
-                None => Some(SweepOpts::default_journal_root()),
-            },
-            resume: self.resume,
         }
     }
 
@@ -330,40 +312,18 @@ mod tests {
 
     #[test]
     fn fault_flags_map_onto_sweep_opts() {
-        let opts = cli(&[
-            "--cell-timeout",
-            "1.5",
-            "--retries",
-            "3",
-            "--retry-seed",
-            "7",
-            "--resume",
-            "--journal-dir",
-            "/tmp/j",
-            "--no-cache",
-        ])
-        .expect("valid")
-        .expect("not --help")
-        .sweep_opts();
+        let opts = cli(&["--cell-timeout", "1.5", "--retries", "3", "--no-cache"])
+            .expect("valid")
+            .expect("not --help")
+            .sweep_opts();
         assert_eq!(opts.fault.cell_timeout, Some(Duration::from_millis(1500)));
         assert_eq!(opts.fault.retries, 3);
-        assert_eq!(opts.fault.retry_seed, 7);
-        assert!(opts.resume);
         assert_eq!(opts.cache_dir, None, "--no-cache disables the cache");
-        assert_eq!(
-            opts.journal_root.as_deref(),
-            Some(std::path::Path::new("/tmp/j")),
-            "an explicit --journal-dir survives --no-cache"
-        );
-        // Without an explicit dir, --no-cache disables journaling too.
-        let opts = cli(&["--no-cache"]).unwrap().unwrap().sweep_opts();
-        assert_eq!(opts.journal_root, None);
-        // With no flags: caching and journaling on, the conventional
-        // retry seed, no deadline and no retries.
+        // With no flags: the conventional cache, no deadline and no
+        // retries.
         let opts = cli(&[]).unwrap().unwrap().sweep_opts();
-        assert_eq!(opts.fault.retry_seed, 42);
         assert_eq!((opts.fault.cell_timeout, opts.fault.retries), (None, 0));
-        assert!(opts.cache_dir.is_some() && opts.journal_root.is_some());
+        assert_eq!(opts.cache_dir, Some(SweepOpts::default_cache_dir()));
     }
 
     #[test]

@@ -41,6 +41,22 @@ fn unknown_flags_exit_2_with_the_usage_line() {
 }
 
 #[test]
+fn removed_resume_flags_exit_2() {
+    // Rerunning a command resumes it from the result cache; the journal
+    // flags that used to do so are gone.
+    for (name, exe) in BINS {
+        for args in [
+            &["--resume"][..],
+            &["--journal-dir", "x"],
+            &["--retry-seed", "7"],
+        ] {
+            let error = format!("unknown flag {}", args[0]);
+            assert_usage_error(name, &run(exe, args), &error);
+        }
+    }
+}
+
+#[test]
 fn help_exits_0_with_the_usage_line_on_stdout() {
     for (name, exe) in BINS {
         let out = run(exe, &["--help"]);

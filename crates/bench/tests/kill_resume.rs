@@ -1,6 +1,7 @@
-//! End-to-end crash-and-resume test of the `campaign` binary: a sweep
-//! is SIGKILLed mid-flight, resumed with `--resume`, and the resumed
-//! stdout must be byte-identical to an uninterrupted run — the
+//! End-to-end crash-and-rerun test of the `campaign` binary: a sweep
+//! is SIGKILLed mid-flight and the same command is run again. The rerun
+//! must take the cells the killed run finished from the result cache,
+//! and its stdout must be byte-identical to an uninterrupted run — the
 //! harness-side analogue of the paper's recoverability guarantee.
 
 #![cfg(unix)]
@@ -8,7 +9,6 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
 /// A unique throwaway directory; removed by the returned guard.
 struct TempDir(PathBuf);
 
@@ -27,49 +27,47 @@ impl Drop for TempDir {
     }
 }
 
-fn campaign_cmd(journal: &Path, resume: bool) -> Command {
+/// The campaign command, run in `dir`: its result cache is
+/// `dir/outputs/.cache`.
+fn campaign_cmd(dir: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign"));
     cmd.args([
-        "--quick",
-        "--scale",
-        "128",
-        "--points",
-        "3",
-        "--small",
-        "--no-cache",
-        "--jobs",
-        "2",
-        "--journal-dir",
+        "--quick", "--scale", "128", "--points", "3", "--small", "--jobs", "2",
     ])
-    .arg(journal);
-    if resume {
-        cmd.arg("--resume");
-    }
-    cmd.stdout(Stdio::piped()).stderr(Stdio::null());
+    .current_dir(dir)
+    .stdout(Stdio::piped())
+    .stderr(Stdio::piped());
     cmd
 }
 
-/// Counts journal record files under the (single) per-sweep directory.
-fn journal_records(journal: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(journal) else {
+/// Counts the published records in `dir`'s result cache (a record being
+/// written is a `.tmp` file until its atomic rename).
+fn cache_records(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir.join("outputs").join(".cache")) else {
         return 0;
     };
     entries
         .filter_map(|e| e.ok())
-        .filter(|e| e.path().is_dir())
-        .map(|sweep_dir| {
-            std::fs::read_dir(sweep_dir.path())
-                .map(|records| records.filter_map(|r| r.ok()).count())
-                .unwrap_or(0)
-        })
-        .sum()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+        .count()
+}
+
+/// The cached-cell count of the `sweep: N cells (K cached) …` summary
+/// line on a campaign's stderr.
+fn cached_cells(stderr: &[u8]) -> usize {
+    let stderr = String::from_utf8_lossy(stderr);
+    stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("sweep: "))
+        .and_then(|l| l.split_once(" (")?.1.split_once(" cached)")?.0.parse().ok())
+        .unwrap_or_else(|| panic!("no sweep summary line in: {stderr}"))
 }
 
 #[test]
 fn sigkill_mid_sweep_then_resume_matches_uninterrupted_output() {
     // Reference: one uninterrupted run.
-    let clean_journal = TempDir::new("clean");
-    let clean = campaign_cmd(&clean_journal.0, false)
+    let clean_dir = TempDir::new("clean");
+    let clean = campaign_cmd(&clean_dir.0)
         .output()
         .expect("clean campaign run");
     assert!(
@@ -77,25 +75,33 @@ fn sigkill_mid_sweep_then_resume_matches_uninterrupted_output() {
         "clean campaign must pass: {}",
         String::from_utf8_lossy(&clean.stdout)
     );
-    let total_records = journal_records(&clean_journal.0);
-    assert!(total_records >= 2, "quick campaign journals its cells");
+    assert_eq!(
+        cached_cells(&clean.stderr),
+        0,
+        "a fresh cache is all misses"
+    );
+    assert!(
+        cache_records(&clean_dir.0) >= 2,
+        "quick campaign caches its cells"
+    );
 
-    // Victim: SIGKILL as soon as some (not all) cells are journaled.
-    let journal = TempDir::new("victim");
-    let mut victim = campaign_cmd(&journal.0, false)
+    // Victim: SIGKILL as soon as some (not all) cells are cached.
+    let dir = TempDir::new("victim");
+    let mut victim = campaign_cmd(&dir.0)
+        .stderr(Stdio::null())
         .spawn()
         .expect("victim campaign spawns");
     let deadline = Instant::now() + Duration::from_secs(600);
     loop {
-        if journal_records(&journal.0) >= 1 {
+        if cache_records(&dir.0) >= 1 {
             // SIGKILL, not SIGTERM: no destructors, no atexit — the
-            // journal alone must carry the recovery.
+            // cache alone must carry the recovery.
             victim.kill().expect("SIGKILL victim");
             break;
         }
         if victim.try_wait().expect("poll victim").is_some() {
             // The whole sweep finished before we saw a record — rare,
-            // but the resume path below still exercises a full journal.
+            // but the rerun below still runs from a full cache.
             break;
         }
         assert!(Instant::now() < deadline, "victim made no progress");
@@ -103,15 +109,18 @@ fn sigkill_mid_sweep_then_resume_matches_uninterrupted_output() {
     }
     let _ = victim.wait();
 
-    // Resume: only missing cells run; stdout must match the clean run.
-    let resumed = campaign_cmd(&journal.0, true)
-        .output()
-        .expect("resumed campaign run");
-    assert!(resumed.status.success(), "resumed campaign must pass");
+    // Rerun the same command: only missing cells run; stdout must match
+    // the clean run.
+    let rerun = campaign_cmd(&dir.0).output().expect("rerun campaign");
+    assert!(rerun.status.success(), "rerun campaign must pass");
+    assert!(
+        cached_cells(&rerun.stderr) >= 1,
+        "the rerun must take the killed run's cells from the cache"
+    );
     assert_eq!(
         String::from_utf8_lossy(&clean.stdout),
-        String::from_utf8_lossy(&resumed.stdout),
-        "resumed output must be byte-identical to the uninterrupted run"
+        String::from_utf8_lossy(&rerun.stdout),
+        "rerun output must be byte-identical to the uninterrupted run"
     );
 }
 
@@ -119,9 +128,9 @@ fn sigkill_mid_sweep_then_resume_matches_uninterrupted_output() {
 fn failed_cells_produce_error_rows_and_a_nonzero_exit() {
     // A 1 ms deadline no simulation can meet: every cell becomes an
     // explicit engine-failure row and the binary must exit nonzero.
-    let journal = TempDir::new("deadline");
-    let out = campaign_cmd(&journal.0, false)
-        .args(["--cell-timeout", "0.001"])
+    let dir = TempDir::new("deadline");
+    let out = campaign_cmd(&dir.0)
+        .args(["--no-cache", "--cell-timeout", "0.001"])
         .output()
         .expect("deadline campaign run");
     assert!(

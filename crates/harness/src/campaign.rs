@@ -33,7 +33,7 @@
 
 use crate::json::Json;
 use crate::report::Table;
-use crate::sweep::{spec_fingerprint, sweep_with, CellOutcome, SweepCell, SweepOpts, CACHE_SCHEMA};
+use crate::sweep::{spec_fingerprint, sweep_with, CellOutcome, SweepCell, SweepOpts, SweepSummary};
 use crate::{crash_run, default_scale, recover_and_rerun, RerunError, RunSpec};
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::ModelKind;
@@ -636,70 +636,60 @@ impl SweepCell for CampaignCell {
         run_cell(&self.spec, self.workload, self.model, self.system)
     }
 
-    fn to_cache(&self, out: &CellReport) -> Option<String> {
-        Some(
-            Json::Obj(vec![
-                ("schema".into(), Json::U64(CACHE_SCHEMA)),
-                ("kind".into(), Json::Str("campaign-cell".into())),
-                (
-                    "counts".into(),
-                    Json::Obj(vec![
-                        ("wpq_accepts".into(), Json::U64(out.counts.wpq_accepts)),
-                        ("pb_drains".into(), Json::U64(out.counts.pb_drains)),
-                        ("dfence_waits".into(), Json::U64(out.counts.dfence_waits)),
-                    ]),
+    fn to_cache(&self, out: &CellReport) -> Option<Json> {
+        Some(Json::Obj(vec![
+            (
+                "counts".into(),
+                Json::Obj(vec![
+                    ("wpq_accepts".into(), Json::U64(out.counts.wpq_accepts)),
+                    ("pb_drains".into(), Json::U64(out.counts.pb_drains)),
+                    ("dfence_waits".into(), Json::U64(out.counts.dfence_waits)),
+                ]),
+            ),
+            ("baseline_cycles".into(), Json::U64(out.baseline_cycles)),
+            (
+                "baseline_error".into(),
+                match &out.baseline_error {
+                    Some(e) => Json::Str(e.clone()),
+                    None => Json::Null,
+                },
+            ),
+            (
+                "points".into(),
+                Json::Arr(
+                    out.points
+                        .iter()
+                        .map(|p| {
+                            Json::Obj(vec![
+                                ("family".into(), Json::Str(p.family.label().into())),
+                                ("k".into(), Json::U64(p.k)),
+                                ("outcome".into(), outcome_to_json(&p.outcome)),
+                                ("pmo_clean".into(), Json::Bool(p.pmo_clean)),
+                                ("recovered".into(), Json::Bool(p.recovered)),
+                            ])
+                        })
+                        .collect(),
                 ),
-                ("baseline_cycles".into(), Json::U64(out.baseline_cycles)),
-                (
-                    "baseline_error".into(),
-                    match &out.baseline_error {
-                        Some(e) => Json::Str(e.clone()),
-                        None => Json::Null,
-                    },
+            ),
+            (
+                "shrunk".into(),
+                Json::Arr(
+                    out.shrunk
+                        .iter()
+                        .map(|s| {
+                            Json::Obj(vec![
+                                ("family".into(), Json::Str(s.family.label().into())),
+                                ("min_k".into(), Json::U64(s.min_k)),
+                                ("outcome".into(), outcome_to_json(&s.outcome)),
+                            ])
+                        })
+                        .collect(),
                 ),
-                (
-                    "points".into(),
-                    Json::Arr(
-                        out.points
-                            .iter()
-                            .map(|p| {
-                                Json::Obj(vec![
-                                    ("family".into(), Json::Str(p.family.label().into())),
-                                    ("k".into(), Json::U64(p.k)),
-                                    ("outcome".into(), outcome_to_json(&p.outcome)),
-                                    ("pmo_clean".into(), Json::Bool(p.pmo_clean)),
-                                    ("recovered".into(), Json::Bool(p.recovered)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "shrunk".into(),
-                    Json::Arr(
-                        out.shrunk
-                            .iter()
-                            .map(|s| {
-                                Json::Obj(vec![
-                                    ("family".into(), Json::Str(s.family.label().into())),
-                                    ("min_k".into(), Json::U64(s.min_k)),
-                                    ("outcome".into(), outcome_to_json(&s.outcome)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-            .render(),
-        )
+            ),
+        ]))
     }
 
-    fn parse_cached(&self, cached: &str) -> Option<CellReport> {
-        let v = Json::parse(cached).ok()?;
-        if v.get("schema")?.as_u64()? != CACHE_SCHEMA || v.get("kind")?.as_str()? != "campaign-cell"
-        {
-            return None;
-        }
+    fn parse_cached(&self, v: &Json) -> Option<CellReport> {
         let counts = v.get("counts")?;
         let mut points = Vec::new();
         for p in v.get("points")?.as_arr()? {
@@ -797,10 +787,20 @@ fn resolve_outcome(cell: &CampaignCell, outcome: CellOutcome<CellReport>) -> Cel
 pub fn run_with_opts(
     spec: &CampaignSpec,
     opts: &SweepOpts,
-    mut on_cell: impl FnMut(&CellReport) + Send,
+    on_cell: impl FnMut(&CellReport) + Send,
 ) -> CampaignReport {
+    run_with_summary(spec, opts, on_cell).0
+}
+
+/// Like [`run_with_opts`], also returning the engine's [`SweepSummary`]
+/// (cells served from the cache, wall-clock).
+pub fn run_with_summary(
+    spec: &CampaignSpec,
+    opts: &SweepOpts,
+    mut on_cell: impl FnMut(&CellReport) + Send,
+) -> (CampaignReport, SweepSummary) {
     let cells = cells(spec);
-    let (outcomes, _) = sweep_with(opts, &cells, |i, outcome| match outcome {
+    let (outcomes, summary) = sweep_with(opts, &cells, |i, outcome| match outcome {
         CellOutcome::Ok(report) | CellOutcome::Err { out: report, .. } => on_cell(report),
         other => on_cell(&resolve_outcome(&cells[i], other.clone())),
     });
@@ -809,7 +809,7 @@ pub fn run_with_opts(
         .zip(outcomes)
         .map(|(cell, outcome)| resolve_outcome(cell, outcome))
         .collect();
-    CampaignReport { cells: reports }
+    (CampaignReport { cells: reports }, summary)
 }
 
 /// Runs the campaign serially (no cache, no worker threads), invoking
@@ -981,9 +981,11 @@ mod tests {
         let back = cell.parse_cached(&cached).expect("deserializes");
         assert_eq!(format!("{failed:?}"), format!("{back:?}"));
 
-        // Wrong schema or kind falls back to a live run.
-        assert!(cell.parse_cached("{\"schema\":999}").is_none());
-        assert!(cell.parse_cached("not json").is_none());
+        // A payload of another shape falls back to a live run.
+        assert!(cell
+            .parse_cached(&Json::parse("{\"counts\":1}").unwrap())
+            .is_none());
+        assert!(cell.parse_cached(&Json::Null).is_none());
     }
 
     #[test]

@@ -329,7 +329,7 @@ impl Parser<'_> {
 /// sibling on the same filesystem, then published with a `rename`. A
 /// crash (or `kill -9`) at any point leaves either the old file or the
 /// new one — never a torn record — which is what makes the result cache
-/// and the resume journal safe to trust after an interrupted sweep.
+/// safe to trust, and to resume from, after an interrupted sweep.
 ///
 /// # Errors
 /// The underlying I/O error if the temp write or rename fails; the

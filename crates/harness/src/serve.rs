@@ -45,7 +45,7 @@
 
 use crate::json::Json;
 use crate::report::Table;
-use crate::sweep::{sweep, CellOutcome, SweepCell, SweepOpts, SweepSummary, CACHE_SCHEMA};
+use crate::sweep::{SweepCell, CACHE_SCHEMA};
 use crate::{HarnessError, CYCLE_LIMIT};
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::ModelKind;
@@ -708,7 +708,7 @@ fn do_recovery(
 // ---------------------------------------------------------------------
 
 /// One serving run as a sweep cell — rate×model sweeps ride the
-/// standard engine (parallelism, cache, resume, fault tolerance).
+/// standard engine (parallelism, cache, fault tolerance).
 #[derive(Clone, Debug)]
 pub struct ServeCell {
     /// The run to execute.
@@ -770,15 +770,13 @@ impl SweepCell for ServeCell {
         }
     }
 
-    fn to_cache(&self, out: &Self::Out) -> Option<String> {
+    fn to_cache(&self, out: &Self::Out) -> Option<Json> {
         let o = out.as_ref().ok()?;
         if !o.verified {
             return None;
         }
         let h = &o.hist;
-        let obj = Json::Obj(vec![
-            ("schema".into(), Json::U64(CACHE_SCHEMA)),
-            ("kind".into(), Json::Str("serve".into())),
+        Some(Json::Obj(vec![
             ("completed".into(), Json::U64(o.completed)),
             ("rejected".into(), Json::U64(o.rejected)),
             ("replayed".into(), Json::U64(o.replayed)),
@@ -802,15 +800,10 @@ impl SweepCell for ServeCell {
                 "buckets".into(),
                 Json::Arr(h.buckets.iter().map(|&b| Json::U64(b)).collect()),
             ),
-        ]);
-        Some(obj.render())
+        ]))
     }
 
-    fn parse_cached(&self, cached: &str) -> Option<Self::Out> {
-        let v = Json::parse(cached).ok()?;
-        if v.get("schema")?.as_u64()? != CACHE_SCHEMA || v.get("kind")?.as_str()? != "serve" {
-            return None;
-        }
+    fn parse_cached(&self, v: &Json) -> Option<Self::Out> {
         let crash_cycle = match v.get("crash_cycle")? {
             Json::Null => None,
             other => Some(other.as_u64()?),
@@ -850,55 +843,6 @@ impl SweepCell for ServeCell {
     }
 }
 
-/// Sweeps serving cells, flattening engine-level failures into
-/// [`HarnessError`] rows like the other cell sweeps.
-#[must_use]
-pub fn run_serve_cells(
-    opts: &SweepOpts,
-    cells: &[ServeCell],
-) -> (Vec<Result<ServeOutput, HarnessError>>, SweepSummary) {
-    let (outcomes, summary) = sweep(opts, cells);
-    let results = cells
-        .iter()
-        .zip(outcomes)
-        .map(|(cell, outcome)| match outcome {
-            CellOutcome::Ok(r) | CellOutcome::Err { out: r, .. } => r,
-            CellOutcome::Panicked { message, .. } => Err(HarnessError::Panicked {
-                cell: cell.name(),
-                message,
-            }),
-            CellOutcome::DeadlineExceeded { limit_millis, .. } => Err(HarnessError::Deadline {
-                cell: cell.name(),
-                limit_millis,
-            }),
-        })
-        .collect();
-    (results, summary)
-}
-
-/// Like [`run_serve_cells`] but for binaries: on any failing cell,
-/// prints the aggregated failure table and exits nonzero.
-#[must_use]
-pub fn run_serve_cells_expect(
-    opts: &SweepOpts,
-    cells: &[ServeCell],
-) -> (Vec<ServeOutput>, SweepSummary) {
-    let (results, summary) = run_serve_cells(opts, cells);
-    let mut oks = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for (cell, result) in cells.iter().zip(results) {
-        match result {
-            Ok(out) => oks.push(out),
-            Err(e) => failures.push((cell.name(), e.detail())),
-        }
-    }
-    if failures.is_empty() {
-        (oks, summary)
-    } else {
-        crate::sweep::SweepFailures { failures }.exit_with_report()
-    }
-}
-
 // ---------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------
@@ -935,6 +879,10 @@ pub fn serve_table(cells: &[ServeCell], outs: &[ServeOutput]) -> Table {
     }
     table
 }
+
+/// Format version of the [`hist_json`] document, independent of the
+/// result cache's [`CACHE_SCHEMA`].
+const HIST_SCHEMA: u64 = 2;
 
 /// The latency-histogram JSON artifact: full log₂ buckets plus the
 /// exact percentiles for every cell of the sweep.
@@ -977,7 +925,7 @@ pub fn hist_json(cells: &[ServeCell], outs: &[ServeOutput]) -> String {
         })
         .collect();
     Json::Obj(vec![
-        ("schema".into(), Json::U64(CACHE_SCHEMA)),
+        ("schema".into(), Json::U64(HIST_SCHEMA)),
         ("kind".into(), Json::Str("serve_hist".into())),
         ("cells".into(), Json::Arr(cells_json)),
     ])

@@ -38,22 +38,27 @@
 //!   transiently-failed cells (panics, deadlines, and outputs the
 //!   cell's [`SweepCell::failure`] classifies as failures) with a
 //!   seeded backoff schedule ([`retry_backoff_millis`]) that is a pure
-//!   function of `(seed, fingerprint, attempt)` — jobs-1 and jobs-N
+//!   function of `(fingerprint, attempt)` — jobs-1 and jobs-N
 //!   sweeps stay byte-identical.
-//! * **Crash-safe resume journal** — with [`SweepOpts::journal_root`]
-//!   set, every successful cell result is also recorded in a per-sweep
-//!   journal directory via atomic temp-file + rename, and
-//!   [`SweepOpts::resume`] re-executes only the cells missing from the
-//!   journal — a `kill -9` mid-sweep loses at most the in-flight
-//!   cells.
+//! * **Crash-safe reruns** — the result cache is the resume mechanism.
+//!   Every successful cell is published to it by atomic temp-file +
+//!   rename the moment it finishes, so after a `kill -9` the same
+//!   command re-executes only the cells missing from the cache: the
+//!   kill loses at most the in-flight cells. A run without a cache
+//!   (`--no-cache`) keeps nothing on disk and restarts from scratch.
+//!
+//! Cells whose output is a `Result<T, HarnessError>` go through
+//! [`run_cells`] (engine failures become typed errors) or
+//! [`run_cells_expect`] (any failure aborts the binary with a table of
+//! every failing cell).
 //!
 //! ```no_run
-//! use sbrp_harness::sweep::{run_specs, SweepOpts};
+//! use sbrp_harness::sweep::{run_cells, SweepOpts};
 //! use sbrp_harness::RunSpec;
 //!
 //! // Two cells, default parallelism, default cache directory.
 //! let specs = vec![RunSpec::default(), RunSpec { seed: 7, ..RunSpec::default() }];
-//! let (results, summary) = run_specs(&SweepOpts::default(), &specs);
+//! let (results, summary) = run_cells(&SweepOpts::default(), &specs);
 //! assert_eq!(results.len(), 2);
 //! eprintln!("{}", summary.summary_line());
 //! ```
@@ -71,15 +76,16 @@ use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Bumped whenever the cache serialization or the simulator's observable
-/// behaviour changes incompatibly; part of every fingerprint, so stale
+/// behaviour changes incompatibly. Every cache record carries it in its
+/// envelope and the spec cells fold it into their fingerprints, so stale
 /// caches miss instead of serving wrong results.
-pub const CACHE_SCHEMA: u64 = 2;
+pub const CACHE_SCHEMA: u64 = 3;
 
 /// Per-cell fault handling: deadlines and retries. Part of
 /// [`SweepOpts`]; the defaults (no deadline, no retries) reproduce the
 /// historical fail-fast execution except that failures are *contained*
 /// rather than fatal.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FaultPolicy {
     /// Wall-clock budget per cell attempt; `None` means unbounded. When
     /// set, each attempt runs on a watchdog-supervised thread that is
@@ -92,20 +98,6 @@ pub struct FaultPolicy {
     /// deadline overruns, and outputs classified as failures by
     /// [`SweepCell::failure`].
     pub retries: u32,
-    /// Seed of the deterministic retry backoff schedule; see
-    /// [`retry_backoff_millis`].
-    pub retry_seed: u64,
-}
-
-impl Default for FaultPolicy {
-    /// No deadline, no retries, the conventional seed.
-    fn default() -> Self {
-        FaultPolicy {
-            cell_timeout: None,
-            retries: 0,
-            retry_seed: 42,
-        }
-    }
 }
 
 /// How a sweep executes.
@@ -121,35 +113,25 @@ pub struct SweepOpts {
     pub progress: bool,
     /// Per-cell deadline and retry policy.
     pub fault: FaultPolicy,
-    /// Root directory for resume journals; each sweep writes its
-    /// records into a subdirectory keyed by the sweep's identity (the
-    /// ordered cell fingerprints). `None` disables journaling.
-    pub journal_root: Option<PathBuf>,
-    /// Load existing journal records for this sweep and re-execute only
-    /// the cells without one (`--resume`). Journal *writing* is
-    /// governed solely by [`SweepOpts::journal_root`].
-    pub resume: bool,
 }
 
 impl Default for SweepOpts {
     /// Default parallelism, caching under [`SweepOpts::default_cache_dir`],
-    /// journaling under [`SweepOpts::default_journal_root`], progress on.
+    /// progress on.
     fn default() -> Self {
         SweepOpts {
             jobs: 0,
             cache_dir: Some(Self::default_cache_dir()),
             progress: true,
             fault: FaultPolicy::default(),
-            journal_root: Some(Self::default_journal_root()),
-            resume: false,
         }
     }
 }
 
 impl SweepOpts {
-    /// Serial, cache-less, journal-less, silent — bit-for-bit the
-    /// pre-engine behaviour; what library callers and tests that
-    /// measure the simulator itself should use.
+    /// Serial, cache-less, silent — bit-for-bit the pre-engine
+    /// behaviour; what library callers and tests that measure the
+    /// simulator itself should use.
     #[must_use]
     pub fn serial() -> Self {
         SweepOpts {
@@ -157,8 +139,6 @@ impl SweepOpts {
             cache_dir: None,
             progress: false,
             fault: FaultPolicy::default(),
-            journal_root: None,
-            resume: false,
         }
     }
 
@@ -167,13 +147,6 @@ impl SweepOpts {
     #[must_use]
     pub fn default_cache_dir() -> PathBuf {
         PathBuf::from("outputs").join(".cache")
-    }
-
-    /// The conventional resume-journal root,
-    /// `outputs/.cache/journal` under the current directory.
-    #[must_use]
-    pub fn default_journal_root() -> PathBuf {
-        Self::default_cache_dir().join("journal")
     }
 
     /// The worker count this configuration resolves to.
@@ -195,8 +168,9 @@ impl SweepOpts {
 /// 1. **Determinism** — `run` depends only on the cell's own fields, so
 ///    executing on any thread, in any order, yields the same output.
 /// 2. **Fingerprint completeness** — every input that can change the
-///    output is folded into `fingerprint` (the engine adds nothing but
-///    the cache file name). An under-hashed cell silently serves stale
+///    output is folded into `fingerprint` (the engine uses it as the
+///    cache file name and checks it, with [`CACHE_SCHEMA`], in the
+///    record's envelope). An under-hashed cell silently serves stale
 ///    results; when in doubt, hash more.
 ///
 /// The `Clone + Send + 'static` supertraits exist for the deadline
@@ -226,15 +200,17 @@ pub trait SweepCell: Sync + Send + Clone + 'static {
         None
     }
 
-    /// Serializes an output for the cache; `None` skips caching (the
-    /// default, and the right choice for errors, which should re-run).
-    fn to_cache(&self, _out: &Self::Out) -> Option<String> {
+    /// Serializes an output as the payload of its cache record; `None`
+    /// skips caching (the default, and the right choice for errors,
+    /// which should re-run). The engine wraps the payload in the
+    /// record's envelope.
+    fn to_cache(&self, _out: &Self::Out) -> Option<Json> {
         None
     }
 
-    /// Deserializes a cached output; `None` on any mismatch falls back
+    /// Deserializes a cached payload; `None` on any mismatch falls back
     /// to running the cell.
-    fn parse_cached(&self, _cached: &str) -> Option<Self::Out> {
+    fn parse_cached(&self, _payload: &Json) -> Option<Self::Out> {
         None
     }
 }
@@ -311,78 +287,17 @@ impl<T> CellOutcome<T> {
     }
 }
 
-/// Every failing cell of a sweep, aggregated — what strict sweeps
-/// report *instead of* panicking on the first failure and discarding
-/// the rest.
-#[derive(Clone, Debug, Default)]
-pub struct SweepFailures {
-    /// `(cell name, failure description)`, in cell order.
-    pub failures: Vec<(String, String)>,
-}
-
-impl SweepFailures {
-    /// Prints every failing cell (as a table, to stderr) and exits the
-    /// process with a nonzero status — the shared abort path of the
-    /// experiment binaries.
-    pub fn exit_with_report(&self) -> ! {
-        eprint!(
-            "{}",
-            crate::report::failures_table(&self.failures).to_text()
-        );
-        eprintln!("sweep: {} cell(s) failed; aborting", self.failures.len());
-        std::process::exit(1);
-    }
-}
-
-impl std::fmt::Display for SweepFailures {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{} sweep cell(s) failed:", self.failures.len())?;
-        for (cell, err) in &self.failures {
-            writeln!(f, "  {cell}: {err}")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for SweepFailures {}
-
-/// Splits a finished sweep into its outputs, or the aggregated list of
-/// **every** failing cell (never just the first).
-///
-/// # Errors
-/// [`SweepFailures`] naming each failed cell, in cell order.
-pub fn unwrap_outcomes<C: SweepCell>(
-    cells: &[C],
-    outcomes: Vec<CellOutcome<C::Out>>,
-) -> Result<Vec<C::Out>, SweepFailures> {
-    let mut outs = Vec::with_capacity(outcomes.len());
-    let mut failures = Vec::new();
-    for (cell, outcome) in cells.iter().zip(outcomes) {
-        match outcome {
-            CellOutcome::Ok(out) => outs.push(out),
-            other => failures.push((
-                cell.name(),
-                other.error().unwrap_or_else(|| "unknown failure".into()),
-            )),
-        }
-    }
-    if failures.is_empty() {
-        Ok(outs)
-    } else {
-        Err(SweepFailures { failures })
-    }
-}
-
 /// The deterministic retry backoff, in milliseconds: a pure function of
-/// the fault-policy seed, the cell fingerprint, and the (1-based) retry
-/// attempt. Exponential base (10 ms doubling per attempt, capped) plus
-/// a seeded jitter in `[0, base)`; the total never exceeds 4096 ms.
-/// Because the schedule depends on nothing runtime-varying, jobs-1 and
-/// jobs-N sweeps retry identically and stay byte-identical.
+/// the cell fingerprint and the (1-based) retry attempt. Exponential
+/// base (10 ms doubling per attempt, capped) plus a seeded jitter in
+/// `[0, base)`; the total never exceeds 4096 ms. Because the schedule
+/// depends on nothing runtime-varying, jobs-1 and jobs-N sweeps retry
+/// identically and stay byte-identical.
 #[must_use]
-pub fn retry_backoff_millis(seed: u64, fingerprint: u64, attempt: u32) -> u64 {
+pub fn retry_backoff_millis(fingerprint: u64, attempt: u32) -> u64 {
+    const SEED: u64 = 42;
     let base = 10u64 << attempt.saturating_sub(1).min(7);
-    let jitter = splitmix64(seed ^ fingerprint.rotate_left(17) ^ u64::from(attempt)) % base;
+    let jitter = splitmix64(SEED ^ fingerprint.rotate_left(17) ^ u64::from(attempt)) % base;
     (base + jitter).min(4096)
 }
 
@@ -402,9 +317,7 @@ pub struct CellTiming {
     pub millis: u64,
     /// Whether the result came from the cache.
     pub cached: bool,
-    /// Whether the result came from the resume journal.
-    pub resumed: bool,
-    /// Attempts executed (0 for cache/journal loads).
+    /// Attempts executed (0 for cache loads).
     pub attempts: u32,
     /// Whether the cell resolved to a non-`Ok` outcome.
     pub failed: bool,
@@ -434,12 +347,6 @@ impl SweepSummary {
         self.timings.iter().filter(|t| t.cached).count()
     }
 
-    /// Number of cells served from the resume journal.
-    #[must_use]
-    pub fn journal_hits(&self) -> usize {
-        self.timings.iter().filter(|t| t.resumed).count()
-    }
-
     /// Number of cells that resolved to a non-`Ok` outcome.
     #[must_use]
     pub fn failed(&self) -> usize {
@@ -448,29 +355,25 @@ impl SweepSummary {
 
     /// One-line human summary: cells, cache hits, wall-clock, jobs, and
     /// the slowest cell — the line CI prints for trend-watching.
-    /// Resumed and failed counts appear only when nonzero, keeping the
+    /// The failed count appears only when nonzero, keeping the
     /// happy-path line stable.
     #[must_use]
     pub fn summary_line(&self) -> String {
         let slowest = self
             .timings
             .iter()
-            .filter(|t| !t.cached && !t.resumed)
+            .filter(|t| !t.cached)
             .max_by_key(|t| t.millis);
         let slowest = match slowest {
             Some(t) => format!("; slowest {} {} ms", t.name, t.millis),
             None => String::new(),
-        };
-        let resumed = match self.journal_hits() {
-            0 => String::new(),
-            n => format!(", {n} resumed"),
         };
         let failed = match self.failed() {
             0 => String::new(),
             n => format!("; {n} FAILED"),
         };
         format!(
-            "sweep: {} cells ({} cached{resumed}) in {} ms on {} jobs{failed}{slowest}",
+            "sweep: {} cells ({} cached) in {} ms on {} jobs{failed}{slowest}",
             self.cells(),
             self.cache_hits(),
             self.wall_millis,
@@ -503,16 +406,6 @@ pub fn sweep_with<C: SweepCell>(
         // Creation failure degrades to cache misses, not sweep failure.
         let _ = std::fs::create_dir_all(dir);
     });
-    let journal = opts
-        .journal_root
-        .as_deref()
-        .map(|root| journal_dir(root, cells));
-    let ctx = CellContext {
-        cache,
-        journal: journal.as_deref(),
-        fault: &opts.fault,
-        resume: opts.resume,
-    };
 
     let mut slots: Vec<Option<(CellOutcome<C::Out>, CellTiming)>> = Vec::new();
     slots.resize_with(cells.len(), || None);
@@ -520,7 +413,7 @@ pub fn sweep_with<C: SweepCell>(
     if jobs <= 1 {
         let mut on_done = on_done;
         for (i, (cell, slot)) in cells.iter().zip(&mut slots).enumerate() {
-            let done = run_one(&ctx, i, cell);
+            let done = run_one(cache, &opts.fault, cell);
             on_done(i, &done.0);
             if opts.progress {
                 progress_line(i + 1, cells.len(), &done.1);
@@ -541,7 +434,7 @@ pub fn sweep_with<C: SweepCell>(
                     if i >= cells.len() {
                         break;
                     }
-                    let done = run_one(&ctx, i, &cells[i]);
+                    let done = run_one(cache, &opts.fault, &cells[i]);
                     // Cell panics are contained by run_one, but recover
                     // from poisoning anyway (e.g. an on_done hook that
                     // panicked on another worker) — one bad observer
@@ -590,13 +483,7 @@ struct FlushState<'a, Out, F> {
 }
 
 fn progress_line(done: usize, total: usize, t: &CellTiming) {
-    let source = if t.cached {
-        " (cached)"
-    } else if t.resumed {
-        " (resumed)"
-    } else {
-        ""
-    };
+    let source = if t.cached { " (cached)" } else { "" };
     let attempts = if t.attempts > 1 {
         format!(" ({} attempts)", t.attempts)
     } else {
@@ -607,14 +494,6 @@ fn progress_line(done: usize, total: usize, t: &CellTiming) {
         "[{done}/{total}] {} {} ms{source}{attempts}{failed}",
         t.name, t.millis
     );
-}
-
-/// Everything `run_one` needs besides the cell itself.
-struct CellContext<'a> {
-    cache: Option<&'a Path>,
-    journal: Option<&'a Path>,
-    fault: &'a FaultPolicy,
-    resume: bool,
 }
 
 /// One attempt's raw result, before retry accounting.
@@ -668,57 +547,49 @@ fn attempt_run<C: SweepCell>(cell: &C, timeout: Option<Duration>) -> Attempt<C::
     }
 }
 
+/// Reads the cached payload of the cell with fingerprint `key`: the
+/// record must parse and its envelope must carry [`CACHE_SCHEMA`] and
+/// `key`, or the cell is a miss.
+fn read_record(path: &Path, key: &str) -> Option<Json> {
+    let record = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    if record.get("schema")?.as_u64()? != CACHE_SCHEMA || record.get("fp")?.as_str()? != key {
+        return None;
+    }
+    record.get("payload").cloned()
+}
+
 fn run_one<C: SweepCell>(
-    ctx: &CellContext<'_>,
-    index: usize,
+    cache: Option<&Path>,
+    fault: &FaultPolicy,
     cell: &C,
 ) -> (CellOutcome<C::Out>, CellTiming) {
     let t0 = Instant::now();
     let fp = cell.fingerprint();
     let key = Fingerprint::hex(fp);
-    let timing =
-        |cached: bool, resumed: bool, attempts: u32, failed: bool, t0: Instant| CellTiming {
-            name: cell.name(),
-            millis: t0.elapsed().as_millis() as u64,
-            cached,
-            resumed,
-            attempts,
-            failed,
-        };
+    let timing = |cached: bool, attempts: u32, failed: bool| CellTiming {
+        name: cell.name(),
+        millis: t0.elapsed().as_millis() as u64,
+        cached,
+        attempts,
+        failed,
+    };
 
-    // 1. Resume journal: a record proves this very sweep already
-    //    completed the cell successfully.
-    if ctx.resume {
-        if let Some(dir) = ctx.journal {
-            if let Some(out) = read_journal_record(dir, index, &key)
-                .and_then(|payload| cell.parse_cached(&payload))
-            {
-                return (CellOutcome::Ok(out), timing(false, true, 0, false, t0));
-            }
-        }
+    // 1. The result cache: a record is a finished run of this very cell.
+    let cache_path = cache.map(|dir| dir.join(format!("{key}.json")));
+    if let Some(out) = cache_path
+        .as_deref()
+        .and_then(|path| read_record(path, &key))
+        .and_then(|payload| cell.parse_cached(&payload))
+    {
+        return (CellOutcome::Ok(out), timing(true, 0, false));
     }
 
-    // 2. Fingerprint cache.
-    let cache_path = ctx.cache.map(|dir| dir.join(format!("{key}.json")));
-    if let Some(path) = &cache_path {
-        if let Ok(cached) = std::fs::read_to_string(path) {
-            if let Some(out) = cell.parse_cached(&cached) {
-                // Mirror cache hits into the journal so a later
-                // `--resume` does not depend on the cache surviving.
-                if let Some(dir) = ctx.journal {
-                    write_journal_record(dir, index, &cell.name(), &key, &cached);
-                }
-                return (CellOutcome::Ok(out), timing(true, false, 0, false, t0));
-            }
-        }
-    }
-
-    // 3. Execute, with bounded retries behind the fault boundary.
+    // 2. Execute, with bounded retries behind the fault boundary.
     let mut attempts = 0u32;
     let outcome = loop {
         attempts += 1;
-        let exhausted = attempts > ctx.fault.retries;
-        match attempt_run(cell, ctx.fault.cell_timeout) {
+        let exhausted = attempts > fault.retries;
+        match attempt_run(cell, fault.cell_timeout) {
             Attempt::Finished(out) => match cell.failure(&out) {
                 None => break CellOutcome::Ok(out),
                 Some(message) if exhausted => {
@@ -744,82 +615,24 @@ fn run_one<C: SweepCell>(
                 }
             }
         }
-        std::thread::sleep(Duration::from_millis(retry_backoff_millis(
-            ctx.fault.retry_seed,
-            fp,
-            attempts,
-        )));
+        std::thread::sleep(Duration::from_millis(retry_backoff_millis(fp, attempts)));
     };
 
-    // 4. Persist successful outcomes: cache (by fingerprint) and
-    //    journal (by sweep + index), both via atomic temp-file+rename
-    //    so a kill mid-write can never publish a torn record.
-    if let CellOutcome::Ok(out) = &outcome {
-        if let Some(serialized) = cell.to_cache(out) {
-            if let Some(path) = &cache_path {
-                // A failed write only costs the memoization; never the
-                // sweep.
-                let _ = write_atomic(path, &serialized);
-            }
-            if let Some(dir) = ctx.journal {
-                write_journal_record(dir, index, &cell.name(), &key, &serialized);
-            }
+    // 3. Publish a successful outcome by atomic temp-file + rename, so
+    //    a kill mid-write can never leave a torn record. A failed write
+    //    only costs the memoization, never the sweep.
+    if let (CellOutcome::Ok(out), Some(path)) = (&outcome, &cache_path) {
+        if let Some(payload) = cell.to_cache(out) {
+            let record = Json::Obj(vec![
+                ("schema".into(), Json::U64(CACHE_SCHEMA)),
+                ("fp".into(), Json::Str(key)),
+                ("payload".into(), payload),
+            ]);
+            let _ = write_atomic(path, &record.render());
         }
     }
     let failed = !outcome.is_ok();
-    (outcome, timing(false, false, attempts, failed, t0))
-}
-
-// ---------------------------------------------------------------------
-// Resume journal
-// ---------------------------------------------------------------------
-
-/// The per-sweep journal directory under `root`: keyed by the ordered
-/// cell fingerprints (plus the schema version), so a resumed invocation
-/// of the *same* sweep finds its records and any other sweep — even one
-/// sharing cells — does not.
-fn journal_dir<C: SweepCell>(root: &Path, cells: &[C]) -> PathBuf {
-    let mut fp = Fingerprint::new();
-    fp.write_str("journal");
-    fp.write_u64(CACHE_SCHEMA);
-    for cell in cells {
-        fp.write_u64(cell.fingerprint());
-    }
-    root.join(format!("sweep-{}", Fingerprint::hex(fp.finish())))
-}
-
-fn journal_record_path(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("cell-{index}.json"))
-}
-
-/// Reads and validates one journal record, returning the serialized
-/// cell payload. Any mismatch (schema, kind, fingerprint) or torn file
-/// yields `None` — the cell simply re-runs.
-fn read_journal_record(dir: &Path, index: usize, key: &str) -> Option<String> {
-    let raw = std::fs::read_to_string(journal_record_path(dir, index)).ok()?;
-    let v = Json::parse(&raw).ok()?;
-    if v.get("schema")?.as_u64()? != CACHE_SCHEMA
-        || v.get("kind")?.as_str()? != "journal"
-        || v.get("fp")?.as_str()? != key
-    {
-        return None;
-    }
-    Some(v.get("payload")?.as_str()?.to_string())
-}
-
-/// Writes one journal record atomically; failures cost only
-/// resumability, never the sweep.
-fn write_journal_record(dir: &Path, index: usize, name: &str, key: &str, payload: &str) {
-    let record = Json::Obj(vec![
-        ("schema".into(), Json::U64(CACHE_SCHEMA)),
-        ("kind".into(), Json::Str("journal".into())),
-        ("fp".into(), Json::Str(key.into())),
-        ("name".into(), Json::Str(name.into())),
-        ("payload".into(), Json::Str(payload.into())),
-    ])
-    .render();
-    let _ = std::fs::create_dir_all(dir);
-    let _ = write_atomic(&journal_record_path(dir, index), &record);
+    (outcome, timing(false, attempts, failed))
 }
 
 // ---------------------------------------------------------------------
@@ -883,21 +696,16 @@ impl SweepCell for RunSpec {
         out.as_ref().err().map(ToString::to_string)
     }
 
-    fn to_cache(&self, out: &Self::Out) -> Option<String> {
+    fn to_cache(&self, out: &Self::Out) -> Option<Json> {
         let out = out.as_ref().ok()?;
-        Some(format!(
-            "{{\"schema\":{CACHE_SCHEMA},\"kind\":\"run\",\"run_cycles\":{},\"verified\":{},\"stats\":{}}}",
-            out.cycles,
-            out.verified,
-            out.stats.to_json()
-        ))
+        Some(Json::Obj(vec![
+            ("run_cycles".into(), Json::U64(out.cycles)),
+            ("verified".into(), Json::Bool(out.verified)),
+            ("stats".into(), Json::parse(&out.stats.to_json()).ok()?),
+        ]))
     }
 
-    fn parse_cached(&self, cached: &str) -> Option<Self::Out> {
-        let v = crate::json::Json::parse(cached).ok()?;
-        if v.get("schema")?.as_u64()? != CACHE_SCHEMA || v.get("kind")?.as_str()? != "run" {
-            return None;
-        }
+    fn parse_cached(&self, v: &Json) -> Option<Self::Out> {
         let stats = SimStats::from_json(&v.get("stats")?.render()).ok()?;
         Some(Ok(RunOutput {
             cycles: v.get("run_cycles")?.as_u64()?,
@@ -940,20 +748,17 @@ impl SweepCell for RecoveryCell {
         out.as_ref().err().map(ToString::to_string)
     }
 
-    fn to_cache(&self, out: &Self::Out) -> Option<String> {
+    fn to_cache(&self, out: &Self::Out) -> Option<Json> {
         let out = out.as_ref().ok()?;
-        Some(format!(
-            "{{\"schema\":{CACHE_SCHEMA},\"kind\":\"recovery\",\"crash_cycle\":{},\
-             \"recovery_cycles\":{},\"crash_free_cycles\":{},\"verified\":{}}}",
-            out.crash_cycle, out.recovery_cycles, out.crash_free_cycles, out.verified
-        ))
+        Some(Json::Obj(vec![
+            ("crash_cycle".into(), Json::U64(out.crash_cycle)),
+            ("recovery_cycles".into(), Json::U64(out.recovery_cycles)),
+            ("crash_free_cycles".into(), Json::U64(out.crash_free_cycles)),
+            ("verified".into(), Json::Bool(out.verified)),
+        ]))
     }
 
-    fn parse_cached(&self, cached: &str) -> Option<Self::Out> {
-        let v = crate::json::Json::parse(cached).ok()?;
-        if v.get("schema")?.as_u64()? != CACHE_SCHEMA || v.get("kind")?.as_str()? != "recovery" {
-            return None;
-        }
+    fn parse_cached(&self, v: &Json) -> Option<Self::Out> {
         Some(Ok(RecoveryOutput {
             crash_cycle: v.get("crash_cycle")?.as_u64()?,
             recovery_cycles: v.get("recovery_cycles")?.as_u64()?,
@@ -963,107 +768,57 @@ impl SweepCell for RecoveryCell {
     }
 }
 
-/// Flattens one engine outcome of a `Result`-valued cell into the
-/// harness's single error channel: engine-level failures (panics,
-/// deadlines) become typed [`HarnessError`]s alongside the simulation's
-/// own.
-fn flatten_outcome<T>(
-    cell: String,
-    outcome: CellOutcome<Result<T, HarnessError>>,
-) -> Result<T, HarnessError> {
-    match outcome {
-        CellOutcome::Ok(r) | CellOutcome::Err { out: r, .. } => r,
-        CellOutcome::Panicked { message, .. } => Err(HarnessError::Panicked { cell, message }),
-        CellOutcome::DeadlineExceeded { limit_millis, .. } => {
-            Err(HarnessError::Deadline { cell, limit_millis })
-        }
-    }
-}
-
-/// Sweeps crash-free [`RunSpec`] cells; the common case for figure
-/// binaries. Engine-level failures surface as [`HarnessError::Panicked`]
-/// / [`HarnessError::Deadline`] rows.
-pub fn run_specs(
+/// Sweeps cells whose output is a `Result`, flattening each outcome
+/// into the harness's single error channel: a failed run keeps its own
+/// error, and engine-level failures (panics, deadlines) become
+/// [`HarnessError::Panicked`] / [`HarnessError::Deadline`] rows.
+pub fn run_cells<C, T>(
     opts: &SweepOpts,
-    specs: &[RunSpec],
-) -> (Vec<Result<RunOutput, HarnessError>>, SweepSummary) {
-    let (outcomes, summary) = sweep(opts, specs);
-    let results = specs
-        .iter()
-        .zip(outcomes)
-        .map(|(spec, outcome)| flatten_outcome(spec.cell_name(), outcome))
-        .collect();
-    (results, summary)
-}
-
-/// Sweeps [`RecoveryCell`]s (Fig. 11), flattening engine-level failures
-/// into [`HarnessError`] like [`run_specs`] does.
-pub fn run_recovery_cells(
-    opts: &SweepOpts,
-    cells: &[RecoveryCell],
-) -> (Vec<Result<RecoveryOutput, HarnessError>>, SweepSummary) {
+    cells: &[C],
+) -> (Vec<Result<T, HarnessError>>, SweepSummary)
+where
+    C: SweepCell<Out = Result<T, HarnessError>>,
+{
     let (outcomes, summary) = sweep(opts, cells);
     let results = cells
         .iter()
         .zip(outcomes)
-        .map(|(cell, outcome)| flatten_outcome(cell.name(), outcome))
+        .map(|(cell, outcome)| match outcome {
+            CellOutcome::Ok(r) | CellOutcome::Err { out: r, .. } => r,
+            CellOutcome::Panicked { message, .. } => Err(HarnessError::Panicked {
+                cell: cell.name(),
+                message,
+            }),
+            CellOutcome::DeadlineExceeded { limit_millis, .. } => Err(HarnessError::Deadline {
+                cell: cell.name(),
+                limit_millis,
+            }),
+        })
         .collect();
     (results, summary)
 }
 
-fn collect_strict<T>(
-    names: impl Iterator<Item = String>,
-    results: Vec<Result<T, HarnessError>>,
-) -> Result<Vec<T>, SweepFailures> {
-    let mut outs = Vec::with_capacity(results.len());
+/// Like [`run_cells`] but for binaries: either every cell succeeded, or
+/// this prints a table naming **every** failing cell to stderr and exits
+/// the process with a nonzero status.
+#[must_use]
+pub fn run_cells_expect<C, T>(opts: &SweepOpts, cells: &[C]) -> (Vec<T>, SweepSummary)
+where
+    C: SweepCell<Out = Result<T, HarnessError>>,
+{
+    let (results, summary) = run_cells(opts, cells);
     let mut failures = Vec::new();
-    for (name, result) in names.zip(results) {
-        match result {
-            Ok(out) => outs.push(out),
-            Err(e) => failures.push((name, e.detail())),
-        }
-    }
+    let outs = cells
+        .iter()
+        .zip(results)
+        .filter_map(|(cell, r)| r.map_err(|e| failures.push((cell.name(), e.detail()))).ok())
+        .collect();
     if failures.is_empty() {
-        Ok(outs)
-    } else {
-        Err(SweepFailures { failures })
+        return (outs, summary);
     }
-}
-
-/// Like [`run_specs`] but strict: either every cell succeeded, or the
-/// aggregated error names **every** failing cell (the historical
-/// behaviour panicked on the first failure and discarded the rest).
-///
-/// # Errors
-/// [`SweepFailures`] listing each failed cell with its error.
-pub fn run_specs_strict(
-    opts: &SweepOpts,
-    specs: &[RunSpec],
-) -> Result<(Vec<RunOutput>, SweepSummary), SweepFailures> {
-    let (results, summary) = run_specs(opts, specs);
-    collect_strict(specs.iter().map(RunSpec::cell_name), results).map(|outs| (outs, summary))
-}
-
-/// Like [`run_specs_expect`] but for [`RecoveryCell`] sweeps: on any
-/// failing cell, prints the aggregated failure table naming **every**
-/// failing cell and exits nonzero.
-#[must_use]
-pub fn run_recovery_cells_expect(
-    opts: &SweepOpts,
-    cells: &[RecoveryCell],
-) -> (Vec<RecoveryOutput>, SweepSummary) {
-    let (results, summary) = run_recovery_cells(opts, cells);
-    collect_strict(cells.iter().map(SweepCell::name), results)
-        .map(|outs| (outs, summary))
-        .unwrap_or_else(|failures| failures.exit_with_report())
-}
-
-/// Like [`run_specs`] but for binaries: on any failing cell, prints the
-/// aggregated failure table naming **every** failing cell and exits the
-/// process with a nonzero status.
-#[must_use]
-pub fn run_specs_expect(opts: &SweepOpts, specs: &[RunSpec]) -> (Vec<RunOutput>, SweepSummary) {
-    run_specs_strict(opts, specs).unwrap_or_else(|failures| failures.exit_with_report())
+    eprint!("{}", crate::report::failures_table(&failures).to_text());
+    eprintln!("sweep: {} cell(s) failed; aborting", failures.len());
+    std::process::exit(1);
 }
 
 #[cfg(test)]
@@ -1142,21 +897,19 @@ mod tests {
 
     #[test]
     fn backoff_is_pure_and_bounded() {
-        for seed in [0u64, 42, 0xdead_beef] {
-            for fp in [1u64, u64::MAX, 0x1234_5678] {
-                for attempt in 1..=12u32 {
-                    let a = retry_backoff_millis(seed, fp, attempt);
-                    let b = retry_backoff_millis(seed, fp, attempt);
-                    assert_eq!(a, b, "schedule must be pure");
-                    assert!(a <= 4096, "backoff capped at 4096 ms, got {a}");
-                    assert!(a >= 10, "backoff at least the 10 ms base, got {a}");
-                }
+        for fp in [1u64, u64::MAX, 0x1234_5678] {
+            for attempt in 1..=12u32 {
+                let a = retry_backoff_millis(fp, attempt);
+                let b = retry_backoff_millis(fp, attempt);
+                assert_eq!(a, b, "schedule must be pure");
+                assert!(a <= 4096, "backoff capped at 4096 ms, got {a}");
+                assert!(a >= 10, "backoff at least the 10 ms base, got {a}");
             }
         }
-        // Distinct seeds must actually steer the jitter somewhere.
+        // Distinct fingerprints must actually steer the jitter somewhere.
         let any_differs =
-            (1..=8u32).any(|k| retry_backoff_millis(1, 99, k) != retry_backoff_millis(2, 99, k));
-        assert!(any_differs, "seed must influence the schedule");
+            (1..=8u32).any(|k| retry_backoff_millis(99, k) != retry_backoff_millis(100, k));
+        assert!(any_differs, "fingerprint must influence the schedule");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Torture tests for the sweep engine's fault-tolerance layer:
 //! injected panics, hangs, and transient failures must degrade to
 //! typed [`CellOutcome`]s — never kill the sweep — while succeeding
-//! cells keep producing byte-identical output at any `--jobs`, and the
-//! resume journal recovers a killed sweep without re-running finished
-//! cells.
+//! cells keep producing byte-identical output at any `--jobs`, and a
+//! rerun on the result cache recovers a killed sweep without re-running
+//! finished cells.
 
+use sbrp_harness::json::Json;
 use sbrp_harness::sweep::{
-    retry_backoff_millis, sweep, unwrap_outcomes, CellOutcome, SweepCell, SweepOpts,
+    retry_backoff_millis, run_cells, sweep, CellOutcome, SweepCell, SweepOpts,
 };
+use sbrp_harness::HarnessError;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -50,7 +52,7 @@ impl TortureCell {
 }
 
 impl SweepCell for TortureCell {
-    type Out = Result<u64, String>;
+    type Out = Result<u64, HarnessError>;
 
     fn name(&self) -> String {
         format!("torture-{}", self.id)
@@ -58,7 +60,7 @@ impl SweepCell for TortureCell {
 
     fn fingerprint(&self) -> u64 {
         // Intentionally ignores `mode`: a "fixed" cell (different mode,
-        // same id) resumes from a journal written by a failing run,
+        // same id) is served from the cache a failing run wrote,
         // mirroring a re-invocation of the same sweep.
         0xBAD_F00D ^ self.id
     }
@@ -72,7 +74,10 @@ impl SweepCell for TortureCell {
                 panic!("transient panic {attempt} in cell {}", self.id)
             }
             Mode::PanicFirst(_) => Ok(self.id * 10),
-            Mode::ErrFirst(n) if attempt <= n => Err(format!("transient error {attempt}")),
+            Mode::ErrFirst(n) if attempt <= n => Err(HarnessError::Outcome {
+                cell: self.name(),
+                detail: format!("transient error {attempt}"),
+            }),
             Mode::ErrFirst(_) => Ok(self.id * 10),
             Mode::Hang => {
                 std::thread::sleep(Duration::from_secs(60));
@@ -82,25 +87,20 @@ impl SweepCell for TortureCell {
     }
 
     fn failure(&self, out: &Self::Out) -> Option<String> {
-        out.as_ref().err().cloned()
+        out.as_ref().err().map(HarnessError::detail)
     }
 
-    fn to_cache(&self, out: &Self::Out) -> Option<String> {
-        let v = out.as_ref().ok()?;
-        Some(format!("{{\"schema\":1,\"kind\":\"torture\",\"v\":{v}}}"))
+    fn to_cache(&self, out: &Self::Out) -> Option<Json> {
+        Some(Json::U64(*out.as_ref().ok()?))
     }
 
-    fn parse_cached(&self, cached: &str) -> Option<Self::Out> {
-        let v = sbrp_harness::json::Json::parse(cached).ok()?;
-        if v.get("kind")?.as_str()? != "torture" {
-            return None;
-        }
-        Some(Ok(v.get("v")?.as_u64()?))
+    fn parse_cached(&self, payload: &Json) -> Option<Self::Out> {
+        Some(Ok(payload.as_u64()?))
     }
 }
 
-/// Serial opts with no cache and no journal — fault policy added by
-/// each test as needed.
+/// Serial opts with no cache — fault policy added by each test as
+/// needed.
 fn opts(jobs: usize) -> SweepOpts {
     SweepOpts {
         jobs,
@@ -127,7 +127,7 @@ impl Drop for TempDir {
 
 /// Renders outcomes to the bytes a report would carry — the comparison
 /// key for determinism checks.
-fn render(outcomes: &[CellOutcome<Result<u64, String>>]) -> String {
+fn render(outcomes: &[CellOutcome<Result<u64, HarnessError>>]) -> String {
     outcomes
         .iter()
         .map(|o| match o {
@@ -157,11 +157,16 @@ fn injected_panic_degrades_to_a_typed_outcome_not_a_dead_sweep() {
     assert_eq!(summary.failed(), 1);
     assert!(summary.summary_line().contains("1 FAILED"));
 
-    // The aggregated unwrap names the failing cell and keeps the rest.
-    let err = unwrap_outcomes(&cells, outcomes).unwrap_err();
-    assert_eq!(err.failures.len(), 1);
-    assert_eq!(err.failures[0].0, "torture-2");
-    assert!(err.failures[0].1.contains("panicked after 1 attempt(s)"));
+    // The flattened results name the failing cell and keep the rest.
+    let (results, _) = run_cells(&opts(2), &cells);
+    assert!(matches!(&results[0], Ok(10)) && matches!(&results[2], Ok(30)));
+    match &results[1] {
+        Err(HarnessError::Panicked { cell, message }) => {
+            assert_eq!(cell, "torture-2");
+            assert!(message.contains("injected panic in cell 2"), "{message}");
+        }
+        other => panic!("expected a Panicked error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -211,7 +216,7 @@ fn retries_recover_transient_failures_and_count_attempts() {
             message,
             attempts,
         } => {
-            assert_eq!(out.as_ref().unwrap_err(), "transient error 3");
+            assert_eq!(out.as_ref().unwrap_err().detail(), "transient error 3");
             assert_eq!(message, "transient error 3");
             assert_eq!(*attempts, 3);
         }
@@ -224,25 +229,21 @@ fn backoff_schedule_is_a_pure_function_of_seed_fingerprint_attempt() {
     // Purity: same inputs, same schedule, across arbitrary call orders.
     let mut schedule = Vec::new();
     for attempt in 1..=10 {
-        schedule.push(retry_backoff_millis(42, 0xFEED, attempt));
+        schedule.push(retry_backoff_millis(0xFEED, attempt));
     }
     for attempt in (1..=10u32).rev() {
         let i = (attempt - 1) as usize;
-        assert_eq!(schedule[i], retry_backoff_millis(42, 0xFEED, attempt));
+        assert_eq!(schedule[i], retry_backoff_millis(0xFEED, attempt));
     }
     // Bounded: never above the cap, never below the base.
-    for seed in 0..50u64 {
+    for n in 0..50u64 {
         for attempt in 1..=20 {
-            let ms = retry_backoff_millis(seed, seed.wrapping_mul(0x9E37), attempt);
-            assert!(
-                (10..=4096).contains(&ms),
-                "seed {seed} attempt {attempt}: {ms}"
-            );
+            let ms = retry_backoff_millis(n.wrapping_mul(0x9E37), attempt);
+            assert!((10..=4096).contains(&ms), "fp {n} attempt {attempt}: {ms}");
         }
     }
-    // Seed and fingerprint both steer the jitter.
-    assert!((1..=6).any(|a| retry_backoff_millis(1, 5, a) != retry_backoff_millis(2, 5, a)));
-    assert!((1..=6).any(|a| retry_backoff_millis(1, 5, a) != retry_backoff_millis(1, 6, a)));
+    // The fingerprint steers the (constant-seeded) jitter.
+    assert!((1..=6).any(|a| retry_backoff_millis(5, a) != retry_backoff_millis(6, a)));
 }
 
 #[test]
@@ -282,8 +283,8 @@ fn parallel_sweeps_with_injected_failures_stay_byte_identical() {
 }
 
 #[test]
-fn journal_resume_skips_completed_cells_and_reproduces_clean_output() {
-    let journal = TempDir::new("resume");
+fn cache_rerun_skips_completed_cells_and_reproduces_clean_output() {
+    let cache = TempDir::new("rerun");
     let mk = |modes: &[Mode]| -> Vec<TortureCell> {
         modes
             .iter()
@@ -292,9 +293,9 @@ fn journal_resume_skips_completed_cells_and_reproduces_clean_output() {
             .collect()
     };
     let mut o = opts(2);
-    o.journal_root = Some(journal.0.clone());
+    o.cache_dir = Some(cache.0.clone());
 
-    // Phase A: cells 2 and 4 fail; the other three succeed and journal.
+    // Phase A: cells 2 and 4 fail; the other three succeed and are cached.
     let crashing = [
         Mode::Ok,
         Mode::PanicAlways,
@@ -307,72 +308,15 @@ fn journal_resume_skips_completed_cells_and_reproduces_clean_output() {
     assert_eq!(outcomes.iter().filter(|c| c.is_ok()).count(), 3);
 
     // Phase B: the flake is "fixed" (same ids/fingerprints, all Ok) and
-    // the sweep resumes: only the two previously-failed cells execute.
+    // the same sweep runs again: only the two failed cells execute.
     let fixed = mk(&[Mode::Ok; 5]);
     let counters: Vec<_> = fixed.iter().map(|c| c.runs.clone()).collect();
-    o.resume = true;
-    let (resumed, summary) = sweep(&o, &fixed);
-    assert_eq!(summary.journal_hits(), 3, "three cells come from journal");
+    let (rerun, summary) = sweep(&o, &fixed);
+    assert_eq!(summary.cache_hits(), 3, "three cells come from the cache");
     let executed: Vec<u32> = counters.iter().map(|c| c.load(Ordering::SeqCst)).collect();
     assert_eq!(executed, vec![0, 1, 0, 1, 0], "only missing cells re-run");
 
-    // The resumed output is byte-identical to an uninterrupted run.
+    // The rerun's output is byte-identical to an uninterrupted run.
     let (clean, _) = sweep(&opts(1), &mk(&[Mode::Ok; 5]));
-    assert_eq!(render(&resumed), render(&clean));
-}
-
-#[test]
-fn corrupt_journal_records_fall_back_to_live_runs() {
-    let journal = TempDir::new("corrupt");
-    let mut o = opts(1);
-    o.journal_root = Some(journal.0.clone());
-    let cells = vec![TortureCell::new(1, Mode::Ok), TortureCell::new(2, Mode::Ok)];
-    let (reference, _) = sweep(&o, &cells);
-
-    // Truncate every record mid-byte, as a kill mid-write would if the
-    // writes were not atomic; resume must re-run, not crash or lie.
-    let sweep_dir = std::fs::read_dir(&journal.0)
-        .expect("journal root")
-        .next()
-        .expect("one sweep dir")
-        .expect("entry")
-        .path();
-    for entry in std::fs::read_dir(&sweep_dir).expect("records") {
-        let path = entry.expect("entry").path();
-        std::fs::write(&path, "{\"schema\":1,\"kind\":\"jou").unwrap();
-    }
-    o.resume = true;
-    let fresh = vec![TortureCell::new(1, Mode::Ok), TortureCell::new(2, Mode::Ok)];
-    let counters: Vec<_> = fresh.iter().map(|c| c.runs.clone()).collect();
-    let (recomputed, summary) = sweep(&o, &fresh);
-    assert_eq!(summary.journal_hits(), 0, "torn records must not hit");
-    assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-    assert_eq!(render(&reference), render(&recomputed));
-}
-
-#[test]
-fn cache_hits_are_mirrored_into_the_journal() {
-    let cache = TempDir::new("cache-mirror");
-    let journal = TempDir::new("journal-mirror");
-    let cells = vec![TortureCell::new(1, Mode::Ok)];
-
-    // Warm the cache without a journal.
-    let mut o = opts(1);
-    o.cache_dir = Some(cache.0.clone());
-    let _ = sweep(&o, &cells);
-
-    // A cache-hit sweep with a journal must still write its record, so
-    // `--resume` works even if the cache is later wiped.
-    o.journal_root = Some(journal.0.clone());
-    let (_, summary) = sweep(&o, &cells);
-    assert_eq!(summary.cache_hits(), 1);
-
-    o.cache_dir = None;
-    o.resume = true;
-    let fresh = vec![TortureCell::new(1, Mode::Ok)];
-    let runs = fresh[0].runs.clone();
-    let (outcomes, summary) = sweep(&o, &fresh);
-    assert_eq!(summary.journal_hits(), 1);
-    assert_eq!(runs.load(Ordering::SeqCst), 0, "served from journal");
-    assert!(matches!(&outcomes[0], CellOutcome::Ok(Ok(10))));
+    assert_eq!(render(&rerun), render(&clean));
 }

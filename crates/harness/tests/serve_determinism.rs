@@ -14,10 +14,10 @@
 //!    crash instant, and the post-recovery store still verifies.
 
 use sbrp_harness::serve::{
-    hist_json, run_serve_cells, run_service, run_service_detailed, serve_table, ServeCell,
-    ServeModel, ServeOutput, ServeSpec,
+    hist_json, run_service, run_service_detailed, serve_table, ServeCell, ServeModel, ServeOutput,
+    ServeSpec,
 };
-use sbrp_harness::sweep::SweepOpts;
+use sbrp_harness::sweep::{run_cells, SweepOpts};
 use std::path::PathBuf;
 
 /// A cheap spec: small GPU, short trace, still long enough to form
@@ -46,7 +46,7 @@ fn opts(jobs: usize) -> SweepOpts {
 /// Runs a sweep and renders it to the bytes the `serve` binary emits:
 /// the text table plus the histogram JSON artifact.
 fn render(jobs: usize, cells: &[ServeCell]) -> String {
-    let (results, summary) = run_serve_cells(&opts(jobs), cells);
+    let (results, summary) = run_cells(&opts(jobs), cells);
     assert_eq!(summary.jobs, jobs.min(cells.len()));
     let outs: Vec<ServeOutput> = results
         .into_iter()
@@ -112,7 +112,7 @@ fn percentiles_match_golden_snapshot() {
             },
         },
     ];
-    let (results, _) = run_serve_cells(&SweepOpts::serial(), &cells);
+    let (results, _) = run_cells(&SweepOpts::serial(), &cells);
     let outs: Vec<ServeOutput> = results
         .into_iter()
         .map(|r| r.expect("cell completes"))

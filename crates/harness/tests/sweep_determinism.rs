@@ -7,10 +7,11 @@
 //!    changing a byte of output; corrupt or mismatched entries fall back
 //!    to a live run; distinct specs never share an entry.
 
+use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
 use sbrp_harness::campaign::{self, CampaignSpec};
-use sbrp_harness::sweep::{run_specs, spec_fingerprint, SweepOpts};
+use sbrp_harness::sweep::{run_cells, spec_fingerprint, SweepOpts, CACHE_SCHEMA};
 use sbrp_harness::RunSpec;
 use sbrp_workloads::WorkloadKind;
 use std::path::PathBuf;
@@ -87,8 +88,8 @@ impl Drop for TempCache {
 #[test]
 fn parallel_run_spec_sweep_is_byte_identical_to_serial() {
     let specs = tiny_specs();
-    let (serial, s1) = run_specs(&opts(1, None), &specs);
-    let (parallel, s4) = run_specs(&opts(4, None), &specs);
+    let (serial, s1) = run_cells(&opts(1, None), &specs);
+    let (parallel, s4) = run_cells(&opts(4, None), &specs);
     assert_eq!(s1.jobs, 1);
     assert_eq!(s4.jobs, 4.min(specs.len()));
     assert_eq!(
@@ -139,10 +140,10 @@ fn warm_cache_serves_every_cell_without_changing_output() {
     let cache = TempCache::new("warm");
     let specs = tiny_specs();
 
-    let (cold, cold_summary) = run_specs(&opts(2, Some(cache.0.clone())), &specs);
+    let (cold, cold_summary) = run_cells(&opts(2, Some(cache.0.clone())), &specs);
     assert_eq!(cold_summary.cache_hits(), 0, "first run must be all misses");
 
-    let (warm, warm_summary) = run_specs(&opts(2, Some(cache.0.clone())), &specs);
+    let (warm, warm_summary) = run_cells(&opts(2, Some(cache.0.clone())), &specs);
     assert_eq!(
         warm_summary.cache_hits(),
         specs.len(),
@@ -151,7 +152,7 @@ fn warm_cache_serves_every_cell_without_changing_output() {
     assert_eq!(render(&cold), render(&warm), "cache must not alter output");
 
     // --no-cache bypasses the warm cache and recomputes.
-    let (uncached, uncached_summary) = run_specs(&opts(2, None), &specs);
+    let (uncached, uncached_summary) = run_cells(&opts(2, None), &specs);
     assert_eq!(uncached_summary.cache_hits(), 0);
     assert_eq!(render(&cold), render(&uncached));
 }
@@ -160,16 +161,27 @@ fn warm_cache_serves_every_cell_without_changing_output() {
 fn corrupt_or_mismatched_cache_entries_fall_back_to_live_runs() {
     let cache = TempCache::new("corrupt");
     let specs = vec![tiny_specs().remove(0)];
-    let (reference, _) = run_specs(&opts(1, Some(cache.0.clone())), &specs);
+    let (reference, _) = run_cells(&opts(1, Some(cache.0.clone())), &specs);
+    let key = Fingerprint::hex(spec_fingerprint(&specs[0]));
+    let path = cache.0.join(format!("{key}.json"));
+    let record = std::fs::read_to_string(&path).expect("the run was cached");
 
-    // Overwrite every entry with garbage: the sweep must recompute and
-    // still produce the same result.
-    for entry in std::fs::read_dir(&cache.0).expect("cache dir exists") {
-        std::fs::write(entry.expect("entry").path(), "{\"schema\":999,\"bogus\":1").unwrap();
+    // A torn write, garbage, and well-formed records of another schema
+    // or another cell: each must miss and recompute the same result.
+    let other_schema = record.replacen(&format!("\"schema\":{CACHE_SCHEMA}"), "\"schema\":999", 1);
+    let other_cell = record.replacen(&format!("\"fp\":\"{key}\""), "\"fp\":\"0\"", 1);
+    assert!(other_schema != record && other_cell != record);
+    for bad in [
+        &record[..record.len() / 2],
+        "{\"schema\":999,\"bogus\":1",
+        &other_schema,
+        &other_cell,
+    ] {
+        std::fs::write(&path, bad).unwrap();
+        let (recomputed, summary) = run_cells(&opts(1, Some(cache.0.clone())), &specs);
+        assert_eq!(summary.cache_hits(), 0, "{bad:.60} must not hit");
+        assert_eq!(render(&reference), render(&recomputed));
     }
-    let (recomputed, summary) = run_specs(&opts(1, Some(cache.0.clone())), &specs);
-    assert_eq!(summary.cache_hits(), 0, "garbage entries must not hit");
-    assert_eq!(render(&reference), render(&recomputed));
 }
 
 #[test]

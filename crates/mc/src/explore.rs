@@ -22,7 +22,7 @@ use crate::spec::{
 };
 use crate::state::State;
 use sbrp_core::fingerprint::Fingerprint;
-use sbrp_harness::sweep::{sweep, CellOutcome, FaultPolicy, SweepCell, SweepOpts};
+use sbrp_harness::sweep::{sweep, CellOutcome, SweepCell, SweepOpts};
 use sbrp_isa::BlockIndex;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
@@ -359,11 +359,7 @@ pub fn explore(program: &Program, spec: &Spec, opts: &McOpts) -> McReport {
             .collect();
         let sweep_opts = SweepOpts {
             jobs: opts.jobs,
-            cache_dir: None,
-            progress: false,
-            fault: FaultPolicy::default(),
-            journal_root: None,
-            resume: false,
+            ..SweepOpts::serial()
         };
         let (outcomes, _) = sweep(&sweep_opts, &cells);
         for (i, outcome) in outcomes.into_iter().enumerate() {
@@ -391,65 +387,41 @@ pub fn explore(program: &Program, spec: &Spec, opts: &McOpts) -> McReport {
     }
 }
 
-/// Breadth-first search for the *shortest* schedule producing a
-/// violation of `kind` (ties broken by exploration order, which tries
-/// choices in their canonical [`State::choices`] order — so the result
-/// is also lexicographically least among the shortest). Serial and
-/// deterministic by construction; returns `None` if no schedule up to
-/// `opts.max_states` states violates.
-#[must_use]
-pub fn shrink(
+/// Breadth-first search from the initial state for the *shortest*
+/// schedule reaching a state on which `stop` holds. `stop` sees each
+/// state with the violations its transition raised (none for the
+/// initial state), and it is asked even for already-visited states: a
+/// different predecessor can make a different transition into them.
+/// Choices are tried in their canonical [`State::choices`] order, so
+/// the result is also lexicographically least among the shortest.
+/// `search` names the search in the panic past `opts.max_states`.
+fn shortest_schedule(
     program: &Program,
-    spec: &Spec,
-    kind: ViolationKind,
     opts: &McOpts,
+    search: &str,
+    mut stop: impl FnMut(&State, Vec<Violation>) -> bool,
 ) -> Option<Vec<Choice>> {
     let bidx = program.kernel.block_index();
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    let mut states: u64 = 0;
-
     let init = State::initial(program);
-    visited.insert(init.fingerprint(program, &bidx));
-    let mut vios = Vec::new();
-    static_checks(
-        &init,
-        program,
-        spec,
-        init.choices(program).is_empty(),
-        &mut vios,
-    );
-    if vios.iter().any(|v| v.kind == kind) {
+    if stop(&init, Vec::new()) {
         return Some(Vec::new());
     }
-    queue.push_back(init);
-
+    let mut visited = HashSet::from([init.fingerprint(program, &bidx)]);
+    let mut queue = VecDeque::from([init]);
+    let mut states: u64 = 0;
     while let Some(st) = queue.pop_front() {
         for choice in st.choices(program) {
             let mut next = st.clone();
             let mut vios = Vec::new();
-            let mut ev = Evidence::new();
-            next.apply(program, choice, &mut ev, &mut vios);
-            let fp = next.fingerprint(program, &bidx);
-            let fresh = visited.insert(fp);
-            // Apply-time violations belong to the *transition*: check
-            // them even into an already-visited state (a different
-            // predecessor can make the same bad transition).
-            static_checks(
-                &next,
-                program,
-                spec,
-                next.choices(program).is_empty(),
-                &mut vios,
-            );
-            if vios.iter().any(|v| v.kind == kind) {
+            next.apply(program, choice, &mut Evidence::new(), &mut vios);
+            if stop(&next, vios) {
                 return Some(next.schedule().to_vec());
             }
-            if fresh {
+            if visited.insert(next.fingerprint(program, &bidx)) {
                 states += 1;
                 assert!(
                     states <= opts.max_states,
-                    "mc: exceeded {} states shrinking `{}`",
+                    "mc: exceeded {} states {search} `{}`",
                     opts.max_states,
                     program.kernel.name(),
                 );
@@ -458,6 +430,26 @@ pub fn shrink(
         }
     }
     None
+}
+
+/// Breadth-first search for the *shortest* schedule producing a
+/// violation of `kind` (the lexicographically least among the
+/// shortest). Serial and deterministic by construction; returns `None`
+/// if no schedule up to `opts.max_states` states violates.
+#[must_use]
+pub fn shrink(
+    program: &Program,
+    spec: &Spec,
+    kind: ViolationKind,
+    opts: &McOpts,
+) -> Option<Vec<Choice>> {
+    shortest_schedule(program, opts, "shrinking", |st, mut vios| {
+        // Apply-time violations belong to the *transition*; the static
+        // checks add the state's own.
+        let empty = st.choices(program).is_empty();
+        static_checks(st, program, spec, empty, &mut vios);
+        vios.iter().any(|v| v.kind == kind)
+    })
 }
 
 /// The state predicate a lint hazard names: one persist durable while
@@ -510,40 +502,9 @@ pub fn witness_reach(
     target: WitnessTarget,
     opts: &McOpts,
 ) -> Option<Vec<Choice>> {
-    let bidx = program.kernel.block_index();
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    let mut states: u64 = 0;
-
-    let init = State::initial(program);
-    if target.holds(&init) {
-        return Some(Vec::new());
-    }
-    visited.insert(init.fingerprint(program, &bidx));
-    queue.push_back(init);
-
-    while let Some(st) = queue.pop_front() {
-        for choice in st.choices(program) {
-            let mut next = st.clone();
-            let mut vios = Vec::new();
-            let mut ev = Evidence::new();
-            next.apply(program, choice, &mut ev, &mut vios);
-            if target.holds(&next) {
-                return Some(next.schedule().to_vec());
-            }
-            if visited.insert(next.fingerprint(program, &bidx)) {
-                states += 1;
-                assert!(
-                    states <= opts.max_states,
-                    "mc: exceeded {} states searching `{}` for a witness",
-                    opts.max_states,
-                    program.kernel.name(),
-                );
-                queue.push_back(next);
-            }
-        }
-    }
-    None
+    shortest_schedule(program, opts, "searching for a witness in", |st, _| {
+        target.holds(st)
+    })
 }
 
 /// Replays `schedule` from the initial state, returning the resulting

@@ -290,11 +290,8 @@ impl Sm {
             Engine::Sbrp(u) => u.set_drain_all(true),
             Engine::Epoch(_) => {
                 for line in self.l1.dirty_lines(true) {
-                    let addr = self.l1.addr_of(line);
-                    let segments = self.take_line_segments(line, ms);
                     let tokens = self.line_tokens.remove(&line).unwrap_or_default();
-                    ms.submit_persist_flush(now, addr, segments, PersistDest::Detached, tokens);
-                    self.counters.persist_flushes += 1;
+                    self.flush_line(ms, now, line, PersistDest::Detached, tokens);
                     self.l1.invalidate(line);
                 }
             }
@@ -378,6 +375,22 @@ impl Sm {
         segments
     }
 
+    /// Flushes the bytes this SM wrote in `line` toward durability: one
+    /// persist flush to `dest`, carrying `tokens`.
+    fn flush_line(
+        &mut self,
+        ms: &mut MemSubsystem,
+        now: u64,
+        line: u32,
+        dest: PersistDest,
+        tokens: Vec<u64>,
+    ) {
+        let addr = self.l1.addr_of(line);
+        let segments = self.take_line_segments(line, ms);
+        ms.submit_persist_flush(now, addr, segments, dest, tokens);
+        self.counters.persist_flushes += 1;
+    }
+
     fn thread_pos(&self, slot: usize, lane: u8) -> ThreadPos {
         let ctx = self.warps[slot].as_ref().expect("warp present");
         ThreadPos::new(
@@ -424,18 +437,11 @@ impl Sm {
                     Engine::Sbrp(unit) => {
                         match unit.evict_request(WarpSlot::new(slot), LineIdx(v.line)) {
                             EvictOutcome::Flushed { tokens, .. } => {
-                                let segments = self.take_line_segments(v.line, ms);
-                                ms.submit_persist_flush(
-                                    now,
-                                    v.addr,
-                                    segments,
-                                    PersistDest::Sbrp {
-                                        sm: self.id,
-                                        line: v.line,
-                                    },
-                                    tokens,
-                                );
-                                self.counters.persist_flushes += 1;
+                                let dest = PersistDest::Sbrp {
+                                    sm: self.id,
+                                    line: v.line,
+                                };
+                                self.flush_line(ms, now, v.line, dest, tokens);
                             }
                             EvictOutcome::NotBuffered => {
                                 unreachable!("dirty PM line without a PB entry under SBRP");
@@ -444,16 +450,8 @@ impl Sm {
                         }
                     }
                     Engine::Epoch(_) => {
-                        let segments = self.take_line_segments(v.line, ms);
                         let tokens = self.line_tokens.remove(&v.line).unwrap_or_default();
-                        ms.submit_persist_flush(
-                            now,
-                            v.addr,
-                            segments,
-                            PersistDest::Detached,
-                            tokens,
-                        );
-                        self.counters.persist_flushes += 1;
+                        self.flush_line(ms, now, v.line, PersistDest::Detached, tokens);
                     }
                 }
             } else if v.dirty {
@@ -572,16 +570,8 @@ impl Sm {
         for line in self.l1.dirty_lines(false) {
             let addr = self.l1.addr_of(line);
             if self.l1.is_pm(line) {
-                let segments = self.take_line_segments(line, ms);
                 let tokens = self.line_tokens.remove(&line).unwrap_or_default();
-                ms.submit_persist_flush(
-                    now,
-                    addr,
-                    segments,
-                    PersistDest::Epoch { sm: self.id },
-                    tokens,
-                );
-                self.counters.persist_flushes += 1;
+                self.flush_line(ms, now, line, PersistDest::Epoch { sm: self.id }, tokens);
                 self.l1.invalidate(line);
                 count += 1;
             } else if !pm_only {
@@ -862,19 +852,11 @@ impl Sm {
         for action in actions {
             match action {
                 DrainAction::Flush { line, tokens, .. } => {
-                    let addr = self.l1.addr_of(line.0);
-                    let segments = self.take_line_segments(line.0, ms);
-                    ms.submit_persist_flush(
-                        cycle,
-                        addr,
-                        segments,
-                        PersistDest::Sbrp {
-                            sm: self.id,
-                            line: line.0,
-                        },
-                        tokens,
-                    );
-                    self.counters.persist_flushes += 1;
+                    let dest = PersistDest::Sbrp {
+                        sm: self.id,
+                        line: line.0,
+                    };
+                    self.flush_line(ms, cycle, line.0, dest, tokens);
                     // The drained line stays resident but clean: the data
                     // is now (about to be) durable, and keeping it cached
                     // is what lets intra-block consumers keep hitting in
@@ -1212,16 +1194,8 @@ impl Sm {
                     // whole FIFO drain.
                     if let Engine::Sbrp(unit) = &mut self.engine {
                         if let Some((_, tokens)) = unit.try_early_flush(LineIdx(line)) {
-                            let flush_addr = self.l1.addr_of(line);
-                            let segments = self.take_line_segments(line, ms);
-                            ms.submit_persist_flush(
-                                cycle,
-                                flush_addr,
-                                segments,
-                                PersistDest::Sbrp { sm: self.id, line },
-                                tokens,
-                            );
-                            self.counters.persist_flushes += 1;
+                            let dest = PersistDest::Sbrp { sm: self.id, line };
+                            self.flush_line(ms, cycle, line, dest, tokens);
                             self.l1.clean(line);
                         }
                     }
