@@ -60,6 +60,7 @@ fn main() {
     }
     let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
 
+    let mut tables = Vec::new();
     for (si, system) in SYSTEMS.into_iter().enumerate() {
         let headers: Vec<&str> = std::iter::once("app")
             .chain(variants.iter().map(|v| v.0))
@@ -87,8 +88,8 @@ fn main() {
         }
         let means: Vec<f64> = per_variant.iter().map(|v| geomean(v)).collect();
         table.row_f64("GMean", &means);
-        cli.emit(&table);
-        println!();
+        tables.push(table);
     }
+    cli.emit_all(&tables);
     eprintln!("{}", summary.summary_line());
 }

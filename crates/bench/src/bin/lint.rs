@@ -30,6 +30,7 @@
 //!   its P007–P012 entries are invisible to the intra-thread rules.
 
 use sbrp_bench::{parse_env, Flags, UsageError, Value};
+use sbrp_core::json::Json;
 use sbrp_core::ModelKind;
 use sbrp_isa::Kernel;
 use sbrp_lint::{apply_fix, lint_all, lint_kernel, LintConfig, LintReport, Severity};
@@ -159,8 +160,8 @@ fn run_stock(args: &Args) -> i32 {
         let bare: Vec<LintReport> = reports.iter().map(|(_, _, _, r)| r.clone()).collect();
         println!("{}", sbrp_lint::sarif(&bare));
     } else if args.json {
-        let body: Vec<String> = reports.iter().map(|(_, _, _, r)| r.to_json()).collect();
-        println!("[{}]", body.join(","));
+        let body = reports.iter().map(|(_, _, _, r)| r.to_json_value());
+        println!("{}", Json::Arr(body.collect()).render());
     }
     for (ctx, kernel, cfg, r) in &reports {
         errors += r.count(Severity::Error);
@@ -198,7 +199,7 @@ fn run_mutants(args: &Args) -> i32 {
         if args.sarif {
             sarif_reports.push(r.clone());
         } else if args.json {
-            body.push(r.to_json());
+            body.push(r.to_json_value());
         } else {
             print!("== {} ({})\n{}", m.name, m.what, r.to_text());
         }
@@ -216,7 +217,7 @@ fn run_mutants(args: &Args) -> i32 {
     if args.sarif {
         println!("{}", sbrp_lint::sarif(&sarif_reports));
     } else if args.json {
-        println!("[{}]", body.join(","));
+        println!("{}", Json::Arr(body).render());
     }
     eprintln!(
         "lint: {} mutants, {} seeded bugs missed, {} correct kernels dirty",

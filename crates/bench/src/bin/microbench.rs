@@ -93,6 +93,7 @@ fn main() {
     let (cycles, summary) = run_cells_expect(&opts, &cells);
 
     let stride = Micro::ALL.len() * MODELS.len();
+    let mut tables = Vec::new();
     for (si, system) in SYSTEMS.into_iter().enumerate() {
         let mut table = Table::new(
             format!("Microbenchmarks on PM-{system} (cycles; epoch=1.0)"),
@@ -108,9 +109,9 @@ fn main() {
                 format!("{:.2}x", epoch as f64 / sbrp as f64),
             ]);
         }
-        cli.emit(&table);
-        println!();
+        tables.push(table);
     }
+    cli.emit_all(&tables);
     eprintln!("{}", summary.summary_line());
 
     // Trace the first SBRP cell if --trace-out was given.

@@ -16,9 +16,8 @@
 //!   bracketing the saturation knee; seconds instead of minutes.
 
 use sbrp_bench::{parse_env, Cli, Flags, UsageError, Value};
-use sbrp_harness::json::write_atomic;
 use sbrp_harness::serve::{hist_json, serve_table, ServeCell, ServeModel, ServeSpec};
-use sbrp_harness::sweep::run_cells_expect;
+use sbrp_harness::sweep::{run_cells_expect, write_atomic};
 use sbrp_workloads::service::ArrivalKind;
 use std::path::Path;
 

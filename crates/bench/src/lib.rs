@@ -12,7 +12,8 @@
 //! * `--small` — simulate a scaled-down 4-SM GPU instead of the paper's
 //!   30-SM Table 1 machine (faster, same qualitative shapes);
 //! * `--csv` or `--json` — emit CSV or JSON instead of an aligned text
-//!   table (not both);
+//!   table (not both); a binary with several tables prints them as one
+//!   JSON array;
 //! * `--trace-out FILE` — also write a Chrome-trace JSON timeline
 //!   (load it in Perfetto / `chrome://tracing`) for a representative
 //!   cell; binaries that don't trace ignore it;
@@ -36,6 +37,7 @@
 //!
 //! Run one with e.g. `cargo run -p sbrp-bench --release --bin figure6`.
 
+use sbrp_core::json::Json;
 use sbrp_harness::report::Table;
 use sbrp_harness::sweep::{FaultPolicy, SweepOpts};
 use std::fmt;
@@ -272,6 +274,20 @@ impl Cli {
             print!("{}", table.to_json());
         } else {
             print!("{}", table.to_text());
+        }
+    }
+
+    /// Prints several tables: with `--json` as one JSON array of them,
+    /// otherwise each as [`Cli::emit`] does, followed by a blank line.
+    pub fn emit_all(&self, tables: &[Table]) {
+        if self.json {
+            let tables = tables.iter().map(Table::to_json_value).collect();
+            print!("{}", Json::Arr(tables).pretty());
+        } else {
+            for table in tables {
+                self.emit(table);
+                println!();
+            }
         }
     }
 

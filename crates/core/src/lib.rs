@@ -49,6 +49,7 @@
 pub mod epoch;
 pub mod fingerprint;
 pub mod formal;
+pub mod json;
 pub mod ops;
 pub mod pbuffer;
 pub mod scope;

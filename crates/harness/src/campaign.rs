@@ -31,11 +31,11 @@
 //! the event index finds the minimal crash point that still fails,
 //! which is the index to debug.
 
-use crate::json::Json;
 use crate::report::Table;
 use crate::sweep::{spec_fingerprint, sweep_with, CellOutcome, SweepCell, SweepOpts, SweepSummary};
 use crate::{crash_run, default_scale, recover_and_rerun, RerunError, RunSpec};
 use sbrp_core::fingerprint::Fingerprint;
+use sbrp_core::json::Json;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
 use sbrp_gpu_sim::fault::{CrashTrigger, FaultEventCounts, FaultPlan};

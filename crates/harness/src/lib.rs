@@ -9,7 +9,6 @@
 #![deny(missing_docs)]
 
 pub mod campaign;
-pub mod json;
 pub mod report;
 pub mod serve;
 pub mod sweep;

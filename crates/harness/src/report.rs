@@ -3,6 +3,7 @@
 //! files. Also the shared column scheme for stall-breakdown tables
 //! (the `breakdown` binary's Fig. 6-style stacked-bar data).
 
+use sbrp_core::json::Json;
 use sbrp_core::stall::StallCause;
 use sbrp_gpu_sim::stats::SimStats;
 use std::fmt::Write as _;
@@ -126,42 +127,25 @@ impl Table {
     }
 
     /// Renders as JSON: `{"title", "headers", "rows"}` with every cell
-    /// a string (deterministic; no float re-formatting).
+    /// a string (deterministic; no float re-formatting), laid out by
+    /// [`Json::pretty`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn quote(s: &str) -> String {
-            let mut q = String::with_capacity(s.len() + 2);
-            q.push('"');
-            for ch in s.chars() {
-                match ch {
-                    '"' => q.push_str("\\\""),
-                    '\\' => q.push_str("\\\\"),
-                    '\n' => q.push_str("\\n"),
-                    c => q.push(c),
-                }
-            }
-            q.push('"');
-            q
-        }
-        let list = |cells: &[String]| {
-            cells
-                .iter()
-                .map(|c| quote(c))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"title\": {},", quote(&self.title));
-        let _ = writeln!(out, "  \"headers\": [{}],", list(&self.headers));
-        let _ = writeln!(out, "  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            let _ = writeln!(out, "    [{}]{comma}", list(row));
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        out
+        self.to_json_value().pretty()
+    }
+
+    /// The table as a JSON object, in [`Table::to_json`]'s layout.
+    #[must_use]
+    pub fn to_json_value(&self) -> Json {
+        let strings = |cells: &[String]| Json::Arr(cells.iter().cloned().map(Json::Str).collect());
+        Json::Obj(vec![
+            ("title".into(), Json::Str(self.title.clone())),
+            ("headers".into(), strings(&self.headers)),
+            (
+                "rows".into(),
+                Json::Arr(self.rows.iter().map(|r| strings(r)).collect()),
+            ),
+        ])
     }
 }
 
@@ -197,11 +181,16 @@ mod tests {
         let mut t = Table::new("Fig \"J\"", &["app", "x"]);
         t.row(vec!["Red".into(), "1".into()]);
         t.row(vec!["MQ".into(), "2".into()]);
-        let json = t.to_json();
-        assert!(json.contains("\"title\": \"Fig \\\"J\\\"\""));
-        assert!(json.contains("\"headers\": [\"app\", \"x\"]"));
-        assert!(json.contains("[\"Red\", \"1\"],"));
-        assert!(json.contains("[\"MQ\", \"2\"]\n"));
+        assert_eq!(
+            t.to_json(),
+            "{\n  \"title\": \"Fig \\\"J\\\"\",\n  \"headers\": [\"app\", \"x\"],\n  \"rows\": [\n    \
+             [\"Red\", \"1\"],\n    [\"MQ\", \"2\"]\n  ]\n}\n"
+        );
+        let empty = Table::new("e", &["a"]);
+        assert_eq!(
+            empty.to_json(),
+            "{\n  \"title\": \"e\",\n  \"headers\": [\"a\"],\n  \"rows\": [\n  ]\n}\n"
+        );
     }
 
     #[test]

@@ -43,11 +43,11 @@
     clippy::cast_sign_loss
 )]
 
-use crate::json::Json;
 use crate::report::Table;
-use crate::sweep::{SweepCell, CACHE_SCHEMA};
+use crate::sweep::{fingerprint_launch, SweepCell, CACHE_SCHEMA};
 use crate::{HarnessError, CYCLE_LIMIT};
 use sbrp_core::fingerprint::Fingerprint;
+use sbrp_core::json::Json;
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::{GpuConfig, SystemDesign};
 use sbrp_gpu_sim::{crash, Gpu, RunOutcome};
@@ -282,6 +282,50 @@ impl LatencyHistogram {
         }
     }
 
+    /// The scalar fields with their JSON names, in document order.
+    fn scalars(&mut self) -> [(&'static str, &mut u64); 9] {
+        [
+            ("count", &mut self.count),
+            ("sum", &mut self.sum),
+            ("min", &mut self.min),
+            ("max", &mut self.max),
+            ("p50", &mut self.p50),
+            ("p90", &mut self.p90),
+            ("p95", &mut self.p95),
+            ("p99", &mut self.p99),
+            ("p999", &mut self.p999),
+        ]
+    }
+
+    /// The histogram's JSON fields, `count` … `buckets`: the tail of
+    /// both a cached [`ServeOutput`] and a [`hist_json`] cell.
+    fn json_fields(&self) -> Vec<(&'static str, Json)> {
+        let mut h = self.clone();
+        let scalars = h.scalars().into_iter().map(|(k, v)| (k, Json::U64(*v)));
+        let mut fields: Vec<_> = scalars.collect();
+        let buckets = self.buckets.iter().map(|&b| Json::U64(b)).collect();
+        fields.push(("buckets", Json::Arr(buckets)));
+        fields
+    }
+
+    /// Reads [`LatencyHistogram::json_fields`] back from the object
+    /// that carries them; `None` if one is missing or malformed.
+    fn from_json(v: &Json) -> Option<Self> {
+        let buckets = v.get("buckets")?.as_arr()?.iter().map(Json::as_u64);
+        let buckets = buckets.collect::<Option<Vec<u64>>>()?;
+        if buckets.len() != HIST_BUCKETS {
+            return None;
+        }
+        let mut h = LatencyHistogram {
+            buckets,
+            ..LatencyHistogram::from_latencies(Vec::new())
+        };
+        for (k, slot) in h.scalars() {
+            *slot = v.get(k)?.as_u64()?;
+        }
+        Some(h)
+    }
+
     /// Mean latency in cycles (0 for an empty histogram).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -423,6 +467,7 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
     let mut crash_pending = spec.crash_at;
     let mut crash_cycle = None;
     let mut recovery_cycles = 0u64;
+    let mut in_flight: Vec<usize> = Vec::new();
     let mut replay_set: Vec<usize> = Vec::new();
     let mut rollback_ok = true;
     let mut batches = 0u64;
@@ -454,31 +499,26 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
         let now = gpu.cycle();
         admit(now, &mut queue, &mut next_arrival, &mut rejected);
 
-        // A crash due now (reached during an idle gap) hits an idle
-        // GPU: nothing is in flight, the image equals the acked state,
-        // and replay is just the queue.
+        // A crash due now: reached during an idle gap (nothing in
+        // flight, so the image equals the acked state) or mid-batch
+        // (`in_flight` holds the batch that never acked). Admission
+        // above ran in host real time up to the crash instant.
         if crash_pending.is_some_and(|c| c <= now) {
             crash_pending = None;
             crash_cycle = Some(now);
-            let members: Vec<usize> = Vec::new();
-            do_recovery(
-                &cfg,
-                &store,
-                &rec_l,
-                &mut gpu,
-                &reference,
-                &cell,
-                &mut recovery_cycles,
-                &mut rollback_ok,
-            )?;
+            (recovery_cycles, rollback_ok) =
+                do_recovery(&cfg, &store, &rec_l, &mut gpu, &reference, &cell)?;
             if !rollback_ok {
                 fail(
                     &mut verify_error,
                     "recovered image differs from the acked-prefix state".into(),
                 );
             }
-            replay_set = members;
-            replay_set.extend(queue.iter().copied());
+            // Replay exactly the un-acked requests, in arrival order:
+            // the in-flight batch, then everything queued at the crash.
+            replay_set = std::mem::take(&mut in_flight);
+            replay_set.extend(queue.drain(..));
+            queue.extend(replay_set.iter().copied());
             continue;
         }
 
@@ -558,33 +598,9 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
         };
 
         if report.outcome == RunOutcome::Crashed {
-            // Crash mid-batch: the batch never acked. Admission still
-            // ran in host real time up to the crash instant.
-            crash_pending = None;
-            crash_cycle = Some(report.cycles);
-            admit(report.cycles, &mut queue, &mut next_arrival, &mut rejected);
-            do_recovery(
-                &cfg,
-                &store,
-                &rec_l,
-                &mut gpu,
-                &reference,
-                &cell,
-                &mut recovery_cycles,
-                &mut rollback_ok,
-            )?;
-            if !rollback_ok {
-                fail(
-                    &mut verify_error,
-                    "recovered image differs from the acked-prefix state".into(),
-                );
-            }
-            // Replay exactly the un-acked requests, in arrival order:
-            // the in-flight batch, then everything queued at the crash.
-            replay_set = members;
-            replay_set.extend(queue.iter().copied());
-            queue.clear();
-            queue.extend(replay_set.iter().copied());
+            // Crash mid-batch: the batch never acked. The run stopped
+            // at the crash cycle, so the crash branch above recovers.
+            in_flight = members;
             continue;
         }
 
@@ -670,8 +686,8 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
 /// Crash recovery: rebuild a GPU from the durable image (clock
 /// fast-forwarded so the service timeline continues), run the recovery
 /// kernel, clear the marks, and check the rolled-back store equals the
-/// acked-prefix reference.
-#[allow(clippy::too_many_arguments)]
+/// acked-prefix reference. Returns the recovery pass's cycles and
+/// whether the rollback check passed.
 fn do_recovery(
     cfg: &GpuConfig,
     store: &ServiceStore,
@@ -679,9 +695,7 @@ fn do_recovery(
     gpu: &mut Gpu,
     reference: &[u64],
     cell: &str,
-    recovery_cycles: &mut u64,
-    rollback_ok: &mut bool,
-) -> Result<(), HarnessError> {
+) -> Result<(u64, bool), HarnessError> {
     let crash_cycle = gpu.cycle();
     let init_volatile = |g: &mut Gpu| {
         g.skip_idle(crash_cycle);
@@ -691,16 +705,14 @@ fn do_recovery(
     let image = gpu.durable_image();
     let mut rgpu = crash::recover(cfg, &image, init_volatile, &kernels, CYCLE_LIMIT)
         .map_err(|e| HarnessError::recover(cell.to_string(), e))?;
-    *recovery_cycles = rgpu.cycle() - crash_cycle;
+    let recovery_cycles = rgpu.cycle() - crash_cycle;
     store.clear_marks(&mut rgpu);
-    for (key, &want) in reference.iter().enumerate() {
-        if store.read_value(&rgpu, key as u64) != want {
-            *rollback_ok = false;
-            break;
-        }
-    }
+    let rollback_ok = reference
+        .iter()
+        .enumerate()
+        .all(|(key, &want)| store.read_value(&rgpu, key as u64) == want);
     *gpu = rgpu;
-    Ok(())
+    Ok((recovery_cycles, rollback_ok))
 }
 
 // ---------------------------------------------------------------------
@@ -743,13 +755,7 @@ impl SweepCell for ServeCell {
         let (model, _, _) = s.model.resolve();
         let store = ServiceStore::new(s.scale, s.shards, s.batch);
         for l in [store.batch_kernel(model), store.recovery_kernel(model)] {
-            fp.write_str(l.kernel.name());
-            fp.write_str(&l.kernel.disassemble());
-            for &p in l.kernel.params().iter() {
-                fp.write_u64(p);
-            }
-            fp.write_u64(u64::from(l.launch.blocks));
-            fp.write_u64(u64::from(l.launch.threads_per_block));
+            fingerprint_launch(&mut fp, &l);
         }
         fp.finish()
     }
@@ -775,32 +781,17 @@ impl SweepCell for ServeCell {
         if !o.verified {
             return None;
         }
-        let h = &o.hist;
-        Some(Json::Obj(vec![
-            ("completed".into(), Json::U64(o.completed)),
-            ("rejected".into(), Json::U64(o.rejected)),
-            ("replayed".into(), Json::U64(o.replayed)),
-            ("batches".into(), Json::U64(o.batches)),
-            ("duration".into(), Json::U64(o.duration)),
-            (
-                "crash_cycle".into(),
-                o.crash_cycle.map_or(Json::Null, Json::U64),
-            ),
-            ("recovery_cycles".into(), Json::U64(o.recovery_cycles)),
-            ("count".into(), Json::U64(h.count)),
-            ("sum".into(), Json::U64(h.sum)),
-            ("min".into(), Json::U64(h.min)),
-            ("max".into(), Json::U64(h.max)),
-            ("p50".into(), Json::U64(h.p50)),
-            ("p90".into(), Json::U64(h.p90)),
-            ("p95".into(), Json::U64(h.p95)),
-            ("p99".into(), Json::U64(h.p99)),
-            ("p999".into(), Json::U64(h.p999)),
-            (
-                "buckets".into(),
-                Json::Arr(h.buckets.iter().map(|&b| Json::U64(b)).collect()),
-            ),
-        ]))
+        let mut fields = vec![
+            ("completed", Json::U64(o.completed)),
+            ("rejected", Json::U64(o.rejected)),
+            ("replayed", Json::U64(o.replayed)),
+            ("batches", Json::U64(o.batches)),
+            ("duration", Json::U64(o.duration)),
+            ("crash_cycle", o.crash_cycle.map_or(Json::Null, Json::U64)),
+            ("recovery_cycles", Json::U64(o.recovery_cycles)),
+        ];
+        fields.extend(o.hist.json_fields());
+        Some(Json::obj(fields))
     }
 
     fn parse_cached(&self, v: &Json) -> Option<Self::Out> {
@@ -808,15 +799,6 @@ impl SweepCell for ServeCell {
             Json::Null => None,
             other => Some(other.as_u64()?),
         };
-        let buckets = v
-            .get("buckets")?
-            .as_arr()?
-            .iter()
-            .map(Json::as_u64)
-            .collect::<Option<Vec<u64>>>()?;
-        if buckets.len() != HIST_BUCKETS {
-            return None;
-        }
         Some(Ok(ServeOutput {
             completed: v.get("completed")?.as_u64()?,
             rejected: v.get("rejected")?.as_u64()?,
@@ -827,18 +809,7 @@ impl SweepCell for ServeCell {
             recovery_cycles: v.get("recovery_cycles")?.as_u64()?,
             verified: true,
             verify_error: None,
-            hist: LatencyHistogram {
-                count: v.get("count")?.as_u64()?,
-                sum: v.get("sum")?.as_u64()?,
-                min: v.get("min")?.as_u64()?,
-                max: v.get("max")?.as_u64()?,
-                p50: v.get("p50")?.as_u64()?,
-                p90: v.get("p90")?.as_u64()?,
-                p95: v.get("p95")?.as_u64()?,
-                p99: v.get("p99")?.as_u64()?,
-                p999: v.get("p999")?.as_u64()?,
-                buckets,
-            },
+            hist: LatencyHistogram::from_json(v)?,
         }))
     }
 }
@@ -893,41 +864,29 @@ pub fn hist_json(cells: &[ServeCell], outs: &[ServeOutput]) -> String {
         .zip(outs)
         .map(|(cell, out)| {
             let s = &cell.spec;
-            let h = &out.hist;
-            Json::Obj(vec![
-                ("cell".into(), Json::Str(cell.name())),
-                ("model".into(), Json::Str(s.model.label().into())),
-                ("arrival".into(), Json::Str(s.arrival.label().into())),
-                ("rate_milli".into(), Json::U64(s.rate_milli)),
-                ("zipf_milli".into(), Json::U64(s.zipf_milli)),
-                ("requests".into(), Json::U64(s.requests)),
-                ("batch".into(), Json::U64(u64::from(s.batch))),
-                ("linger".into(), Json::U64(s.linger)),
-                ("queue_bound".into(), Json::U64(s.queue_bound)),
-                ("completed".into(), Json::U64(out.completed)),
-                ("rejected".into(), Json::U64(out.rejected)),
-                ("batches".into(), Json::U64(out.batches)),
-                ("duration".into(), Json::U64(out.duration)),
-                ("count".into(), Json::U64(h.count)),
-                ("sum".into(), Json::U64(h.sum)),
-                ("min".into(), Json::U64(h.min)),
-                ("max".into(), Json::U64(h.max)),
-                ("p50".into(), Json::U64(h.p50)),
-                ("p90".into(), Json::U64(h.p90)),
-                ("p95".into(), Json::U64(h.p95)),
-                ("p99".into(), Json::U64(h.p99)),
-                ("p999".into(), Json::U64(h.p999)),
-                (
-                    "buckets".into(),
-                    Json::Arr(h.buckets.iter().map(|&b| Json::U64(b)).collect()),
-                ),
-            ])
+            let mut fields = vec![
+                ("cell", Json::Str(cell.name())),
+                ("model", Json::Str(s.model.label().into())),
+                ("arrival", Json::Str(s.arrival.label().into())),
+                ("rate_milli", Json::U64(s.rate_milli)),
+                ("zipf_milli", Json::U64(s.zipf_milli)),
+                ("requests", Json::U64(s.requests)),
+                ("batch", Json::U64(u64::from(s.batch))),
+                ("linger", Json::U64(s.linger)),
+                ("queue_bound", Json::U64(s.queue_bound)),
+                ("completed", Json::U64(out.completed)),
+                ("rejected", Json::U64(out.rejected)),
+                ("batches", Json::U64(out.batches)),
+                ("duration", Json::U64(out.duration)),
+            ];
+            fields.extend(out.hist.json_fields());
+            Json::obj(fields)
         })
         .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::U64(HIST_SCHEMA)),
-        ("kind".into(), Json::Str("serve_hist".into())),
-        ("cells".into(), Json::Arr(cells_json)),
+    Json::obj([
+        ("schema", Json::U64(HIST_SCHEMA)),
+        ("kind", Json::Str("serve_hist".into())),
+        ("cells", Json::Arr(cells_json)),
     ])
     .render()
 }

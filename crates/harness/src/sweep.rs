@@ -63,15 +63,16 @@
 //! eprintln!("{}", summary.summary_line());
 //! ```
 
-use crate::json::{write_atomic, Json};
 use crate::{
     run_recovery, run_workload, HarnessError, RecoveryOutput, RunOutput, RunSpec, CYCLE_LIMIT,
 };
 use sbrp_core::fingerprint::Fingerprint;
+use sbrp_core::json::Json;
 use sbrp_gpu_sim::stats::SimStats;
+use sbrp_workloads::Launchable;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -558,6 +559,34 @@ fn read_record(path: &Path, key: &str) -> Option<Json> {
     record.get("payload").cloned()
 }
 
+/// Writes `contents` to `path` atomically: first to a unique `.tmp`
+/// sibling on the same filesystem, then published with a `rename`. A
+/// crash (or `kill -9`) at any point leaves either the old file or the
+/// new one — never a torn record — which is what makes the result cache
+/// safe to trust, and to resume from, after an interrupted sweep.
+///
+/// # Errors
+/// The underlying I/O error if the temp write or rename fails; the
+/// stray temp file is cleaned up on a failed rename.
+pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    // pid + counter make the temp name unique across processes and
+    // across threads of one process writing siblings concurrently.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::other("write_atomic: path has no file name"))?;
+    let tmp = path.with_file_name(format!(
+        "{}.{}.{}.tmp",
+        file_name.to_string_lossy(),
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
 fn run_one<C: SweepCell>(
     cache: Option<&Path>,
     fault: &FaultPolicy,
@@ -657,14 +686,20 @@ fn fingerprint_spec(fp: &mut Fingerprint, spec: &RunSpec) {
         demote_scopes: spec.demote_scopes,
     };
     for l in std::iter::once(w.kernel(opts)).chain(w.recovery(opts)) {
-        fp.write_str(l.kernel.name());
-        fp.write_str(&l.kernel.disassemble());
-        for &p in l.kernel.params().iter() {
-            fp.write_u64(p);
-        }
-        fp.write_u64(u64::from(l.launch.blocks));
-        fp.write_u64(u64::from(l.launch.threads_per_block));
+        fingerprint_launch(fp, &l);
     }
+}
+
+/// Folds one built kernel into `fp`: its name, its complete
+/// disassembly, its parameters and its launch geometry.
+pub(crate) fn fingerprint_launch(fp: &mut Fingerprint, l: &Launchable) {
+    fp.write_str(l.kernel.name());
+    fp.write_str(&l.kernel.disassemble());
+    for &p in l.kernel.params().iter() {
+        fp.write_u64(p);
+    }
+    fp.write_u64(u64::from(l.launch.blocks));
+    fp.write_u64(u64::from(l.launch.threads_per_block));
 }
 
 /// The cache fingerprint of a crash-free [`RunSpec`] cell, exposed for
@@ -701,12 +736,12 @@ impl SweepCell for RunSpec {
         Some(Json::Obj(vec![
             ("run_cycles".into(), Json::U64(out.cycles)),
             ("verified".into(), Json::Bool(out.verified)),
-            ("stats".into(), Json::parse(&out.stats.to_json()).ok()?),
+            ("stats".into(), out.stats.to_json_value()),
         ]))
     }
 
     fn parse_cached(&self, v: &Json) -> Option<Self::Out> {
-        let stats = SimStats::from_json(&v.get("stats")?.render()).ok()?;
+        let stats = SimStats::from_json(v.get("stats")?).ok()?;
         Some(Ok(RunOutput {
             cycles: v.get("run_cycles")?.as_u64()?,
             stats,
@@ -910,6 +945,27 @@ mod tests {
         let any_differs =
             (1..=8u32).any(|k| retry_backoff_millis(99, k) != retry_backoff_millis(100, k));
         assert!(any_differs, "fingerprint must influence the schedule");
+    }
+
+    #[test]
+    fn write_atomic_publishes_whole_files_and_leaves_no_temps() {
+        let dir = std::env::temp_dir().join(format!("sbrp-write-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("record.json");
+        write_atomic(&path, "{\"a\":1}").unwrap();
+        write_atomic(&path, "{\"a\":2}").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":2}");
+        let stray: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path() != path)
+            .collect();
+        assert!(
+            stray.is_empty(),
+            "temp siblings must not survive: {stray:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

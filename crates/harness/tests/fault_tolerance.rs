@@ -5,7 +5,7 @@
 //! rerun on the result cache recovers a killed sweep without re-running
 //! finished cells.
 
-use sbrp_harness::json::Json;
+use sbrp_core::json::Json;
 use sbrp_harness::sweep::{
     retry_backoff_millis, run_cells, sweep, CellOutcome, SweepCell, SweepOpts,
 };

@@ -1,5 +1,6 @@
 //! Typed diagnostics emitted by the linter.
 
+use sbrp_core::json::Json;
 use sbrp_core::scope::Scope;
 use std::fmt;
 // Writing to a `String` cannot fail; the `let _ =` at the `write!`
@@ -356,58 +357,51 @@ impl LintReport {
         out
     }
 
-    /// Renders the report as a JSON object (no external dependencies, so
-    /// the encoder is hand-rolled like `sbrp-harness`'s table output).
+    /// Renders the report as one compact JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"kernel\":{},\"errors\":{},\"diags\":[",
-            json_str(&self.kernel),
-            self.errors()
-        );
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"may\":{},\"loc\":{},\"instr\":{},\"message\":{}",
-                d.code,
-                d.severity(),
-                d.may,
-                d.loc,
-                json_str(&d.instr),
-                json_str(&d.message)
-            );
+        self.to_json_value().render()
+    }
+
+    /// The report as a JSON object, in [`LintReport::to_json`]'s layout.
+    #[must_use]
+    pub fn to_json_value(&self) -> Json {
+        let diags = self.diags.iter().map(|d| {
+            let mut fields = vec![
+                ("code", Json::Str(d.code.to_string())),
+                ("severity", Json::Str(d.severity().to_string())),
+                ("may", Json::Bool(d.may)),
+                ("loc", Json::U64(d.loc as u64)),
+                ("instr", Json::Str(d.instr.clone())),
+                ("message", Json::Str(d.message.clone())),
+            ];
             if let Some((loc, instr)) = &d.related {
-                let _ = write!(
-                    out,
-                    ",\"related\":{{\"loc\":{loc},\"instr\":{}}}",
-                    json_str(instr)
-                );
+                let related = [
+                    ("loc", Json::U64(*loc as u64)),
+                    ("instr", Json::Str(instr.clone())),
+                ];
+                fields.push(("related", Json::obj(related)));
             }
             if let Some(h) = &d.hazard {
-                let _ = write!(out, ",\"hazard\":{}", json_str(&h.to_string()));
+                fields.push(("hazard", Json::Str(h.to_string())));
             }
             if let Some(fix) = &d.fix {
-                let _ = write!(
-                    out,
-                    ",\"fix\":{{\"title\":{},\"edits\":[",
-                    json_str(&fix.title)
-                );
-                for (j, e) in fix.edits.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_str(&e.to_string()));
-                }
-                out.push_str("]}}");
-            } else {
-                out.push('}');
+                let edits = fix.edits.iter().map(|e| Json::Str(e.to_string()));
+                fields.push((
+                    "fix",
+                    Json::obj([
+                        ("title", Json::Str(fix.title.clone())),
+                        ("edits", Json::Arr(edits.collect())),
+                    ]),
+                ));
             }
-        }
-        out.push_str("]}");
-        out
+            Json::obj(fields)
+        });
+        Json::obj([
+            ("kernel", Json::Str(self.kernel.clone())),
+            ("errors", Json::U64(self.errors() as u64)),
+            ("diags", Json::Arr(diags.collect())),
+        ])
     }
 }
 
@@ -434,81 +428,69 @@ pub fn sarif(reports: &[LintReport]) -> String {
         .collect();
     rules.sort_unstable();
     rules.dedup();
-
-    let mut out = String::from(
-        "{\"version\":\"2.1.0\",\
-         \"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"runs\":[{\"tool\":{\"driver\":{\"name\":\"sbrp-lint\",\
-         \"informationUri\":\"https://github.com/sbrp/sbrp\",\"rules\":[",
-    );
-    for (i, code) in rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":\"{code}\",\"shortDescription\":{{\"text\":{}}}}}",
-            json_str(&format!("{code:?}"))
-        );
-    }
-    out.push_str("]}},\"results\":[");
-    let mut first = true;
-    for r in reports {
-        for d in &r.diags {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let mut text = d.message.clone();
+    let rules = rules.iter().map(|code| {
+        Json::obj([
+            ("id", Json::Str(code.to_string())),
+            ("shortDescription", text(format!("{code:?}"))),
+        ])
+    });
+    let physical = |kernel: &str, loc: usize| {
+        let artifact = Json::obj([("uri", Json::Str(format!("kernel/{kernel}")))]);
+        let region = Json::obj([("startLine", Json::U64(loc as u64 + 1))]);
+        (
+            "physicalLocation",
+            Json::obj([("artifactLocation", artifact), ("region", region)]),
+        )
+    };
+    let results = reports.iter().flat_map(|r| {
+        r.diags.iter().map(move |d| {
+            let mut message = d.message.clone();
             if let Some(fix) = &d.fix {
-                let _ = write!(text, " (fix: {})", fix.title);
+                let _ = write!(message, " (fix: {})", fix.title);
             }
-            let _ = write!(
-                out,
-                "{{\"ruleId\":\"{}\",\"level\":\"{}\",\"message\":{{\"text\":{}}},\
-                 \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":\
-                 {{\"uri\":{}}},\"region\":{{\"startLine\":{}}}}}}}]",
-                d.code,
-                sarif_level(d.severity()),
-                json_str(&text),
-                json_str(&format!("kernel/{}", r.kernel)),
-                d.loc + 1,
-            );
+            let mut fields = vec![
+                ("ruleId", Json::Str(d.code.to_string())),
+                ("level", Json::Str(sarif_level(d.severity()).into())),
+                ("message", text(message)),
+                (
+                    "locations",
+                    Json::Arr(vec![Json::obj([physical(&r.kernel, d.loc)])]),
+                ),
+            ];
             if let Some((loc, instr)) = &d.related {
-                let _ = write!(
-                    out,
-                    ",\"relatedLocations\":[{{\"physicalLocation\":{{\
-                     \"artifactLocation\":{{\"uri\":{}}},\"region\":\
-                     {{\"startLine\":{}}}}},\"message\":{{\"text\":{}}}}}]",
-                    json_str(&format!("kernel/{}", r.kernel)),
-                    loc + 1,
-                    json_str(instr),
-                );
+                let related =
+                    Json::obj([physical(&r.kernel, *loc), ("message", text(instr.clone()))]);
+                fields.push(("relatedLocations", Json::Arr(vec![related])));
             }
-            out.push('}');
-        }
-    }
-    out.push_str("]}]}");
-    out
+            Json::obj(fields)
+        })
+    });
+    let driver = Json::obj([
+        ("name", Json::Str("sbrp-lint".into())),
+        (
+            "informationUri",
+            Json::Str("https://github.com/sbrp/sbrp".into()),
+        ),
+        ("rules", Json::Arr(rules.collect())),
+    ]);
+    let run = Json::obj([
+        ("tool", Json::obj([("driver", driver)])),
+        ("results", Json::Arr(results.collect())),
+    ]);
+    Json::obj([
+        ("version", Json::Str("2.1.0".into())),
+        (
+            "$schema",
+            Json::Str("https://json.schemastore.org/sarif-2.1.0.json".into()),
+        ),
+        ("runs", Json::Arr(vec![run])),
+    ])
+    .render()
 }
 
-/// Minimal JSON string escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A SARIF message object: `{"text": ...}`.
+fn text(s: String) -> Json {
+    Json::obj([("text", Json::Str(s))])
 }
 
 #[cfg(test)]
@@ -647,6 +629,13 @@ mod tests {
 
     #[test]
     fn json_escapes_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let r = LintReport {
+            kernel: "a\"b\\c\nd".into(),
+            diags: Vec::new(),
+        };
+        assert_eq!(
+            r.to_json(),
+            "{\"kernel\":\"a\\\"b\\\\c\\nd\",\"errors\":0,\"diags\":[]}"
+        );
     }
 }

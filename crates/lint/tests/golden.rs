@@ -79,8 +79,12 @@ fn json_output_is_stable_for_a_mutant() {
         .expect("mutant");
     let mut cfg = LintConfig::with_launch(m.launch);
     cfg.pm_base = PM_BASE;
-    let j = lint_kernel(&m.kernel, &cfg).to_json();
-    assert!(j.contains("\"kernel\":\"wal_fence_deleted\""));
-    assert!(j.contains("\"code\":\"P001\""));
-    assert!(j.contains("\"severity\":\"error\""));
+    assert_eq!(
+        lint_kernel(&m.kernel, &cfg).to_json(),
+        "{\"kernel\":\"wal_fence_deleted\",\"errors\":1,\
+         \"diags\":[{\"code\":\"P001\",\"severity\":\"error\",\"may\":false,\
+         \"loc\":10,\"instr\":\"st.8[r8+0] = r6\",\
+         \"message\":\"dependent persistent stores to distinct objects with no ordering point between them; a crash may persist the second without the first (missing oFence?)\",\
+         \"related\":{\"loc\":8,\"instr\":\"st.8[r7+0] = r6\"}}]}"
+    );
 }

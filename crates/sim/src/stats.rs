@@ -1,9 +1,9 @@
 //! Aggregate simulation statistics.
 
 use crate::sm::SmCounters;
+use sbrp_core::json::Json;
 use sbrp_core::pbuffer::PbStats;
 use sbrp_core::stall::StallBreakdown;
-use std::fmt::Write as _;
 
 /// Counters collected over a run; the evaluation figures are computed
 /// from these.
@@ -128,196 +128,160 @@ impl SimStats {
 
     /// Deterministic JSON rendering (field declaration order, nested
     /// `pb` and `stall` objects) — the golden-snapshot format checked
-    /// in CI. Destructures exhaustively so adding a stat field breaks
-    /// the build here until the snapshot format carries it.
+    /// in CI: [`SimStats::to_json_value`] rendered with
+    /// [`Json::pretty`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let SimStats {
-            cycles,
-            instructions,
-            l1_reads,
-            l1_hits,
-            l1_misses,
-            l1_pm_reads,
-            l1_pm_read_misses,
-            persist_flushes,
-            volatile_writebacks,
-            epoch_rounds,
-            pcie_bytes,
-            nvm_write_bytes,
-            nvm_read_bytes,
-            wpq_accepts,
-            dfence_waits,
-            pcie_retries,
-            pcie_backoff_cycles,
-            pb,
-            stall,
-        } = *self;
-        let PbStats {
-            stores,
-            coalesced,
-            entries,
-            stall_ordered,
-            stall_full,
-            stall_evict,
-            flushes,
-            acks,
-            ofences,
-            dfences,
-            pacqs,
-            prels,
-        } = pb;
-        let StallBreakdown {
-            ofence,
-            dfence,
-            pacqrel,
-            l1_miss,
-            pb_full,
-            pb_ordered,
-            wpq_backpressure,
-            pcie_backoff,
-            scoreboard,
-            total,
-        } = stall;
-        let mut out = String::from("{\n");
-        let mut field = |name: &str, v: u64, indent: &str, last: bool| {
-            let _ = writeln!(
-                out,
-                "{indent}\"{name}\": {v}{}",
-                if last { "" } else { "," }
-            );
-        };
-        field("cycles", cycles, "  ", false);
-        field("instructions", instructions, "  ", false);
-        field("l1_reads", l1_reads, "  ", false);
-        field("l1_hits", l1_hits, "  ", false);
-        field("l1_misses", l1_misses, "  ", false);
-        field("l1_pm_reads", l1_pm_reads, "  ", false);
-        field("l1_pm_read_misses", l1_pm_read_misses, "  ", false);
-        field("persist_flushes", persist_flushes, "  ", false);
-        field("volatile_writebacks", volatile_writebacks, "  ", false);
-        field("epoch_rounds", epoch_rounds, "  ", false);
-        field("pcie_bytes", pcie_bytes, "  ", false);
-        field("nvm_write_bytes", nvm_write_bytes, "  ", false);
-        field("nvm_read_bytes", nvm_read_bytes, "  ", false);
-        field("wpq_accepts", wpq_accepts, "  ", false);
-        field("dfence_waits", dfence_waits, "  ", false);
-        field("pcie_retries", pcie_retries, "  ", false);
-        field("pcie_backoff_cycles", pcie_backoff_cycles, "  ", false);
-        out.push_str("  \"pb\": {\n");
-        let mut field = |name: &str, v: u64, last: bool| {
-            let _ = writeln!(out, "    \"{name}\": {v}{}", if last { "" } else { "," });
-        };
-        field("stores", stores, false);
-        field("coalesced", coalesced, false);
-        field("entries", entries, false);
-        field("stall_ordered", stall_ordered, false);
-        field("stall_full", stall_full, false);
-        field("stall_evict", stall_evict, false);
-        field("flushes", flushes, false);
-        field("acks", acks, false);
-        field("ofences", ofences, false);
-        field("dfences", dfences, false);
-        field("pacqs", pacqs, false);
-        field("prels", prels, true);
-        out.push_str("  },\n  \"stall\": {\n");
-        let mut field = |name: &str, v: u64, last: bool| {
-            let _ = writeln!(out, "    \"{name}\": {v}{}", if last { "" } else { "," });
-        };
-        field("ofence", ofence, false);
-        field("dfence", dfence, false);
-        field("pacqrel", pacqrel, false);
-        field("l1_miss", l1_miss, false);
-        field("pb_full", pb_full, false);
-        field("pb_ordered", pb_ordered, false);
-        field("wpq_backpressure", wpq_backpressure, false);
-        field("pcie_backoff", pcie_backoff, false);
-        field("scoreboard", scoreboard, false);
-        field("total", total, true);
-        out.push_str("  }\n}\n");
-        out
+        self.to_json_value().pretty()
     }
 
-    /// Parses the [`SimStats::to_json`] rendering back into stats — the
+    /// The stats as a JSON object, in [`SimStats::to_json`]'s layout.
+    #[must_use]
+    pub fn to_json_value(&self) -> Json {
+        let mut stats = *self;
+        let (top, pb, stall) = fields(&mut stats);
+        let obj = |fields: Fields| {
+            let fields = fields.into_iter().map(|(name, v)| (name, Json::U64(*v)));
+            fields.collect::<Vec<_>>()
+        };
+        let mut out = obj(top);
+        out.extend([("pb", Json::obj(obj(pb))), ("stall", Json::obj(obj(stall)))]);
+        Json::obj(out)
+    }
+
+    /// Reads stats back from [`SimStats::to_json_value`]'s object — the
     /// read side of the sweep engine's on-disk result cache.
-    ///
-    /// Every quoted field name in the rendering is unique across the
-    /// whole document (including the nested `pb`/`stall` objects), so
-    /// extraction is by exact `"name"` token rather than by structural
-    /// parsing. Construction is exhaustive: adding a stats field breaks
-    /// this function until the cache format round-trips it, which is
-    /// exactly the invalidation pressure the cache wants.
     ///
     /// ```
     /// use sbrp_gpu_sim::stats::SimStats;
     /// let stats = SimStats::default();
-    /// assert_eq!(SimStats::from_json(&stats.to_json()).unwrap(), stats);
+    /// assert_eq!(SimStats::from_json(&stats.to_json_value()).unwrap(), stats);
     /// ```
     ///
     /// # Errors
-    /// Names the first field missing from (or malformed in) `json`.
-    pub fn from_json(json: &str) -> Result<SimStats, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            let token = format!("\"{name}\"");
-            let at = json
-                .find(&token)
-                .ok_or_else(|| format!("missing stats field {name}"))?;
-            let rest = json[at + token.len()..]
-                .trim_start()
-                .strip_prefix(':')
-                .ok_or_else(|| format!("field {name} is not a key"))?
-                .trim_start();
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits
-                .parse()
-                .map_err(|_| format!("field {name} is not a number"))
+    /// Names the first field missing from (or not an integer in) `json`.
+    pub fn from_json(json: &Json) -> Result<SimStats, String> {
+        let mut stats = SimStats::default();
+        let (top, pb, stall) = fields(&mut stats);
+        let read = |obj: Option<&Json>, fields: Fields| {
+            for (name, slot) in fields {
+                *slot = (obj.and_then(|o| o.get(name)?.as_u64()))
+                    .ok_or_else(|| format!("missing stats field {name}"))?;
+            }
+            Ok::<(), String>(())
         };
-        Ok(SimStats {
-            cycles: field("cycles")?,
-            instructions: field("instructions")?,
-            l1_reads: field("l1_reads")?,
-            l1_hits: field("l1_hits")?,
-            l1_misses: field("l1_misses")?,
-            l1_pm_reads: field("l1_pm_reads")?,
-            l1_pm_read_misses: field("l1_pm_read_misses")?,
-            persist_flushes: field("persist_flushes")?,
-            volatile_writebacks: field("volatile_writebacks")?,
-            epoch_rounds: field("epoch_rounds")?,
-            pcie_bytes: field("pcie_bytes")?,
-            nvm_write_bytes: field("nvm_write_bytes")?,
-            nvm_read_bytes: field("nvm_read_bytes")?,
-            wpq_accepts: field("wpq_accepts")?,
-            dfence_waits: field("dfence_waits")?,
-            pcie_retries: field("pcie_retries")?,
-            pcie_backoff_cycles: field("pcie_backoff_cycles")?,
-            pb: PbStats {
-                stores: field("stores")?,
-                coalesced: field("coalesced")?,
-                entries: field("entries")?,
-                stall_ordered: field("stall_ordered")?,
-                stall_full: field("stall_full")?,
-                stall_evict: field("stall_evict")?,
-                flushes: field("flushes")?,
-                acks: field("acks")?,
-                ofences: field("ofences")?,
-                dfences: field("dfences")?,
-                pacqs: field("pacqs")?,
-                prels: field("prels")?,
-            },
-            stall: StallBreakdown {
-                ofence: field("ofence")?,
-                dfence: field("dfence")?,
-                pacqrel: field("pacqrel")?,
-                l1_miss: field("l1_miss")?,
-                pb_full: field("pb_full")?,
-                pb_ordered: field("pb_ordered")?,
-                wpq_backpressure: field("wpq_backpressure")?,
-                pcie_backoff: field("pcie_backoff")?,
-                scoreboard: field("scoreboard")?,
-                total: field("total")?,
-            },
-        })
+        read(Some(json), top)?;
+        read(json.get("pb"), pb)?;
+        read(json.get("stall"), stall)?;
+        Ok(stats)
     }
+}
+
+/// Counters with their JSON names.
+type Fields<'a> = Vec<(&'static str, &'a mut u64)>;
+
+/// Every counter of `stats` with its JSON name, in rendering order:
+/// the top-level scalars, then the `pb` and `stall` objects. The one
+/// field table behind [`SimStats::to_json_value`],
+/// [`SimStats::from_json`] and their round-trip test. It destructures
+/// exhaustively (no `..`), so adding a `SimStats`, `PbStats` or
+/// `StallBreakdown` field is a compile error here until the snapshot
+/// and cache format carry it.
+fn fields(stats: &mut SimStats) -> (Fields<'_>, Fields<'_>, Fields<'_>) {
+    let SimStats {
+        cycles,
+        instructions,
+        l1_reads,
+        l1_hits,
+        l1_misses,
+        l1_pm_reads,
+        l1_pm_read_misses,
+        persist_flushes,
+        volatile_writebacks,
+        epoch_rounds,
+        pcie_bytes,
+        nvm_write_bytes,
+        nvm_read_bytes,
+        wpq_accepts,
+        dfence_waits,
+        pcie_retries,
+        pcie_backoff_cycles,
+        pb,
+        stall,
+    } = stats;
+    let PbStats {
+        stores,
+        coalesced,
+        entries,
+        stall_ordered,
+        stall_full,
+        stall_evict,
+        flushes,
+        acks,
+        ofences,
+        dfences,
+        pacqs,
+        prels,
+    } = pb;
+    let StallBreakdown {
+        ofence,
+        dfence,
+        pacqrel,
+        l1_miss,
+        pb_full,
+        pb_ordered,
+        wpq_backpressure,
+        pcie_backoff,
+        scoreboard,
+        total,
+    } = stall;
+    (
+        vec![
+            ("cycles", cycles),
+            ("instructions", instructions),
+            ("l1_reads", l1_reads),
+            ("l1_hits", l1_hits),
+            ("l1_misses", l1_misses),
+            ("l1_pm_reads", l1_pm_reads),
+            ("l1_pm_read_misses", l1_pm_read_misses),
+            ("persist_flushes", persist_flushes),
+            ("volatile_writebacks", volatile_writebacks),
+            ("epoch_rounds", epoch_rounds),
+            ("pcie_bytes", pcie_bytes),
+            ("nvm_write_bytes", nvm_write_bytes),
+            ("nvm_read_bytes", nvm_read_bytes),
+            ("wpq_accepts", wpq_accepts),
+            ("dfence_waits", dfence_waits),
+            ("pcie_retries", pcie_retries),
+            ("pcie_backoff_cycles", pcie_backoff_cycles),
+        ],
+        vec![
+            ("stores", stores),
+            ("coalesced", coalesced),
+            ("entries", entries),
+            ("stall_ordered", stall_ordered),
+            ("stall_full", stall_full),
+            ("stall_evict", stall_evict),
+            ("flushes", flushes),
+            ("acks", acks),
+            ("ofences", ofences),
+            ("dfences", dfences),
+            ("pacqs", pacqs),
+            ("prels", prels),
+        ],
+        vec![
+            ("ofence", ofence),
+            ("dfence", dfence),
+            ("pacqrel", pacqrel),
+            ("l1_miss", l1_miss),
+            ("pb_full", pb_full),
+            ("pb_ordered", pb_ordered),
+            ("wpq_backpressure", wpq_backpressure),
+            ("pcie_backoff", pcie_backoff),
+            ("scoreboard", scoreboard),
+            ("total", total),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -377,57 +341,30 @@ mod tests {
 
     #[test]
     fn json_round_trips_every_field() {
-        // Distinct values per field so a swapped pair cannot cancel out.
+        // Distinct values per field, set through the one field table,
+        // so a swapped pair cannot cancel out and no field is skipped.
         let mut s = SimStats::default();
-        for (i, f) in [
-            &mut s.cycles,
-            &mut s.instructions,
-            &mut s.l1_reads,
-            &mut s.l1_hits,
-            &mut s.l1_misses,
-            &mut s.l1_pm_reads,
-            &mut s.l1_pm_read_misses,
-            &mut s.persist_flushes,
-            &mut s.volatile_writebacks,
-            &mut s.epoch_rounds,
-            &mut s.pcie_bytes,
-            &mut s.nvm_write_bytes,
-            &mut s.nvm_read_bytes,
-            &mut s.wpq_accepts,
-            &mut s.dfence_waits,
-            &mut s.pcie_retries,
-            &mut s.pcie_backoff_cycles,
-            &mut s.pb.stores,
-            &mut s.pb.coalesced,
-            &mut s.pb.entries,
-            &mut s.pb.stall_ordered,
-            &mut s.pb.stall_full,
-            &mut s.pb.stall_evict,
-            &mut s.pb.flushes,
-            &mut s.pb.acks,
-            &mut s.pb.ofences,
-            &mut s.pb.dfences,
-            &mut s.pb.pacqs,
-            &mut s.pb.prels,
-            &mut s.stall.ofence,
-            &mut s.stall.dfence,
-            &mut s.stall.pacqrel,
-            &mut s.stall.l1_miss,
-            &mut s.stall.pb_full,
-            &mut s.stall.pb_ordered,
-            &mut s.stall.wpq_backpressure,
-            &mut s.stall.pcie_backoff,
-            &mut s.stall.scoreboard,
-            &mut s.stall.total,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        let (top, pb, stall) = fields(&mut s);
+        for (i, (_, f)) in top.into_iter().chain(pb).chain(stall).enumerate() {
             *f = i as u64 + 1;
         }
-        let back = SimStats::from_json(&s.to_json()).expect("parses");
-        assert_eq!(back, s);
-        assert!(SimStats::from_json("{}").is_err());
+        let value = s.to_json_value();
+        assert_eq!(value.pretty(), s.to_json());
+        let reparsed = Json::parse(&s.to_json()).expect("parses");
+        assert_eq!(reparsed, value);
+        assert_eq!(SimStats::from_json(&reparsed), Ok(s));
+        assert_eq!(
+            SimStats::from_json(&Json::Obj(Vec::new())),
+            Err("missing stats field cycles".to_string())
+        );
+        let Json::Obj(mut no_pb) = value else {
+            unreachable!("stats render as an object")
+        };
+        no_pb.retain(|(k, _)| k != "pb");
+        assert_eq!(
+            SimStats::from_json(&Json::Obj(no_pb)),
+            Err("missing stats field stores".to_string())
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! whose lanes carry flush lifetime slices. Timestamps are GPU core
 //! cycles (rendered as microseconds, 1 cycle = 1 µs).
 
+use sbrp_core::json::Json;
 use sbrp_core::stall::StallCause;
-use std::fmt::Write as _;
 
 /// The Perfetto "process" id used for memory-subsystem tracks.
 pub const MEM_PID: u32 = 9999;
@@ -120,45 +120,43 @@ pub struct Timeline {
 
 impl Timeline {
     /// Renders the timeline as Chrome-trace JSON (the `traceEvents`
-    /// array format), loadable in Perfetto.
+    /// array format), loadable in Perfetto: one event object per line,
+    /// each rendered by [`Json::render`].
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        for pid in 0..self.num_sms {
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"SM{pid}\"}}}},"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":{MEM_PID},\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"MemSubsystem\"}}}},"
-        );
-        for (i, s) in self.slices.iter().enumerate() {
-            let Slice {
-                pid,
-                tid,
-                name,
-                start,
-                end,
-            } = s;
-            let dur = end - start;
-            let comma = if i + 1 == self.slices.len() { "" } else { "," };
-            let cat = if *pid == MEM_PID { "mem" } else { "warp" };
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{start},\
-                 \"dur\":{dur},\"name\":\"{name}\",\"cat\":\"{cat}\"}}{comma}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"cycles\":{}}}}}",
-            self.cycles
-        );
-        out
+        let process = |pid: u32, name: String| {
+            Json::obj([
+                ("ph", Json::Str("M".into())),
+                ("pid", Json::U64(pid.into())),
+                ("name", Json::Str("process_name".into())),
+                ("args", Json::obj([("name", Json::Str(name))])),
+            ])
+            .render()
+        };
+        let mut events: Vec<String> = (0..self.num_sms)
+            .map(|pid| process(pid, format!("SM{pid}")))
+            .collect();
+        events.push(process(MEM_PID, "MemSubsystem".into()));
+        events.extend(self.slices.iter().map(|s| {
+            Json::obj([
+                ("ph", Json::Str("X".into())),
+                ("pid", Json::U64(s.pid.into())),
+                ("tid", Json::U64(s.tid.into())),
+                ("ts", Json::U64(s.start)),
+                ("dur", Json::U64(s.end - s.start)),
+                ("name", Json::Str(s.name.into())),
+                (
+                    "cat",
+                    Json::Str(if s.pid == MEM_PID { "mem" } else { "warp" }.into()),
+                ),
+            ])
+            .render()
+        }));
+        let other = Json::obj([("cycles", Json::U64(self.cycles))]).render();
+        format!(
+            "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\",\"otherData\":{other}}}\n",
+            events.join(",\n")
+        )
     }
 }
 
@@ -217,12 +215,20 @@ mod tests {
             num_sms: 2,
         };
         let j = tl.to_chrome_json();
-        assert!(j.starts_with("{\"traceEvents\":["));
-        assert!(j.contains("\"ph\":\"X\""));
-        assert!(j.contains("\"name\":\"pb_full\""));
-        assert!(j.contains("\"ts\":10,\"dur\":15"));
-        assert!(j.contains("\"name\":\"SM1\""));
-        assert!(j.contains("MemSubsystem"));
-        assert!(j.trim_end().ends_with('}'));
+        assert_eq!(
+            j,
+            "{\"traceEvents\":[\n\
+             {\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"SM0\"}},\n\
+             {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"SM1\"}},\n\
+             {\"ph\":\"M\",\"pid\":9999,\"name\":\"process_name\",\"args\":{\"name\":\"MemSubsystem\"}},\n\
+             {\"ph\":\"X\",\"pid\":0,\"tid\":3,\"ts\":10,\"dur\":15,\"name\":\"pb_full\",\"cat\":\"warp\"}\n\
+             ],\"displayTimeUnit\":\"ms\",\"otherData\":{\"cycles\":100}}\n"
+        );
+        assert!(Json::parse(&j).is_ok());
+        let empty = Timeline {
+            slices: Vec::new(),
+            ..tl
+        };
+        assert!(Json::parse(&empty.to_chrome_json()).is_ok());
     }
 }
