@@ -4,15 +4,22 @@
 use super::entry::{EntryKind, LineIdx, PbEntry};
 use super::masks::WarpMask;
 use crate::scope::{WarpSlot, MAX_WARPS_PER_SM};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// A bounded FIFO of [`PbEntry`]s with the index structures needed to
-/// answer the coalescing and ordering questions of §6.1 in O(1)/O(log n).
+/// answer the coalescing and ordering questions of §6.1 in O(1).
 ///
 /// Hardware would realize the same queries with the per-line PB index
 /// bits and FIFO position comparisons; here entries carry monotonically
 /// increasing sequence numbers instead, so "before/after in the PB" is a
 /// sequence comparison.
+///
+/// Only persist entries can leave the middle of the FIFO (an early
+/// flush leaves a tombstone); an ordering entry retires only from the
+/// head, when it is the oldest live entry of all. So each warp's queue
+/// of live ordering seqs, kept ascending, loses only its front: the
+/// front is the warp's oldest live ordering entry and the back its
+/// newest, and both ordering rules are one compare per warp.
 #[derive(Debug)]
 pub struct PersistBuffer {
     fifo: VecDeque<PbEntry>,
@@ -21,14 +28,11 @@ pub struct PersistBuffer {
     /// Dirty-PM-line → the seq of its persist entry (the cache's
     /// per-line "8 bits to index into the PB").
     line_map: HashMap<LineIdx, u64>,
-    /// Per warp, the seq of the most recent live ordering entry the warp
-    /// participates in.
-    last_order_seq: [Option<u64>; MAX_WARPS_PER_SM],
-    /// Seqs of live ordering entries, for "ordering entry before X".
-    ordering_seqs: BTreeSet<u64>,
-    /// Per warp, the seqs of live ordering entries it participates in
-    /// (for the warp-qualified eviction check).
-    warp_order_seqs: Vec<BTreeSet<u64>>,
+    /// Per warp, the seqs of the live ordering entries it issued or
+    /// coalesced into, ascending.
+    warp_order: Vec<VecDeque<u64>>,
+    /// Live ordering entries.
+    ordering_live: usize,
     /// Live (non-tombstone) entry count; tombstones do not use capacity
     /// (hardware compacts its FIFO).
     live: usize,
@@ -47,9 +51,8 @@ impl PersistBuffer {
             next_seq: 0,
             capacity,
             line_map: HashMap::new(),
-            last_order_seq: [None; MAX_WARPS_PER_SM],
-            ordering_seqs: BTreeSet::new(),
-            warp_order_seqs: vec![BTreeSet::new(); MAX_WARPS_PER_SM],
+            warp_order: vec![VecDeque::new(); MAX_WARPS_PER_SM],
+            ordering_live: 0,
             live: 0,
         }
     }
@@ -81,7 +84,7 @@ impl PersistBuffer {
     /// Number of live ordering entries.
     #[must_use]
     pub fn ordering_len(&self) -> usize {
-        self.ordering_seqs.len()
+        self.ordering_live
     }
 
     /// Appends a fresh entry for `warp`; returns its seq, or `None` if
@@ -102,9 +105,8 @@ impl PersistBuffer {
             }
             EntryKind::Tombstone => unreachable!("tombstones are not pushed"),
             _ => {
-                self.ordering_seqs.insert(seq);
-                self.last_order_seq[warp.index()] = Some(seq);
-                self.warp_order_seqs[warp.index()].insert(seq);
+                self.ordering_live += 1;
+                self.warp_order[warp.index()].push_back(seq);
             }
         }
         Some(seq)
@@ -130,8 +132,15 @@ impl PersistBuffer {
         self.index_of(seq).map(|i| &mut self.fifo[i])
     }
 
+    /// The seqs the FIFO spans, head to tail, tombstones included: each
+    /// names an entry of [`PersistBuffer::entry`].
+    #[must_use]
+    pub fn seqs(&self) -> std::ops::Range<u64> {
+        self.fifo.front().map_or(self.next_seq, |e| e.seq)..self.next_seq
+    }
+
     /// Coalesces `warp` into an existing entry: sets its Warp BM bit and,
-    /// for ordering entries, refreshes the warp's last-ordering pointer.
+    /// for ordering entries, adds the entry to the warp's ordering queue.
     ///
     /// # Panics
     /// Panics if `seq` is no longer in the buffer.
@@ -140,8 +149,13 @@ impl PersistBuffer {
         let kind = self.fifo[idx].kind;
         self.fifo[idx].warps.set(warp);
         if kind.is_ordering() {
-            self.last_order_seq[warp.index()] = Some(seq);
-            self.warp_order_seqs[warp.index()].insert(seq);
+            // Ordering entries coalesce at the tail, so this is a
+            // push_back unless the warp is already in the entry.
+            let q = &mut self.warp_order[warp.index()];
+            let at = q.partition_point(|&s| s < seq);
+            if q.get(at) != Some(&seq) {
+                q.insert(at, seq);
+            }
         }
     }
 
@@ -155,16 +169,12 @@ impl PersistBuffer {
     /// *after* `seq`? If so, a store may not coalesce into entry `seq`.
     #[must_use]
     pub fn warp_has_ordering_after(&self, warp: WarpSlot, seq: u64) -> bool {
-        matches!(self.last_order_seq[warp.index()], Some(l) if l > seq)
+        self.warp_order[warp.index()]
+            .back()
+            .is_some_and(|&last| last > seq)
     }
 
-    /// §6.1 eviction rule: is there a live ordering entry *before* `seq`?
-    #[must_use]
-    pub fn has_ordering_before(&self, seq: u64) -> bool {
-        self.ordering_seqs.range(..seq).next_back().is_some()
-    }
-
-    /// Warp-qualified eviction rule: is there a live ordering entry
+    /// §6.1 eviction rule, warp-qualified: is there a live ordering entry
     /// before `seq` issued by (or coalesced with) any warp in `warps`?
     ///
     /// A foreign warp's fence does not order this entry's persists (the
@@ -175,10 +185,9 @@ impl PersistBuffer {
     #[must_use]
     pub fn has_ordering_before_for(&self, seq: u64, warps: WarpMask) -> bool {
         warps.iter().any(|w| {
-            self.warp_order_seqs[w.index()]
-                .range(..seq)
-                .next_back()
-                .is_some()
+            self.warp_order[w.index()]
+                .front()
+                .is_some_and(|&first| first < seq)
         })
     }
 
@@ -231,12 +240,12 @@ impl PersistBuffer {
             }
             EntryKind::Tombstone => {}
             _ => {
-                self.ordering_seqs.remove(&e.seq);
+                // Ordering entries retire only from the FIFO head, so
+                // each of the entry's warps has it at its queue front.
+                self.ordering_live -= 1;
                 for w in e.warps.iter() {
-                    if self.last_order_seq[w.index()] == Some(e.seq) {
-                        self.last_order_seq[w.index()] = None;
-                    }
-                    self.warp_order_seqs[w.index()].remove(&e.seq);
+                    let front = self.warp_order[w.index()].pop_front();
+                    debug_assert_eq!(front, Some(e.seq), "ordering entry retired out of order");
                 }
                 self.live -= 1;
             }
@@ -253,6 +262,7 @@ impl PersistBuffer {
 mod tests {
     use super::*;
     use crate::scope::Scope;
+    use proptest::prelude::*;
 
     fn w(i: usize) -> WarpSlot {
         WarpSlot::new(i)
@@ -304,8 +314,13 @@ mod tests {
         let p1 = pb.push(EntryKind::Persist(LineIdx(1)), w(0)).unwrap();
         pb.push(EntryKind::PRel(Scope::Block), w(0)).unwrap();
         let p2 = pb.push(EntryKind::Persist(LineIdx(2)), w(0)).unwrap();
-        assert!(!pb.has_ordering_before(p1));
-        assert!(pb.has_ordering_before(p2));
+        let w0 = WarpMask::single(w(0));
+        assert!(!pb.has_ordering_before_for(p1, w0));
+        assert!(pb.has_ordering_before_for(p2, w0));
+        assert!(
+            !pb.has_ordering_before_for(p2, WarpMask::single(w(1))),
+            "a foreign warp's release does not order the entry"
+        );
     }
 
     #[test]
@@ -358,5 +373,104 @@ mod tests {
         pb.push(EntryKind::Persist(LineIdx(2)), w(0)).unwrap();
         pb.tombstone(p1);
         assert_eq!(pb.iter().count(), 1);
+    }
+
+    /// One operation of the random buffer workload.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Push a persist entry for the line, if it has none.
+        Persist(u32, usize),
+        /// Push an ordering entry, or coalesce into the tail when it is
+        /// an ordering entry of the same kind (as the unit does).
+        Order(u8, usize),
+        /// Tombstone the live persist entry at this position.
+        Tombstone(usize),
+        PopHead,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (0u32..16, 0usize..6).prop_map(|(l, w)| Op::Persist(l, w)),
+            3 => (0u8..3, 0usize..6).prop_map(|(k, w)| Op::Order(k, w)),
+            2 => (0usize..32).prop_map(Op::Tombstone),
+            3 => Just(Op::PopHead),
+        ]
+    }
+
+    fn ordering_kind(k: u8) -> EntryKind {
+        match k {
+            0 => EntryKind::OFence,
+            1 => EntryKind::PRel(Scope::Block),
+            _ => EntryKind::PAcq(Scope::Block),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The per-warp ordering queues answer exactly what a scan of
+        /// the live FIFO answers, after every push, tail coalesce,
+        /// out-of-order tombstone and head pop.
+        #[test]
+        fn ordering_queries_match_a_fifo_scan(
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+        ) {
+            let mut pb = PersistBuffer::new(24);
+            for op in ops {
+                match op {
+                    Op::Persist(line, warp) => {
+                        let line = LineIdx(line);
+                        if pb.line_entry(line).is_none() {
+                            pb.push(EntryKind::Persist(line), w(warp));
+                        }
+                    }
+                    Op::Order(k, warp) => {
+                        let kind = ordering_kind(k);
+                        match pb.back() {
+                            Some(b) if b.kind == kind => {
+                                let seq = b.seq;
+                                pb.coalesce(seq, w(warp));
+                            }
+                            _ => drop(pb.push(kind, w(warp))),
+                        }
+                    }
+                    Op::Tombstone(pos) => {
+                        let persists: Vec<u64> = pb
+                            .iter()
+                            .filter(|e| matches!(e.kind, EntryKind::Persist(_)))
+                            .map(|e| e.seq)
+                            .collect();
+                        if !persists.is_empty() {
+                            pb.tombstone(persists[pos % persists.len()]);
+                        }
+                    }
+                    Op::PopHead => drop(pb.pop_head()),
+                }
+                let live: Vec<&PbEntry> = pb.iter().collect();
+                let ordering: Vec<&PbEntry> =
+                    live.iter().copied().filter(|e| e.kind.is_ordering()).collect();
+                prop_assert_eq!(pb.ordering_len(), ordering.len());
+                for e in &live {
+                    for mask in [e.warps, WarpMask(0b11_0101), WarpMask::ALL] {
+                        let scan = ordering
+                            .iter()
+                            .any(|o| o.seq < e.seq && o.warps.intersects(mask));
+                        prop_assert_eq!(
+                            pb.has_ordering_before_for(e.seq, mask),
+                            scan,
+                            "seq {} mask {:?}",
+                            e.seq,
+                            mask
+                        );
+                    }
+                    for warp in 0..6 {
+                        let scan = ordering
+                            .iter()
+                            .any(|o| o.seq > e.seq && o.warps.contains(w(warp)));
+                        prop_assert_eq!(pb.warp_has_ordering_after(w(warp), e.seq), scan);
+                    }
+                }
+            }
+        }
     }
 }

@@ -64,11 +64,17 @@ impl WarpMask {
         self.0 & other.0 != 0
     }
 
-    /// Iterates over the warps in the mask, lowest slot first.
+    /// Iterates over the warps in the mask, lowest slot first, visiting
+    /// only the set bits.
     pub fn iter(self) -> impl Iterator<Item = WarpSlot> {
-        (0..32u8)
-            .filter(move |b| self.0 & (1 << b) != 0)
-            .map(WarpSlot)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let slot = bits.trailing_zeros() as u8;
+                bits &= bits - 1;
+                WarpSlot(slot)
+            })
+        })
     }
 }
 

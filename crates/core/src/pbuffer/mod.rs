@@ -14,7 +14,7 @@
 //! [`PersistUnit`] packages all of it behind an event API: the timing
 //! simulator reports persists, fences and evictions, calls
 //! [`PersistUnit::tick`] each cycle to collect lines to flush, and calls
-//! [`PersistUnit::ack_persist`] when the persistence domain acknowledges
+//! [`PersistUnit::try_ack_persist`] when the persistence domain acknowledges
 //! a write. The unit answers with warp stall/resume decisions; it knows
 //! nothing about cycles or bandwidth, which keeps it exhaustively
 //! unit-testable.
@@ -30,5 +30,6 @@ pub use entry::{EntryKind, LineIdx, PbEntry};
 pub use masks::WarpMask;
 pub use policy::DrainPolicy;
 pub use unit::{
-    BlockReason, DrainAction, EvictOutcome, OpOutcome, PbConfig, PbStats, PersistUnit, StoreOutcome,
+    AckError, BlockReason, DrainAction, EvictOutcome, OpOutcome, PbConfig, PbStats, PersistUnit,
+    StoreOutcome,
 };

@@ -206,6 +206,9 @@ pub struct PersistUnit {
     stall_cause: [Option<StallCause>; MAX_WARPS_PER_SM],
     /// Warps awaiting ACTR==0 after their stalling entry drained.
     await_actr: WarpMask,
+    /// Warps blocked with [`BlockReason::RetryEvict`]; every ack lets
+    /// them retry.
+    evict_waiters: WarpMask,
     /// Warps blocked until a specific line's flush is acknowledged.
     waiting_line: HashMap<LineIdx, WarpMask>,
     /// Warps of each outstanding (flushed, unacknowledged) write per
@@ -252,6 +255,7 @@ impl PersistUnit {
             blocked: [None; MAX_WARPS_PER_SM],
             stall_cause: [None; MAX_WARPS_PER_SM],
             await_actr: WarpMask::EMPTY,
+            evict_waiters: WarpMask::EMPTY,
             waiting_line: HashMap::new(),
             outstanding_line: HashMap::new(),
             waiting_space: WarpMask::EMPTY,
@@ -288,6 +292,15 @@ impl PersistUnit {
         self.buf.is_empty() && self.actr == 0
     }
 
+    /// Whether a [`PersistUnit::tick`] now would do nothing: the last
+    /// tick flushed nothing, no call has changed the unit since, and no
+    /// resumption is waiting to be taken. The timing simulator skips the
+    /// SMs whose unit is idle and whose warps cannot issue.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.idle && self.resumable.is_empty()
+    }
+
     /// Whether `warp` is currently stalled by the unit.
     #[must_use]
     pub fn is_blocked(&self, warp: WarpSlot) -> bool {
@@ -316,7 +329,11 @@ impl PersistUnit {
         self.stall_cause[warp.index()] = Some(cause);
         match reason {
             BlockReason::OpDone => self.odm.set(warp),
-            _ => self.edm.set(warp),
+            BlockReason::RetryEvict => {
+                self.edm.set(warp);
+                self.evict_waiters.set(warp);
+            }
+            BlockReason::RetryStore | BlockReason::RetryFull => self.edm.set(warp),
         }
     }
 
@@ -325,6 +342,7 @@ impl PersistUnit {
             self.stall_cause[warp.index()] = None;
             self.odm.clear(warp);
             self.edm.clear(warp);
+            self.evict_waiters.clear(warp);
             self.resumable.push((warp, reason));
         }
     }
@@ -385,17 +403,24 @@ impl PersistUnit {
         if limit == 0 {
             return picked;
         }
-        let mut candidates: Vec<(u64, WarpMask)> = Vec::new();
-        for e in self.buf.iter().take(SCAN_DEPTH) {
-            if let EntryKind::Persist(_) = e.kind {
-                candidates.push((e.seq, e.warps));
-            }
-        }
-        for (seq, warps) in candidates {
-            if picked.len() >= limit {
+        // Walk the first SCAN_DEPTH live entries by seq, so checking the
+        // FSM (which clears satisfied bits) does not hold a borrow of
+        // the buffer.
+        let mut scanned = 0;
+        for seq in self.buf.seqs() {
+            if scanned == SCAN_DEPTH || picked.len() >= limit {
                 break;
             }
-            if !self.buf.has_ordering_before_for(seq, warps) && self.fsm_clear_satisfied(warps) {
+            let e = self.buf.entry(seq).expect("seq within the FIFO");
+            let (kind, warps) = (e.kind, e.warps);
+            if kind == EntryKind::Tombstone {
+                continue;
+            }
+            scanned += 1;
+            if matches!(kind, EntryKind::Persist(_))
+                && !self.buf.has_ordering_before_for(seq, warps)
+                && self.fsm_clear_satisfied(warps)
+            {
                 picked.push(seq);
             }
         }
@@ -774,20 +799,24 @@ impl PersistUnit {
 
     /// The persistence domain acknowledged the flush of `line`.
     ///
-    /// # Panics
-    /// Panics if no flush of `line` is outstanding.
-    pub fn ack_persist(&mut self, line: LineIdx) {
+    /// # Errors
+    /// An ack the unit cannot match is a completion-protocol violation:
+    /// [`AckError::NoOutstandingFlush`] if no flush of `line` is in
+    /// flight, [`AckError::ActrUnderflow`] if the ACTR is already zero.
+    /// The unit is left unchanged.
+    pub fn try_ack_persist(&mut self, line: LineIdx) -> Result<(), AckError> {
+        let Some(q) = self.outstanding_line.get_mut(&line) else {
+            return Err(AckError::NoOutstandingFlush(line));
+        };
+        if self.actr == 0 {
+            return Err(AckError::ActrUnderflow(line));
+        }
         self.idle = false;
-        let q = self
-            .outstanding_line
-            .get_mut(&line)
-            .unwrap_or_else(|| panic!("ack for line {line} with no outstanding flush"));
         let warps = q.remove(0);
         let line_idle = q.is_empty();
         if line_idle {
             self.outstanding_line.remove(&line);
         }
-        assert!(self.actr > 0, "ACTR underflow");
         self.actr -= 1;
         self.acks_done += 1;
         for w in warps.iter() {
@@ -804,13 +833,21 @@ impl PersistUnit {
         // blocking ordering entry may have drained by now. (Waiting for
         // ACTR to reach exactly zero can starve evictors indefinitely
         // under a steady drain stream.)
-        let retry: WarpMask = (0..MAX_WARPS_PER_SM)
-            .filter(|&i| self.blocked[i] == Some(BlockReason::RetryEvict))
-            .map(WarpSlot::new)
-            .collect();
-        self.resume_mask(retry);
+        self.resume_mask(self.evict_waiters);
         if self.actr == 0 {
             self.on_actr_zero();
+        }
+        Ok(())
+    }
+
+    /// [`PersistUnit::try_ack_persist`] for callers that only ack what
+    /// the unit flushed (tests, probes).
+    ///
+    /// # Panics
+    /// Panics on an ack the unit cannot match.
+    pub fn ack_persist(&mut self, line: LineIdx) {
+        if let Err(e) = self.try_ack_persist(line) {
+            panic!("{e}");
         }
     }
 
@@ -819,13 +856,31 @@ impl PersistUnit {
         let waiters = std::mem::take(&mut self.await_actr);
         self.resume_mask(waiters);
         // Stalled evictions retry when outstanding flushes complete.
-        let retry: WarpMask = (0..MAX_WARPS_PER_SM)
-            .filter(|&i| self.blocked[i] == Some(BlockReason::RetryEvict))
-            .map(WarpSlot::new)
-            .collect();
-        self.resume_mask(retry);
+        self.resume_mask(self.evict_waiters);
     }
 }
+
+/// An acknowledgement [`PersistUnit::try_ack_persist`] cannot match.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AckError {
+    /// No flush of the line is in flight.
+    NoOutstandingFlush(LineIdx),
+    /// The line has a flush in flight but the ACTR is zero.
+    ActrUnderflow(LineIdx),
+}
+
+impl std::fmt::Display for AckError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AckError::NoOutstandingFlush(line) => {
+                write!(f, "ack for line {line} with no outstanding flush")
+            }
+            AckError::ActrUnderflow(line) => write!(f, "ack for line {line} underflows the ACTR"),
+        }
+    }
+}
+
+impl std::error::Error for AckError {}
 
 #[cfg(test)]
 mod tests {
@@ -1264,6 +1319,41 @@ mod tests {
         // Without credits the window would allow one flush; the device
         // release forces everything before it out.
         assert_eq!(flush_lines(&u.tick(16)).len(), 4);
+    }
+
+    #[test]
+    fn forged_ack_is_an_error_not_a_panic() {
+        let mut u = unit();
+        assert_eq!(
+            u.try_ack_persist(LineIdx(7)),
+            Err(AckError::NoOutstandingFlush(LineIdx(7)))
+        );
+        assert!(u.is_quiescent(), "a refused ack leaves the unit unchanged");
+        assert_eq!(u.stats().acks, 0);
+        // A second ack for a line whose one flush was acked already.
+        u.persist_store(w(0), LineIdx(1));
+        u.set_drain_all(true);
+        u.tick(8);
+        assert_eq!(u.try_ack_persist(LineIdx(1)), Ok(()));
+        assert!(u.try_ack_persist(LineIdx(1)).is_err());
+        assert_eq!(u.stats().acks, 1);
+    }
+
+    #[test]
+    fn idle_until_a_call_changes_the_unit() {
+        let mut u = unit();
+        assert!(!u.is_idle(), "a fresh unit has not ticked yet");
+        assert!(u.tick(8).is_empty());
+        assert!(u.is_idle());
+        u.persist_store(w(0), LineIdx(1));
+        assert!(!u.is_idle());
+        u.set_drain_all(true);
+        assert_eq!(flush_lines(&u.tick(8)), vec![LineIdx(1)]);
+        assert!(!u.is_idle(), "a tick that flushed is not idle");
+        assert!(u.tick(8).is_empty());
+        assert!(u.is_idle());
+        u.ack_persist(LineIdx(1));
+        assert!(!u.is_idle());
     }
 
     #[test]

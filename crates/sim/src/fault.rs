@@ -231,6 +231,11 @@ impl FaultState {
         self.suppressed.contains(&ack_id)
     }
 
+    /// Whether the plan faults PCIe transfers at all.
+    pub(crate) fn pcie_armed(&self) -> bool {
+        self.plan.pcie.is_some_and(|f| f.period != 0)
+    }
+
     /// Whether the next PCIe transfer is faulted; if so, returns the
     /// link-fault configuration to drive the retry loop.
     pub(crate) fn pcie_glitch(&mut self) -> Option<PcieFaultConfig> {

@@ -328,6 +328,13 @@ impl Gpu {
         }
     }
 
+    /// Charges stall cycles up to `upto` on every SM.
+    fn charge_all(&mut self, upto: u64) {
+        for sm in &mut self.sms {
+            sm.charge_stalls(upto, &self.ms);
+        }
+    }
+
     /// Charges stall cycles up to `self.cycle - 1` on every SM. Run
     /// exit paths (crash, timeout) call this because a fast-forward can
     /// land exactly on the bound and leave the loop before the next
@@ -335,13 +342,35 @@ impl Gpu {
     /// cycle, and the two modes must agree.
     fn charge_pending_stalls(&mut self) {
         if let Some(prev) = self.cycle.checked_sub(1) {
-            for sm in &mut self.sms {
-                sm.charge_stalls(prev, &self.ms);
-            }
+            self.charge_all(prev);
         }
     }
 
-    fn route_completions(&mut self) -> Result<(), SimError> {
+    /// With `lazy` set, charges SM `sm` up to `self.cycle - 1` before a
+    /// completion is routed to it: the completion may change the state
+    /// its span since its last charge must be attributed with.
+    fn charge_before_route(&mut self, sm: u32, lazy: bool) {
+        if let (true, Some(prev)) = (lazy, self.cycle.checked_sub(1)) {
+            self.sms[sm as usize].charge_stalls(prev, &self.ms);
+        }
+    }
+
+    /// Whether this run skips the ticks of idle SMs ([`Sm::is_idle_at`])
+    /// and charges each SM's stalls only when its state next changes.
+    /// Two kinds of run keep the exact every-SM path, where every SM is
+    /// charged and ticked at every step: a timeline samples every SM's
+    /// warp states at every step, and a PCIe fault can set the backoff
+    /// flag partway through a step (in the middle of the SM ticks), so
+    /// only a charge of every SM at every visited cycle splits each span
+    /// where the flag flips.
+    fn skips_idle_sms(&self) -> bool {
+        !self.cfg.timeline && !self.ms.pcie_backoff_possible(self.cycle)
+    }
+
+    /// Routes this cycle's completions. With `lazy` set, each SM is
+    /// charged up to the previous cycle before it takes a completion
+    /// (see [`Gpu::charge_before_route`]).
+    fn route_completions(&mut self, lazy: bool) -> Result<(), SimError> {
         let protocol = |cycle: u64, detail: String| SimError::Protocol { cycle, detail };
         // Reuse the scratch buffer: taking it out keeps the borrow
         // checker happy while `self` routes each completion.
@@ -351,10 +380,12 @@ impl Gpu {
         let mut result = Ok(());
         for c in &batch {
             let r = match c.tag {
-                ReqTag::LoadFill { sm, token } | ReqTag::Atomic { sm, token } => self.sms
-                    [sm as usize]
-                    .on_fill(token as usize, &mut self.tracer, &self.ms)
-                    .map_err(|d| protocol(c.at, d)),
+                ReqTag::LoadFill { sm, token } | ReqTag::Atomic { sm, token } => {
+                    self.charge_before_route(sm, lazy);
+                    self.sms[sm as usize]
+                        .on_fill(token as usize, &mut self.tracer, &self.ms)
+                        .map_err(|d| protocol(c.at, d))
+                }
                 ReqTag::PersistAck { ack_id } => {
                     let suppressed = self.ms.fault_ack_suppressed(ack_id);
                     match self.ms.take_persist_dest(ack_id) {
@@ -369,24 +400,34 @@ impl Gpu {
                                 }
                             }
                             match dest {
-                                PersistDest::Sbrp { sm, line } => self.sms[sm as usize]
-                                    .on_persist_ack(line)
-                                    .map_err(|d| protocol(c.at, d)),
-                                PersistDest::Epoch { sm } => self.sms[sm as usize]
-                                    .on_epoch_ack(&mut self.ms, c.at)
-                                    .map_err(|d| protocol(c.at, d)),
+                                PersistDest::Sbrp { sm, line } => {
+                                    self.charge_before_route(sm, lazy);
+                                    self.sms[sm as usize]
+                                        .on_persist_ack(line)
+                                        .map_err(|d| protocol(c.at, d))
+                                }
+                                PersistDest::Epoch { sm } => {
+                                    self.charge_before_route(sm, lazy);
+                                    self.sms[sm as usize]
+                                        .on_epoch_ack(&mut self.ms, c.at)
+                                        .map_err(|d| protocol(c.at, d))
+                                }
                                 PersistDest::Detached => Ok(()),
                             }
                         }
                     }
                 }
                 ReqTag::PersistAccept { sm } => {
+                    self.charge_before_route(sm, lazy);
                     self.sms[sm as usize].on_flush_accepted();
                     Ok(())
                 }
-                ReqTag::EpochVol { sm } => self.sms[sm as usize]
-                    .on_epoch_ack(&mut self.ms, c.at)
-                    .map_err(|d| protocol(c.at, d)),
+                ReqTag::EpochVol { sm } => {
+                    self.charge_before_route(sm, lazy);
+                    self.sms[sm as usize]
+                        .on_epoch_ack(&mut self.ms, c.at)
+                        .map_err(|d| protocol(c.at, d))
+                }
                 ReqTag::None => Ok(()),
             };
             if let Err(e) = r {
@@ -430,24 +471,39 @@ impl Gpu {
 
     /// Advances one scheduling step, never moving `self.cycle` past
     /// `bound`. Returns `Ok(true)` when the active launch completed.
+    /// With `skip_idle` set (see [`Gpu::skips_idle_sms`]) only the SMs
+    /// that can change state this cycle tick.
     ///
     /// Callers must only invoke this with `self.cycle < bound`; the
     /// landed cycle then satisfies `self.cycle <= bound` exactly, so run
     /// loops observe crash cycles, timeout limits, and cycle-window
     /// fault triggers on the cycle they name instead of overshooting
     /// them during a fast-forward jump.
-    fn step_until(&mut self, bound: u64) -> Result<bool, SimError> {
+    fn step_until(&mut self, bound: u64, skip_idle: bool) -> Result<bool, SimError> {
         debug_assert!(self.cycle < bound, "step_until past its bound");
         // Charge stalls up to the *previous* cycle before completions
         // land: a completion that unblocks a warp this cycle must not
         // erase the stalled span behind it (under fast-forward the whole
         // leapt span would vanish). `Sm::tick` charges the final cycle
         // with post-routing state — in serial stepping this pre-charge
-        // is a delta-0 no-op, so both modes attribute identically.
-        self.charge_pending_stalls();
-        self.route_completions()?;
+        // is a delta-0 no-op, so both modes attribute identically. When
+        // skipping idle SMs, only the SMs that take a completion are
+        // charged, each just before its first one.
+        if !skip_idle {
+            self.charge_pending_stalls();
+        }
+        if let Err(e) = self.route_completions(skip_idle) {
+            if skip_idle {
+                // Leave every SM charged as the every-SM path leaves it.
+                self.charge_pending_stalls();
+            }
+            return Err(e);
+        }
         let mut progress = false;
         for sm in &mut self.sms {
+            if skip_idle && sm.is_idle_at(self.cycle) {
+                continue;
+            }
             progress |= sm.tick(self.cycle, self.steps, &mut self.ms, &mut self.tracer);
         }
         if self.cycle >= self.idle_until {
@@ -486,7 +542,14 @@ impl Gpu {
                 self.cycle = target;
                 Ok(false)
             }
-            None => Err(SimError::Deadlock { cycle: self.cycle }),
+            None => {
+                if skip_idle {
+                    // The every-SM path ticked, and so charged, every SM
+                    // up to this cycle.
+                    self.charge_all(self.cycle);
+                }
+                Err(SimError::Deadlock { cycle: self.cycle })
+            }
         }
     }
 
@@ -511,6 +574,7 @@ impl Gpu {
             Some(CrashTrigger::AtCycle(c)) => limit.min(c.max(self.cycle + 1)),
             _ => limit,
         };
+        let skip_idle = self.skips_idle_sms();
         while self.cycle < limit {
             if self.fault_crash_now() {
                 // Completions route at the start of a step: commit the
@@ -518,10 +582,10 @@ impl Gpu {
                 // durable image is the exact event-prefix. (A no-op for
                 // power cuts inside the memory system.)
                 self.charge_pending_stalls();
-                self.route_completions()?;
+                self.route_completions(false)?;
                 return self.end_run(RunOutcome::Crashed);
             }
-            match self.step_until(bound) {
+            match self.step_until(bound, skip_idle) {
                 Ok(true) => return self.end_run(RunOutcome::Completed),
                 Ok(false) => {}
                 // A power cut strands waiters mid-step; that is the

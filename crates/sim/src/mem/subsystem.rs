@@ -280,6 +280,14 @@ impl MemSubsystem {
         now < self.backoff_until
     }
 
+    /// Whether the PCIe-backoff flag can be set at `now` or later: the
+    /// fault plan arms PCIe faults, or an earlier backoff has not
+    /// expired yet.
+    #[must_use]
+    pub fn pcie_backoff_possible(&self, now: u64) -> bool {
+        self.fault.pcie_armed() || self.pcie_backoff_active(now)
+    }
+
     /// First cycle at which the PCIe fault-retry backoff is over (0 when
     /// no backoff ever happened). Fast-forward jumps must not cross this
     /// boundary: stall attribution samples the cause at the landing

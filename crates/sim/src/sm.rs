@@ -507,14 +507,14 @@ impl Sm {
     ///
     /// # Errors
     ///
-    /// Delivering an SBRP ack to an epoch SM is a completion-protocol
+    /// Delivering an SBRP ack to an epoch SM, or an ack the persist
+    /// unit cannot match to an in-flight flush, is a completion-protocol
     /// violation.
     pub fn on_persist_ack(&mut self, line: u32) -> Result<(), String> {
         match &mut self.engine {
-            Engine::Sbrp(unit) => {
-                unit.ack_persist(LineIdx(line));
-                Ok(())
-            }
+            Engine::Sbrp(unit) => unit
+                .try_ack_persist(LineIdx(line))
+                .map_err(|e| format!("SM {}: {e}", self.id)),
             Engine::Epoch(_) => Err(format!("SBRP ack delivered to epoch SM {}", self.id)),
         }
     }
@@ -694,15 +694,19 @@ impl Sm {
     /// Attributes every warp-stall cycle since the last charge to one
     /// [`StallCause`], per SM and per warp. Runs before wakeups and
     /// issue so an interval that ends this cycle is still charged up to
-    /// it; `last_charge` makes fast-forward jumps cost one delta.
+    /// it; `last_charge` makes fast-forward jumps and skipped ticks cost
+    /// one delta.
     ///
-    /// Charging is two-phase: the GPU calls this *before* routing a
-    /// cycle's completions (up to `cycle - 1`, so a fast-forwarded span
-    /// is attributed with the blocked state that actually held during
-    /// it), and [`Sm::tick`] charges the final cycle with post-routing
-    /// state. Serial stepping makes the pre-routing call a delta-0
-    /// no-op, which is exactly why fast-forwarded and serial runs
-    /// produce identical stall breakdowns.
+    /// Charging is two-phase. The GPU calls this up to `cycle - 1` just
+    /// before it routes a completion to the SM, so a span the SM spent
+    /// leapt over or skipped is attributed with the blocked state that
+    /// actually held during it; [`Sm::tick`] then charges the final
+    /// cycle with post-routing state. A completion is the only thing
+    /// that changes a skipped SM's state, so an SM that takes none is
+    /// charged its whole span at its next tick with that same state.
+    /// Serial stepping makes the pre-routing call a delta-0 no-op, which
+    /// is exactly why fast-forwarded and serial runs produce identical
+    /// stall breakdowns.
     ///
     /// Only `Blocked::Engine` warps are sampled here: their cause is
     /// the persist unit's live state. Every other kind has a cause that
@@ -1526,5 +1530,20 @@ impl Sm {
     #[must_use]
     pub fn has_ready_warp(&self) -> bool {
         self.ready > 0
+    }
+
+    /// Whether a tick at `cycle` would change nothing but the stall
+    /// accounts: no warp can issue, no sleeper is due, and the persist
+    /// engine is an epoch engine (it acts only on completions) or an
+    /// idle [`PersistUnit`]. The GPU skips such an SM's tick; the
+    /// stall cycles it skips are charged at its next charge.
+    #[must_use]
+    pub fn is_idle_at(&self, cycle: u64) -> bool {
+        self.ready == 0
+            && self.next_sleep_wake > cycle
+            && match &self.engine {
+                Engine::Sbrp(unit) => unit.is_idle(),
+                Engine::Epoch(_) => true,
+            }
     }
 }

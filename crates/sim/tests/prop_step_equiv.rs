@@ -300,3 +300,138 @@ proptest! {
         }
     }
 }
+
+/// Runs `kernel` as `drive` says and returns the GPU with its end cycle.
+fn run_gpu(
+    cfg: &GpuConfig,
+    kernel: &Kernel,
+    launch: LaunchConfig,
+    serial: bool,
+    drive: Drive,
+) -> (Gpu, u64) {
+    let mut gpu = Gpu::new(cfg);
+    gpu.set_serial_stepping(serial);
+    gpu.launch(kernel, launch);
+    let report = match drive {
+        Drive::Complete => gpu.run(LIMIT).expect("completes"),
+        Drive::CrashAt(cycle) => gpu.run_until(cycle).expect("no deadlock"),
+        Drive::Faulted(plan) => {
+            gpu.set_fault_plan(plan);
+            gpu.run(LIMIT).expect("completes or crashes")
+        }
+    };
+    (gpu, report.cycles)
+}
+
+/// A timeline-on run ticks and charges every SM at every step; a
+/// timeline-off run skips the SMs that cannot change state and charges
+/// each only when a completion next reaches it. Both must end with the
+/// same stats and the same stall accounts on every SM and every warp.
+fn assert_skipping_matches_every_sm_path(
+    cfg: &GpuConfig,
+    kernel: &Kernel,
+    launch: LaunchConfig,
+    serial: bool,
+    drive: Drive,
+) -> Result<(), TestCaseError> {
+    let traced = GpuConfig {
+        timeline: true,
+        ..cfg.clone()
+    };
+    let (skip, skip_end) = run_gpu(cfg, kernel, launch, serial, drive);
+    let (every, every_end) = run_gpu(&traced, kernel, launch, serial, drive);
+    prop_assert_eq!(skip_end, every_end, "end cycle");
+    prop_assert_eq!(skip.stats(), every.stats(), "SimStats");
+    prop_assert_eq!(
+        skip.sm_stall_breakdowns(),
+        every.sm_stall_breakdowns(),
+        "per-SM stalls"
+    );
+    for sm in 0..cfg.num_sms as usize {
+        prop_assert_eq!(
+            skip.warp_stall_breakdowns(sm),
+            every.warp_stall_breakdowns(sm),
+            "SM{} warp stalls",
+            sm
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A sparse launch on the 30-SM Table 1 GPU leaves most SMs idle,
+    /// so most SM ticks are skipped: the skipping run must charge and
+    /// simulate exactly what the every-SM run does, to completion or at
+    /// any crash point, serial or fast-forwarded. With PCIe faults armed
+    /// both runs must take the every-SM path: a backoff flip splits
+    /// spans that a skipped SM would charge in one piece.
+    #[test]
+    fn skipping_idle_sms_matches_the_every_sm_path(
+        crash_at in prop_oneof![Just(0u64), 100u64..20_000],
+        blocks in 1u32..3,
+        wide in any::<bool>(),
+        serial in any::<bool>(),
+        pcie in any::<bool>(),
+        sleep in 1u32..200,
+        model_ix in 0usize..3,
+        system_ix in 0usize..2,
+    ) {
+        let model = ModelKind::ALL[model_ix];
+        let system = [SystemDesign::PmNear, SystemDesign::PmFar][system_ix];
+        if !valid(model, system) {
+            return Ok(());
+        }
+        let cfg = GpuConfig::table1(model, system);
+        let kernel = mixed_kernel(PM_BASE, PM_BASE + (1 << 20), sleep);
+        // 32-warp blocks fill an SM each; 2-warp blocks share SM0.
+        let launch = LaunchConfig::new(blocks, if wide { 1024 } else { 64 });
+        let mut plan = FaultPlan::default();
+        if pcie {
+            plan = plan.with_pcie(PcieFaultConfig {
+                period: 2,
+                burst: 2,
+                max_retries: 8,
+                backoff_base: 24,
+            });
+        }
+        if crash_at > 0 {
+            plan.trigger = Some(CrashTrigger::AtCycle(crash_at));
+        }
+        assert_skipping_matches_every_sm_path(&cfg, &kernel, launch, serial, Drive::Faulted(plan))?;
+    }
+}
+
+/// One warp persists a line and waits at a dFence. While the flush is
+/// in flight on PM-far, its SM has only that engine-blocked warp and an
+/// idle persist unit, so its ticks are skipped for the whole round-trip.
+/// The ack must not re-attribute that span: it held as WPQ backpressure
+/// (the buffer had drained, the flush was unacknowledged), and only the
+/// ack cycle itself sees the drained dFence.
+#[test]
+fn a_skipped_span_is_charged_with_the_cause_before_the_ack() {
+    let mut b = KernelBuilder::new();
+    b.set_params(vec![PM_BASE]);
+    let base = b.param(0);
+    let tid = b.special(Special::GlobalTid);
+    let off = b.muli(tid, 8);
+    let addr = b.add(base, off);
+    b.st(addr, 0, tid, MemWidth::W8);
+    b.dfence();
+    let kernel = b.build("store_dfence");
+    let cfg = GpuConfig::table1(ModelKind::Sbrp, SystemDesign::PmFar);
+    let launch = LaunchConfig::new(1, 32);
+    assert_skipping_matches_every_sm_path(&cfg, &kernel, launch, false, Drive::Complete)
+        .expect("skipping run charges as the every-SM run does");
+    let (gpu, _) = run_gpu(&cfg, &kernel, launch, false, Drive::Complete);
+    let warp = gpu.warp_stall_breakdowns(0)[0];
+    assert!(
+        warp.wpq_backpressure > 500,
+        "the round-trip is charged as backpressure: {warp:?}"
+    );
+    assert_eq!(
+        warp.dfence, 1,
+        "only the ack cycle is a drained dFence: {warp:?}"
+    );
+}
