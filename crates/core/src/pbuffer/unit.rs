@@ -3,9 +3,9 @@
 //! [`PersistUnit`] is an event-driven state machine. The timing simulator
 //! reports what warps do (persist stores, fences, acquires/releases,
 //! evictions); the unit answers with proceed/stall decisions, emits lines
-//! to flush from [`PersistUnit::tick`], consumes durability
-//! acknowledgements via [`PersistUnit::ack_persist`], and hands back
-//! warps to resume via [`PersistUnit::take_resumable`].
+//! to flush from [`PersistUnit::tick_into`], consumes durability
+//! acknowledgements via [`PersistUnit::try_ack_persist`], and hands back
+//! warps to resume via [`PersistUnit::take_resumable_into`].
 
 use super::buffer::PersistBuffer;
 use super::entry::{EntryKind, LineIdx};
@@ -13,7 +13,7 @@ use super::masks::WarpMask;
 use super::policy::DrainPolicy;
 use crate::scope::{Scope, WarpSlot, MAX_WARPS_PER_SM};
 use crate::stall::StallCause;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Configuration of one SM's persist buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -213,7 +213,12 @@ pub struct PersistUnit {
     waiting_line: HashMap<LineIdx, WarpMask>,
     /// Warps of each outstanding (flushed, unacknowledged) write per
     /// line, FIFO per line.
-    outstanding_line: HashMap<LineIdx, Vec<WarpMask>>,
+    outstanding_line: HashMap<LineIdx, VecDeque<WarpMask>>,
+    /// Empty queues of lines whose flushes were all acknowledged, reused
+    /// for the next line flushed: flushing never allocates once as many
+    /// lines have been in flight at once, and the unit holds queues only
+    /// for that many lines, not for every line it ever flushed.
+    spare_queues: Vec<VecDeque<WarpMask>>,
     /// Warps blocked until PB space frees.
     waiting_space: WarpMask,
     /// Drain aggressively (ignore the window) up to and including this
@@ -258,6 +263,7 @@ impl PersistUnit {
             evict_waiters: WarpMask::EMPTY,
             waiting_line: HashMap::new(),
             outstanding_line: HashMap::new(),
+            spare_queues: Vec::new(),
             waiting_space: WarpMask::EMPTY,
             force_until: None,
             drain_all: false,
@@ -363,7 +369,16 @@ impl PersistUnit {
     /// Warps the simulator should unblock, with the reason they were
     /// stalled (retry the instruction vs. instruction complete).
     pub fn take_resumable(&mut self) -> Vec<(WarpSlot, BlockReason)> {
-        std::mem::take(&mut self.resumable)
+        let mut out = Vec::new();
+        self.take_resumable_into(&mut out);
+        out
+    }
+
+    /// [`PersistUnit::take_resumable`] appended to a caller-owned
+    /// buffer: the timing simulator reuses one per SM, so resuming warps
+    /// never allocates.
+    pub fn take_resumable_into(&mut self, out: &mut Vec<(WarpSlot, BlockReason)>) {
+        out.append(&mut self.resumable);
     }
 
     /// Whether capacity pressure or a kernel-end drain requires ignoring
@@ -377,11 +392,14 @@ impl PersistUnit {
     }
 
     /// Scans the FIFO (bounded depth) for persists that may legally
-    /// flush out of order while the head is FSM-blocked. Respects the
-    /// drain policy's window.
-    fn pick_ooo_flushes(&mut self, budget: usize) -> Vec<u64> {
+    /// flush out of order while the head is FSM-blocked, flushing each
+    /// into `out` as it is found. Respects the drain policy's window.
+    ///
+    /// Flushing an entry mid-scan leaves the later entries' legality
+    /// unchanged: it retires no ordering entry and touches no FSM state,
+    /// and the window room is fixed before the scan.
+    fn flush_ooo(&mut self, budget: usize, out: &mut Vec<DrainAction>) {
         const SCAN_DEPTH: usize = 128;
-        let mut picked = Vec::new();
         let window_room = match self.policy {
             DrainPolicy::Eager => usize::MAX,
             DrainPolicy::Lazy => {
@@ -400,31 +418,32 @@ impl PersistUnit {
             }
         };
         let limit = budget.min(window_room);
-        if limit == 0 {
-            return picked;
-        }
         // Walk the first SCAN_DEPTH live entries by seq, so checking the
-        // FSM (which clears satisfied bits) does not hold a borrow of
-        // the buffer.
-        let mut scanned = 0;
+        // FSM (which clears satisfied bits) and flushing do not hold a
+        // borrow of the buffer.
+        let (mut scanned, mut picked) = (0, 0);
         for seq in self.buf.seqs() {
-            if scanned == SCAN_DEPTH || picked.len() >= limit {
+            if scanned == SCAN_DEPTH || picked >= limit {
                 break;
             }
             let e = self.buf.entry(seq).expect("seq within the FIFO");
             let (kind, warps) = (e.kind, e.warps);
-            if kind == EntryKind::Tombstone {
+            let EntryKind::Persist(line) = kind else {
+                scanned += usize::from(kind != EntryKind::Tombstone);
                 continue;
-            }
+            };
             scanned += 1;
-            if matches!(kind, EntryKind::Persist(_))
-                && !self.buf.has_ordering_before_for(seq, warps)
-                && self.fsm_clear_satisfied(warps)
-            {
-                picked.push(seq);
+            if !self.buf.has_ordering_before_for(seq, warps) && self.fsm_clear_satisfied(warps) {
+                let e = self.buf.tombstone(seq);
+                self.note_flush(line, e.warps);
+                out.push(DrainAction::Flush {
+                    line,
+                    warps: e.warps,
+                    tokens: e.tokens,
+                });
+                picked += 1;
             }
         }
-        picked
     }
 
     /// Marks `warps` in the FSM. `own_only` is set for oFence drains:
@@ -677,10 +696,19 @@ impl PersistUnit {
     /// Advances the drain pipeline, returning the actions (at most
     /// `max_flushes` line flushes) the simulator must perform.
     pub fn tick(&mut self, max_flushes: usize) -> Vec<DrainAction> {
-        if self.idle {
-            return Vec::new();
-        }
         let mut actions = Vec::new();
+        self.tick_into(max_flushes, &mut actions);
+        actions
+    }
+
+    /// [`PersistUnit::tick`] appending its actions to a caller-owned
+    /// buffer: the timing simulator reuses one per SM, so draining never
+    /// allocates.
+    pub fn tick_into(&mut self, max_flushes: usize, actions: &mut Vec<DrainAction>) {
+        if self.idle {
+            return;
+        }
+        let start = actions.len();
         let mut flushed = 0usize;
         while let Some(head) = self.buf.peek_head() {
             let head_kind = head.kind;
@@ -701,21 +729,7 @@ impl PersistUnit {
                         // every fence (the FSM's purpose: don't stall
                         // unrelated warps).
                         let budget = max_flushes.saturating_sub(flushed);
-                        let ooo = self.pick_ooo_flushes(budget);
-                        for seq in ooo {
-                            let EntryKind::Persist(line) =
-                                self.buf.entry(seq).expect("picked entry").kind
-                            else {
-                                unreachable!("picked a non-persist")
-                            };
-                            let e = self.buf.tombstone(seq);
-                            self.note_flush(line, e.warps);
-                            actions.push(DrainAction::Flush {
-                                line,
-                                warps: e.warps,
-                                tokens: e.tokens,
-                            });
-                        }
+                        self.flush_ooo(budget, actions);
                         self.free_space();
                         break;
                     }
@@ -759,8 +773,7 @@ impl PersistUnit {
             }
             self.free_space();
         }
-        self.idle = actions.is_empty() && self.resumable.is_empty();
-        actions
+        self.idle = actions.len() == start && self.resumable.is_empty();
     }
 
     /// Marks `warps` as waiting for ACTR==0 (their device-release/dFence
@@ -783,7 +796,10 @@ impl PersistUnit {
     fn note_flush(&mut self, line: LineIdx, warps: WarpMask) {
         self.actr += 1;
         self.inflight += 1;
-        self.outstanding_line.entry(line).or_default().push(warps);
+        self.outstanding_line
+            .entry(line)
+            .or_insert_with(|| self.spare_queues.pop().unwrap_or_default())
+            .push_back(warps);
         for w in warps.iter() {
             self.outstanding_w[w.index()] += 1;
         }
@@ -812,10 +828,13 @@ impl PersistUnit {
             return Err(AckError::ActrUnderflow(line));
         }
         self.idle = false;
-        let warps = q.remove(0);
+        let warps = q
+            .pop_front()
+            .expect("a line's queue is dropped when it empties");
         let line_idle = q.is_empty();
         if line_idle {
-            self.outstanding_line.remove(&line);
+            let q = self.outstanding_line.remove(&line).expect("queue present");
+            self.spare_queues.push(q);
         }
         self.actr -= 1;
         self.acks_done += 1;

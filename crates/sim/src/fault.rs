@@ -156,7 +156,7 @@ pub struct FaultEventCounts {
 /// What the memory subsystem should do with an accepted WPQ write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum DurableAction {
-    /// Commit all segments to the durable image (the normal case).
+    /// Commit every written byte to the durable image (the normal case).
     Commit,
     /// ADR violation: acknowledge but commit nothing.
     Drop,

@@ -3,7 +3,7 @@
 
 use crate::config::GpuConfig;
 use crate::fault::{CrashTrigger, FaultEventCounts, FaultPlan};
-use crate::mem::{Backing, Completion, MemSubsystem, PersistDest, ReqTag};
+use crate::mem::{Backing, Completion, LineWrite, MemSubsystem, PersistDest, ReqTag};
 use crate::sm::Sm;
 use crate::stats::SimStats;
 use crate::trace::TraceCapture;
@@ -135,12 +135,19 @@ impl Gpu {
     ///
     /// # Panics
     /// Panics if the SM has more warp slots than a persist buffer's warp
-    /// bitmask can name.
+    /// bitmask can name, or if the line size is not a power of two of at
+    /// most [`LineWrite::MAX_BYTES`] (the width of an SM's written-byte
+    /// mask and of a flush's line snapshot).
     #[must_use]
     pub fn new(cfg: &GpuConfig) -> Self {
         assert!(
             cfg.max_warps_per_sm as usize <= MAX_WARPS_PER_SM,
             "max_warps_per_sm exceeds the {MAX_WARPS_PER_SM} warp slots an SM supports"
+        );
+        assert!(
+            cfg.line_bytes.is_power_of_two() && cfg.line_bytes as usize <= LineWrite::MAX_BYTES,
+            "line_bytes must be a power of two of at most {} bytes",
+            LineWrite::MAX_BYTES
         );
         Gpu {
             cfg: cfg.clone(),

@@ -90,17 +90,25 @@ impl Backing {
     #[must_use]
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
+        self.read_into(addr, &mut out);
+        out
+    }
+
+    /// Fills `out` with the bytes starting at `addr`: one page lookup
+    /// and one copy per page the range touches, and no allocation.
+    pub fn read_into(&self, addr: u64, out: &mut [u8]) {
         let mut done = 0usize;
-        while done < len {
+        while done < out.len() {
             let a = addr + done as u64;
             let off = (a as usize) & (PAGE_SIZE - 1);
-            let run = (PAGE_SIZE - off).min(len - done);
-            if let Some(p) = self.page(a) {
-                out[done..done + run].copy_from_slice(&p[off..off + run]);
+            let run = (PAGE_SIZE - off).min(out.len() - done);
+            let dst = &mut out[done..done + run];
+            match self.page(a) {
+                Some(p) => dst.copy_from_slice(&p[off..off + run]),
+                None => dst.fill(0),
             }
             done += run;
         }
-        out
     }
 
     /// Writes a byte slice.
@@ -236,6 +244,19 @@ mod tests {
         b.write_bytes(addr, &[9, 8, 7, 6]);
         assert_eq!(b.read_bytes(addr, 4), vec![9, 8, 7, 6]);
         assert_eq!(b.pages(), 2);
+    }
+
+    #[test]
+    fn read_into_overwrites_the_whole_buffer() {
+        let mut b = Backing::new();
+        let addr = 2 * PAGE_SIZE as u64 - 2;
+        b.write_bytes(addr, &[9, 8]);
+        // The second page was never written: its bytes read as zero,
+        // whatever the buffer held before.
+        let mut out = [0xffu8; 4];
+        b.read_into(addr, &mut out);
+        assert_eq!(out, [9, 8, 0, 0]);
+        assert_eq!(b.pages(), 1);
     }
 
     #[test]

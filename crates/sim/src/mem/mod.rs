@@ -9,4 +9,4 @@ mod subsystem;
 pub use backing::Backing;
 pub use cache::{Cache, CacheStats, Victim};
 pub use channel::Channel;
-pub use subsystem::{Completion, MemSubsystem, PersistDest, ReqTag};
+pub use subsystem::{Completion, LineWrite, MemSubsystem, PersistDest, ReqTag};

@@ -7,7 +7,7 @@ use super::channel::Channel;
 use crate::config::{is_pm, GpuConfig, SystemDesign};
 use crate::fault::{DurableAction, FaultPlan, FaultState};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Extra cycles for a memory controller to accept a write into its
 /// capacitor-backed WPQ (the ADR durability point).
@@ -28,7 +28,7 @@ pub enum ReqTag {
     /// Durability acknowledgement for a persist flush; resolve the
     /// destination with [`MemSubsystem::take_persist_dest`].
     PersistAck {
-        /// Handle into the persist-destination registry.
+        /// Handle into the in-flight flush registry.
         ack_id: u64,
     },
     /// Fast downstream-accept signal for an SBRP flush: a drain-window
@@ -82,15 +82,189 @@ pub enum PersistDest {
     Detached,
 }
 
+/// The payload of one persist flush: the bytes one SM wrote in one L1
+/// line, snapshotted from the functional NVM image when the line leaves
+/// the L1, and committed to the durable image when the persistence
+/// domain accepts the write.
+///
+/// Fixed-size, so a flush carries no heap allocation from the L1 to the
+/// durable commit. Bit `i` of the mask marks byte `base + i` as written;
+/// only those bytes of the snapshot are ever committed. The maximal runs
+/// of set bits, ascending, are the written byte ranges a flush commits
+/// (and a torn media write cuts into 8-byte-aligned chunks).
+#[derive(Debug)]
+pub struct LineWrite {
+    base: u64,
+    mask: u128,
+    data: [u8; LineWrite::MAX_BYTES],
+}
+
+impl LineWrite {
+    /// Bytes a line write spans: one bit of the `u128` written-byte mask
+    /// each, so also the widest L1 line the simulator supports.
+    pub const MAX_BYTES: usize = 128;
+
+    /// Snapshots the `line_bytes`-byte line at `base` from `image`; `mask`
+    /// marks the bytes that were written.
+    ///
+    /// # Panics
+    /// Panics if `line_bytes` exceeds [`LineWrite::MAX_BYTES`] or `mask`
+    /// marks a byte past the line.
+    #[must_use]
+    pub fn snapshot(image: &Backing, base: u64, line_bytes: usize, mask: u128) -> Self {
+        assert!(
+            mask & !byte_run(0, line_bytes) == 0,
+            "written-byte mask runs past the line"
+        );
+        let mut data = [0u8; Self::MAX_BYTES];
+        image.read_into(base, &mut data[..line_bytes]);
+        LineWrite { base, mask, data }
+    }
+
+    /// Bytes written.
+    fn written(&self) -> u64 {
+        u64::from(self.mask.count_ones())
+    }
+
+    /// The written runs as (address, bytes), ascending.
+    fn runs(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        let mut rest = self.mask;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let start = rest.trailing_zeros() as usize;
+            let end = start + (rest >> start).trailing_ones() as usize;
+            rest = rest.checked_shr(end as u32).map_or(0, |r| r << end);
+            Some((self.base + start as u64, &self.data[start..end]))
+        })
+    }
+
+    /// Commits every written byte to `durable`.
+    fn commit(&self, durable: &mut Backing) {
+        for (addr, bytes) in self.runs() {
+            durable.write_bytes(addr, bytes);
+        }
+    }
+
+    /// Commits only the first `chunks` 8-byte-aligned chunks of the
+    /// written runs — a torn media write.
+    fn commit_torn(&self, durable: &mut Backing, mut chunks: u32) {
+        for (addr, data) in self.runs() {
+            let mut off = 0usize;
+            while off < data.len() {
+                if chunks == 0 {
+                    return;
+                }
+                let a = addr + off as u64;
+                // Run up to the next 8-byte boundary (or run end).
+                let take = (((a / 8 + 1) * 8 - a) as usize).min(data.len() - off);
+                durable.write_bytes(a, &data[off..off + take]);
+                off += take;
+                chunks -= 1;
+            }
+        }
+    }
+}
+
+/// The mask of the `len` bytes from byte `off` of a line write.
+fn byte_run(off: usize, len: usize) -> u128 {
+    let ones = if len >= LineWrite::MAX_BYTES {
+        u128::MAX
+    } else {
+        (1u128 << len) - 1
+    };
+    ones << off
+}
+
+/// Builds a line write from (address, bytes) segments, later segments
+/// overwriting earlier ones where they overlap.
+///
+/// # Panics
+/// Panics if the segments do not all fall in one
+/// [`LineWrite::MAX_BYTES`]-aligned line.
+impl From<Vec<(u64, Vec<u8>)>> for LineWrite {
+    fn from(segments: Vec<(u64, Vec<u8>)>) -> Self {
+        let align = LineWrite::MAX_BYTES as u64;
+        let base = segments
+            .iter()
+            .find(|(_, bytes)| !bytes.is_empty())
+            .map_or(0, |&(addr, _)| addr & !(align - 1));
+        let mut write = LineWrite {
+            base,
+            mask: 0,
+            data: [0; LineWrite::MAX_BYTES],
+        };
+        for (addr, bytes) in segments.iter().filter(|(_, b)| !b.is_empty()) {
+            let off = addr
+                .checked_sub(base)
+                .filter(|off| off + bytes.len() as u64 <= align)
+                .expect("persist segments span more than one line") as usize;
+            write.data[off..off + bytes.len()].copy_from_slice(bytes);
+            write.mask |= byte_run(off, bytes.len());
+        }
+        write
+    }
+}
+
+/// A persist flush from submission until its ack is taken.
+#[derive(Debug)]
+struct InFlight {
+    dest: PersistDest,
+    tokens: Vec<u64>,
+    write: LineWrite,
+    /// Submission cycle (the start of the flush's timeline slice).
+    submitted: u64,
+}
+
+/// The in-flight persist flushes, indexed by ack id. Ids are issued in
+/// order and mostly retire in order, so the flushes sit in a deque
+/// offset by the oldest live id: registering, looking up and taking are
+/// O(1) with no hashing, and a taken slot at the front is popped.
+#[derive(Debug, Default)]
+struct FlushRegistry {
+    /// Ack id of `slots[0]`.
+    oldest: u64,
+    /// `None` where a flush's ack was already taken.
+    slots: VecDeque<Option<InFlight>>,
+}
+
+impl FlushRegistry {
+    /// Registers a flush under the next ack id.
+    fn insert(&mut self, flush: InFlight) -> u64 {
+        self.slots.push_back(Some(flush));
+        self.oldest + self.slots.len() as u64 - 1
+    }
+
+    fn index(&self, ack_id: u64) -> Option<usize> {
+        let i = usize::try_from(ack_id.checked_sub(self.oldest)?).ok()?;
+        (i < self.slots.len()).then_some(i)
+    }
+
+    fn get(&self, ack_id: u64) -> Option<&InFlight> {
+        self.slots[self.index(ack_id)?].as_ref()
+    }
+
+    fn take(&mut self, ack_id: u64) -> Option<InFlight> {
+        let i = self.index(ack_id)?;
+        let flush = self.slots[i].take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.oldest += 1;
+        }
+        Some(flush)
+    }
+}
+
+/// What a scheduled event does. `Durable` names its flush by ack id, so
+/// the heap's entries stay small and the line write stays put in the
+/// registry.
 #[derive(Debug)]
 enum EventKind {
     Deliver(ReqTag),
-    /// Commit byte segments to the durable NVM image, then deliver the
-    /// tag.
-    Durable {
-        segments: Vec<(u64, Vec<u8>)>,
-        tag: ReqTag,
-    },
+    /// Commit the flush's line write to the durable NVM image, then
+    /// deliver its [`ReqTag::PersistAck`].
+    Durable(u64),
 }
 
 #[derive(Debug)]
@@ -140,15 +314,14 @@ pub struct MemSubsystem {
 
     events: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
-    persist_dests: std::collections::HashMap<u64, (PersistDest, Vec<u64>)>,
-    next_ack_id: u64,
+    flushes: FlushRegistry,
     fault: FaultState,
     /// Latest cycle up to which the PCIe link is busy retransmitting
     /// after injected transient faults (for stall attribution).
     backoff_until: u64,
-    /// Flush lifetime recording (submit → durable) when tracing is on:
-    /// `ack_id → submit cycle`, drained into `mem_slices`.
-    flush_starts: Option<std::collections::HashMap<u64, u64>>,
+    /// Whether flush lifetimes (submit → durable) and PCIe retries are
+    /// recorded into `mem_slices` (timeline tracing).
+    timeline: bool,
     mem_slices: Vec<crate::timeline::Slice>,
 }
 
@@ -188,11 +361,10 @@ impl MemSubsystem {
             nvm_durable: Backing::new(),
             events: BinaryHeap::new(),
             next_seq: 0,
-            persist_dests: std::collections::HashMap::new(),
-            next_ack_id: 0,
+            flushes: FlushRegistry::default(),
             fault: FaultState::default(),
             backoff_until: 0,
-            flush_starts: cfg.timeline.then(std::collections::HashMap::new),
+            timeline: cfg.timeline,
             mem_slices: Vec::new(),
         }
     }
@@ -260,7 +432,7 @@ impl MemSubsystem {
             done = d;
         }
         self.backoff_until = self.backoff_until.max(done);
-        if self.flush_starts.is_some() && done > now {
+        if self.timeline && done > now {
             self.mem_slices.push(crate::timeline::Slice {
                 pid: crate::timeline::MEM_PID,
                 tid: crate::timeline::MEM_LANES as u32,
@@ -375,48 +547,46 @@ impl MemSubsystem {
         self.schedule(done, EventKind::Deliver(tag));
     }
 
-    /// Submits a persist writeback (an L1 PM line flush). `segments`
-    /// are the (address, bytes) runs the flushing SM actually wrote in
-    /// the line, snapshotted at flush time; they are committed to the
-    /// durable image when the persistence domain accepts the write.
-    /// (Byte-masking matters: a whole-line snapshot of the functional
-    /// image would leak *other* SMs' not-yet-flushed writes into the
-    /// durable image when lines are falsely shared.) At the durability
-    /// cycle a [`ReqTag::PersistAck`] fires, resolvable to
-    /// `dest`/`tokens` via [`MemSubsystem::take_persist_dest`]. Returns
-    /// the ack handle.
+    /// Submits a persist writeback (an L1 PM line flush). `write` holds
+    /// the bytes the flushing SM actually wrote in the line, snapshotted
+    /// at flush time; they are committed to the durable image when the
+    /// persistence domain accepts the write. (Byte-masking matters: a
+    /// whole-line snapshot of the functional image would leak *other*
+    /// SMs' not-yet-flushed writes into the durable image when lines are
+    /// falsely shared.) At the durability cycle a [`ReqTag::PersistAck`]
+    /// fires, resolvable to `dest`/`tokens` via
+    /// [`MemSubsystem::take_persist_dest`]. Returns the ack handle.
     pub fn submit_persist_flush(
         &mut self,
         now: u64,
         addr: u64,
-        segments: Vec<(u64, Vec<u8>)>,
+        write: impl Into<LineWrite>,
         dest: PersistDest,
         tokens: Vec<u64>,
     ) -> u64 {
         self.fault.on_pb_drain();
-        let ack_id = self.next_ack_id;
-        self.next_ack_id += 1;
-        if let Some(starts) = self.flush_starts.as_mut() {
-            starts.insert(ack_id, now);
-        }
+        let write = write.into();
         let sbrp_sm = match dest {
             PersistDest::Sbrp { sm, .. } => Some(sm),
             _ => None,
         };
-        self.persist_dests.insert(ack_id, (dest, tokens));
-        let tag = ReqTag::PersistAck { ack_id };
+        // Charge the channels for the bytes actually written, rounded up
+        // to a 32 B sector — a partially-written line does not consume a
+        // full line of NVM/PCIe write bandwidth (symmetric across
+        // persistency models, since every flush carries a byte mask).
+        let line = write.written().div_ceil(32).max(1) * 32;
+        let ack_id = self.flushes.insert(InFlight {
+            dest,
+            tokens,
+            write,
+            submitted: now,
+        });
         // Persists write through the L2 (§6: no L2 persist buffer).
         let at_l2 = self.l2_access(now, addr, true);
         if let Some(sm) = sbrp_sm {
             // Window credit once the L2/egress accepts the line.
             self.schedule(at_l2, EventKind::Deliver(ReqTag::PersistAccept { sm }));
         }
-        // Charge the channels for the bytes actually written, rounded up
-        // to a 32 B sector — a partially-written line does not consume a
-        // full line of NVM/PCIe write bandwidth (symmetric across
-        // persistency models, since every flush carries a byte mask).
-        let payload: u64 = segments.iter().map(|(_, d)| d.len() as u64).sum();
-        let line = payload.div_ceil(32).max(1) * 32;
         let durable_at = match self.system {
             SystemDesign::PmNear => {
                 let (accept, _) = self.nvm_write.access(at_l2, line);
@@ -435,17 +605,21 @@ impl MemSubsystem {
                 }
             }
         };
-        self.schedule(durable_at, EventKind::Durable { segments, tag });
+        self.schedule(durable_at, EventKind::Durable(ack_id));
         ack_id
     }
 
-    /// Resolves (and removes) a persist ack's destination and tokens.
-    /// `None` means the ack was never issued by
-    /// [`MemSubsystem::submit_persist_flush`] or was already taken — a
-    /// completion-protocol violation the GPU reports as a typed error
-    /// rather than a panic.
+    /// Resolves (and removes) a persist ack's destination and tokens,
+    /// retiring the flush. Take an ack only once its
+    /// [`ReqTag::PersistAck`] has fired: the flush's line write is
+    /// committed from the registry at that cycle. `None` means the ack
+    /// was never issued by [`MemSubsystem::submit_persist_flush`] or was
+    /// already taken — a completion-protocol violation the GPU reports
+    /// as a typed error rather than a panic.
     pub fn take_persist_dest(&mut self, ack_id: u64) -> Option<(PersistDest, Vec<u64>)> {
-        self.persist_dests.remove(&ack_id)
+        self.flushes
+            .take(ack_id)
+            .map(|flush| (flush.dest, flush.tokens))
     }
 
     /// Drains the flush-lifetime / PCIe-retry slices recorded while
@@ -496,56 +670,36 @@ impl MemSubsystem {
             let Reverse(e) = self.events.pop().expect("peeked event");
             match e.kind {
                 EventKind::Deliver(tag) => out.push(Completion { at: e.at, tag }),
-                EventKind::Durable { segments, tag } => {
-                    let ack_id = match tag {
-                        ReqTag::PersistAck { ack_id } => Some(ack_id),
-                        _ => None,
-                    };
-                    if let (Some(starts), Some(id)) = (self.flush_starts.as_mut(), ack_id) {
-                        if let Some(start) = starts.remove(&id) {
+                EventKind::Durable(ack_id) => {
+                    let action = self.fault.on_wpq_accept(Some(ack_id));
+                    // A flush whose ack was taken early has nothing left
+                    // to commit.
+                    if let Some(flush) = self.flushes.get(ack_id) {
+                        if self.timeline {
+                            let start = flush.submitted;
                             self.mem_slices.push(crate::timeline::Slice {
                                 pid: crate::timeline::MEM_PID,
-                                tid: (id % crate::timeline::MEM_LANES) as u32,
+                                tid: (ack_id % crate::timeline::MEM_LANES) as u32,
                                 name: "flush",
                                 start,
                                 end: e.at.max(start + 1),
                             });
                         }
-                    }
-                    match self.fault.on_wpq_accept(ack_id) {
-                        DurableAction::Commit => {
-                            for (addr, data) in segments {
-                                self.nvm_durable.write_bytes(addr, &data);
+                        match action {
+                            DurableAction::Commit => flush.write.commit(&mut self.nvm_durable),
+                            DurableAction::Drop => {}
+                            DurableAction::Torn(chunks) => {
+                                flush.write.commit_torn(&mut self.nvm_durable, chunks);
                             }
-                        }
-                        DurableAction::Drop => {}
-                        DurableAction::Torn(chunks) => {
-                            Self::commit_torn(&mut self.nvm_durable, &segments, chunks);
                         }
                     }
                     // The ack is delivered even for dropped/torn commits:
                     // the machine believes the persist is durable.
-                    out.push(Completion { at: e.at, tag });
+                    out.push(Completion {
+                        at: e.at,
+                        tag: ReqTag::PersistAck { ack_id },
+                    });
                 }
-            }
-        }
-    }
-
-    /// Commits only the first `chunks` 8-byte-aligned chunks of the
-    /// flush's segments — a torn media write.
-    fn commit_torn(durable: &mut Backing, segments: &[(u64, Vec<u8>)], mut chunks: u32) {
-        for (addr, data) in segments {
-            let mut off = 0usize;
-            while off < data.len() {
-                if chunks == 0 {
-                    return;
-                }
-                let a = addr + off as u64;
-                // Run up to the next 8-byte boundary (or segment end).
-                let take = (((a / 8 + 1) * 8 - a) as usize).min(data.len() - off);
-                durable.write_bytes(a, &data[off..off + take]);
-                off += take;
-                chunks -= 1;
             }
         }
     }
@@ -669,6 +823,228 @@ mod tests {
         assert_eq!(dest, PersistDest::Detached);
         assert_eq!(tokens, vec![7]);
         assert_eq!(ms.take_persist_dest(id), None, "acks resolve once");
+    }
+
+    /// The written runs of `mask` in the line at `base`, one bit at a
+    /// time, each read from `image` — how flushes were built before
+    /// [`LineWrite`].
+    fn reference_segments(
+        image: &Backing,
+        base: u64,
+        line_bytes: u32,
+        mask: u128,
+    ) -> Vec<(u64, Vec<u8>)> {
+        let mut segments = Vec::new();
+        let mut i = 0u32;
+        while i < line_bytes {
+            if mask >> i & 1 == 1 {
+                let start = i;
+                while i < line_bytes && mask >> i & 1 == 1 {
+                    i += 1;
+                }
+                let addr = base + u64::from(start);
+                segments.push((addr, image.read_bytes(addr, (i - start) as usize)));
+            } else {
+                i += 1;
+            }
+        }
+        segments
+    }
+
+    /// The segment commit the durable event ran before [`LineWrite`]:
+    /// everything, or only the first `torn` 8-byte-aligned chunks.
+    fn reference_commit(durable: &mut Backing, segments: &[(u64, Vec<u8>)], torn: Option<u32>) {
+        let Some(mut chunks) = torn else {
+            for (addr, data) in segments {
+                durable.write_bytes(*addr, data);
+            }
+            return;
+        };
+        for (addr, data) in segments {
+            let mut off = 0usize;
+            while off < data.len() {
+                if chunks == 0 {
+                    return;
+                }
+                let a = addr + off as u64;
+                let take = (((a / 8 + 1) * 8 - a) as usize).min(data.len() - off);
+                durable.write_bytes(a, &data[off..off + take]);
+                off += take;
+                chunks -= 1;
+            }
+        }
+    }
+
+    /// A written-byte mask of one of several shapes: empty, full, random
+    /// bits, and single runs touching bit 0, bit 127 or neither.
+    fn mask_of(shape: u8, lo: u64, hi: u64, a: usize, b: usize) -> u128 {
+        let random = u128::from(lo) | u128::from(hi) << 64;
+        match shape {
+            0 => 0,
+            1 => u128::MAX,
+            2 => random,
+            3 => byte_run(0, a + 1),
+            4 => byte_run(127 - a, a + 1),
+            _ => byte_run(a.min(b), a.max(b) - a.min(b) + 1),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A line write commits exactly what the per-run segments it
+        /// replaced committed, whole and torn at every chunk count, and
+        /// converts to and from those segments.
+        #[test]
+        fn line_write_commits_like_the_segments_it_replaced(
+            shape in 0u8..6,
+            lo in proptest::prelude::any::<u64>(),
+            hi in proptest::prelude::any::<u64>(),
+            a in 0usize..128,
+            b in 0usize..128,
+            line_log2 in 3u32..8,
+            line_no in 0u64..64,
+            old in proptest::collection::vec(proptest::prelude::any::<u8>(), 256),
+            new in proptest::collection::vec(proptest::prelude::any::<u8>(), 256),
+        ) {
+            let line_bytes = 1u32 << line_log2;
+            let mask = mask_of(shape, lo, hi, a, b) & byte_run(0, line_bytes as usize);
+            let base = PM_BASE + line_no * u64::from(line_bytes);
+            // The functional image holds the new bytes around the line;
+            // the durable one the old bytes.
+            let (mut image, mut before) = (Backing::new(), Backing::new());
+            image.write_bytes(base - 64, &new);
+            before.write_bytes(base - 64, &old);
+            let segments = reference_segments(&image, base, line_bytes, mask);
+            let write = LineWrite::snapshot(&image, base, line_bytes as usize, mask);
+            proptest::prop_assert_eq!(write.written(), segments.iter().map(|(_, d)| d.len() as u64).sum::<u64>());
+            for torn in std::iter::once(None).chain((0..=16).map(Some)) {
+                let (mut got, mut want) = (before.clone(), before.clone());
+                match torn {
+                    None => write.commit(&mut got),
+                    Some(chunks) => write.commit_torn(&mut got, chunks),
+                }
+                reference_commit(&mut want, &segments, torn);
+                proptest::prop_assert_eq!(
+                    got.read_bytes(base - 64, 256),
+                    want.read_bytes(base - 64, 256),
+                    "torn {:?}", torn
+                );
+            }
+            let runs = |w: &LineWrite| -> Vec<(u64, Vec<u8>)> {
+                w.runs().map(|(addr, bytes)| (addr, bytes.to_vec())).collect()
+            };
+            proptest::prop_assert_eq!(runs(&write), segments.clone());
+            let rebuilt = LineWrite::from(segments.clone());
+            proptest::prop_assert_eq!(runs(&rebuilt), segments);
+            proptest::prop_assert_eq!(rebuilt.written(), write.written());
+        }
+    }
+
+    /// The same equivalence through the subsystem's durable event: a
+    /// committed flush and a torn one (via the fault plan) leave the
+    /// durable image the reference commit leaves.
+    #[test]
+    fn durable_event_commits_the_line_write() {
+        let mut image = Backing::new();
+        let bytes: Vec<u8> = (0..128u8).map(|i| i.wrapping_mul(37) | 1).collect();
+        image.write_bytes(PM_BASE, &bytes);
+        let mask = byte_run(3, 14) | byte_run(40, 1) | byte_run(100, 28);
+        let segments = reference_segments(&image, PM_BASE, 128, mask);
+        for torn in std::iter::once(None).chain((0..=16).map(Some)) {
+            let mut ms = subsystem(SystemDesign::PmNear);
+            if let Some(chunks) = torn {
+                let nvm = crate::fault::NvmFault::TornWrite { entry: 1, chunks };
+                ms.set_fault_plan(FaultPlan::default().with_nvm(nvm));
+            }
+            let write = LineWrite::snapshot(&image, PM_BASE, 128, mask);
+            let id = ms.submit_persist_flush(0, PM_BASE, write, PersistDest::Detached, vec![]);
+            drain_until(&mut ms, ReqTag::PersistAck { ack_id: id });
+            let mut want = Backing::new();
+            reference_commit(&mut want, &segments, torn);
+            assert_eq!(
+                ms.nvm_durable.read_bytes(PM_BASE, 128),
+                want.read_bytes(PM_BASE, 128),
+                "torn {torn:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn segments_outside_one_line_are_rejected() {
+        let cases: [Vec<(u64, Vec<u8>)>; 3] = [
+            // One segment running past the line's end.
+            vec![(PM_BASE + 120, vec![1; 16])],
+            // Two segments in neighbouring lines.
+            vec![(PM_BASE, vec![1]), (PM_BASE + 128, vec![1])],
+            // A later segment below the first one's line.
+            vec![(PM_BASE + 128, vec![1]), (PM_BASE, vec![1])],
+        ];
+        for segments in cases {
+            let shown = format!("{segments:?}");
+            let result = std::panic::catch_unwind(|| LineWrite::from(segments));
+            let err = result.expect_err(&shown);
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains("span more than one line"), "{shown}: {msg}");
+        }
+        // Empty segments are skipped, and a whole line is one run.
+        let whole = LineWrite::from(vec![(PM_BASE + 128, vec![]), (PM_BASE, vec![7; 128])]);
+        assert_eq!(
+            (whole.base, whole.mask, whole.written()),
+            (PM_BASE, u128::MAX, 128)
+        );
+    }
+
+    /// The in-flight registry resolves acks taken in any order to their
+    /// own flush, refuses ids it never issued or already retired, and
+    /// holds nothing once every ack is taken.
+    #[test]
+    fn flush_registry_resolves_out_of_order_acks_and_empties() {
+        let mut ms = subsystem(SystemDesign::PmNear);
+        let n = 8u64;
+        for i in 0..n {
+            let addr = PM_BASE + i * 128;
+            let dest = PersistDest::Sbrp {
+                sm: i as u32,
+                line: 100 + i as u32,
+            };
+            let id =
+                ms.submit_persist_flush(0, addr, vec![(addr, vec![1; 8])], dest, vec![i, i * 10]);
+            assert_eq!(id, i, "ack ids are issued in order");
+        }
+        while let Some(at) = ms.next_event() {
+            ms.poll(at);
+        }
+        assert_eq!(ms.take_persist_dest(n), None, "never issued");
+        assert_eq!(ms.take_persist_dest(u64::MAX), None, "never issued");
+        for id in [5, 0, 7, 1, 2, 6, 3, 4] {
+            let (dest, tokens) = ms.take_persist_dest(id).expect("live ack");
+            let want = PersistDest::Sbrp {
+                sm: id as u32,
+                line: 100 + id as u32,
+            };
+            assert_eq!((dest, tokens), (want, vec![id, id * 10]));
+            assert_eq!(ms.take_persist_dest(id), None, "already taken");
+            if id == 1 {
+                // 0 and 1 are gone from the front: 0 is below the oldest
+                // live id now.
+                assert_eq!(ms.flushes.oldest, 2);
+                assert_eq!(ms.take_persist_dest(0), None, "below the oldest live id");
+            }
+        }
+        assert!(ms.flushes.slots.is_empty(), "no flush outlives its ack");
+        let next = ms.submit_persist_flush(
+            0,
+            PM_BASE,
+            LineWrite::from(vec![]),
+            PersistDest::Detached,
+            vec![],
+        );
+        assert_eq!(next, n, "ids continue after the registry empties");
     }
 
     #[test]

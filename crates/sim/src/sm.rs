@@ -2,7 +2,7 @@
 //! persistency engine (SBRP persist unit or epoch engine).
 
 use crate::config::{is_pm, GpuConfig};
-use crate::mem::{MemSubsystem, PersistDest, ReqTag};
+use crate::mem::{LineWrite, MemSubsystem, PersistDest, ReqTag};
 use crate::timeline::{SmTimeline, WarpState};
 use crate::trace::TraceCapture;
 use sbrp_core::epoch::{EpochAck, EpochEngine, FlushScope};
@@ -18,7 +18,6 @@ use sbrp_isa::{
     lanes_of, AccessKind, FenceAccess, Kernel, LaneAccess, LaunchConfig, MemWidth, StepResult,
     WarpInterp,
 };
-use std::collections::HashMap;
 
 /// The per-SM persistency hardware. One instance per SM, held inline:
 /// the PersistUnit's size is fine unboxed and stays off the heap on
@@ -142,12 +141,15 @@ pub struct Sm {
     engine: Engine,
     warps: Vec<Option<WarpCtx>>,
     blocks: Vec<Option<ResidentBlock>>,
-    /// Trace tokens of dirty PM lines (epoch engines only).
-    line_tokens: HashMap<u32, Vec<u64>>,
-    /// Per dirty PM line: which bytes *this SM* wrote (bit i = byte i of
-    /// the line). Flushes commit only these bytes to the durable image,
-    /// so falsely-shared lines cannot leak other SMs' unflushed writes.
-    line_written: HashMap<u32, u128>,
+    /// Trace tokens of dirty PM lines, by L1 line. Empty unless an epoch
+    /// engine runs with tracing on: untraced stores carry no tokens, and
+    /// SBRP's persist buffer carries its own.
+    line_tokens: Vec<Vec<u64>>,
+    /// Per L1 line: which bytes *this SM* wrote since the line's last
+    /// flush (bit i = byte i of the line). Flushes commit only these
+    /// bytes to the durable image, so falsely-shared lines cannot leak
+    /// other SMs' unflushed writes.
+    line_written: Vec<u128>,
     issue_width: u32,
     l1_hit_latency: u64,
     line_bytes: u32,
@@ -172,6 +174,10 @@ pub struct Sm {
     /// Reused lane-value buffer for load completions, so `finish_mem`
     /// does not allocate per completed memory op.
     scratch_vals: Vec<u64>,
+    /// Reused drain-action and resumption buffers for `engine_tick`, so
+    /// the persist unit's per-cycle output does not allocate.
+    scratch_actions: Vec<DrainAction>,
+    scratch_resumable: Vec<(WarpSlot, BlockReason)>,
     /// Blocks completed on this SM.
     pub completed_blocks: u64,
     counters: SmCounters,
@@ -196,14 +202,19 @@ impl Sm {
             ModelKind::Gpm => Engine::Epoch(EpochEngine::new(FlushScope::All)),
         };
         let slots = cfg.max_warps_per_sm as usize;
+        let lines = cfg.l1_lines() as usize;
+        let token_lines = match &engine {
+            Engine::Epoch(_) if cfg.trace || cfg.sanitize => lines,
+            _ => 0,
+        };
         Sm {
             id,
             l1: crate::mem::Cache::new(cfg.l1_kb * 1024, 4, cfg.line_bytes),
             engine,
             warps: (0..slots).map(|_| None).collect(),
             blocks: Vec::new(),
-            line_tokens: HashMap::new(),
-            line_written: HashMap::new(),
+            line_tokens: vec![Vec::new(); token_lines],
+            line_written: vec![0; lines],
             issue_width: cfg.issue_width,
             l1_hit_latency: u64::from(cfg.l1_hit_latency),
             line_bytes: cfg.line_bytes,
@@ -213,6 +224,8 @@ impl Sm {
             next_sleep_wake: u64::MAX,
             free_slots: slots as u32,
             scratch_vals: Vec::new(),
+            scratch_actions: Vec::new(),
+            scratch_resumable: Vec::new(),
             completed_blocks: 0,
             counters: SmCounters::default(),
             stall: StallBreakdown::default(),
@@ -290,7 +303,7 @@ impl Sm {
             Engine::Sbrp(u) => u.set_drain_all(true),
             Engine::Epoch(_) => {
                 for line in self.l1.dirty_lines(true) {
-                    let tokens = self.line_tokens.remove(&line).unwrap_or_default();
+                    let tokens = self.take_line_tokens(line);
                     self.flush_line(ms, now, line, PersistDest::Detached, tokens);
                     self.l1.invalidate(line);
                 }
@@ -353,30 +366,18 @@ impl Sm {
         true
     }
 
-    /// Extracts the (address, bytes) runs this SM wrote in `line`,
-    /// snapshotting current functional NVM contents.
-    fn take_line_segments(&mut self, line: u32, ms: &MemSubsystem) -> Vec<(u64, Vec<u8>)> {
-        let base = self.l1.addr_of(line);
-        let mask = self.line_written.remove(&line).unwrap_or(0);
-        let mut segments = Vec::new();
-        let mut i = 0u32;
-        while i < self.line_bytes {
-            if mask >> i & 1 == 1 {
-                let start = i;
-                while i < self.line_bytes && mask >> i & 1 == 1 {
-                    i += 1;
-                }
-                let addr = base + u64::from(start);
-                segments.push((addr, ms.nvm_mem.read_bytes(addr, (i - start) as usize)));
-            } else {
-                i += 1;
-            }
-        }
-        segments
+    /// Takes the trace tokens buffered for an epoch engine's dirty `line`
+    /// (none when tracing is off).
+    fn take_line_tokens(&mut self, line: u32) -> Vec<u64> {
+        self.line_tokens
+            .get_mut(line as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Flushes the bytes this SM wrote in `line` toward durability: one
-    /// persist flush to `dest`, carrying `tokens`.
+    /// persist flush to `dest`, carrying `tokens` and a snapshot of the
+    /// line's current functional NVM contents.
     fn flush_line(
         &mut self,
         ms: &mut MemSubsystem,
@@ -386,8 +387,9 @@ impl Sm {
         tokens: Vec<u64>,
     ) {
         let addr = self.l1.addr_of(line);
-        let segments = self.take_line_segments(line, ms);
-        ms.submit_persist_flush(now, addr, segments, dest, tokens);
+        let mask = std::mem::take(&mut self.line_written[line as usize]);
+        let write = LineWrite::snapshot(&ms.nvm_mem, addr, self.line_bytes as usize, mask);
+        ms.submit_persist_flush(now, addr, write, dest, tokens);
         self.counters.persist_flushes += 1;
     }
 
@@ -450,7 +452,7 @@ impl Sm {
                         }
                     }
                     Engine::Epoch(_) => {
-                        let tokens = self.line_tokens.remove(&v.line).unwrap_or_default();
+                        let tokens = self.take_line_tokens(v.line);
                         self.flush_line(ms, now, v.line, PersistDest::Detached, tokens);
                     }
                 }
@@ -570,7 +572,7 @@ impl Sm {
         for line in self.l1.dirty_lines(false) {
             let addr = self.l1.addr_of(line);
             if self.l1.is_pm(line) {
-                let tokens = self.line_tokens.remove(&line).unwrap_or_default();
+                let tokens = self.take_line_tokens(line);
                 self.flush_line(ms, now, line, PersistDest::Epoch { sm: self.id }, tokens);
                 self.l1.invalidate(line);
                 count += 1;
@@ -848,12 +850,15 @@ impl Sm {
         ms: &mut MemSubsystem,
         tracer: &mut Option<TraceCapture>,
     ) -> bool {
-        let (actions, resumable) = match &mut self.engine {
-            Engine::Sbrp(unit) => (unit.tick(1), unit.take_resumable()),
-            Engine::Epoch(_) => return false,
+        let Engine::Sbrp(unit) = &mut self.engine else {
+            return false;
         };
+        let mut actions = std::mem::take(&mut self.scratch_actions);
+        let mut resumable = std::mem::take(&mut self.scratch_resumable);
+        unit.tick_into(1, &mut actions);
+        unit.take_resumable_into(&mut resumable);
         let progress = !actions.is_empty() || !resumable.is_empty();
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 DrainAction::Flush { line, tokens, .. } => {
                     let dest = PersistDest::Sbrp {
@@ -870,7 +875,7 @@ impl Sm {
                 }
             }
         }
-        for (w, reason) in resumable {
+        for (w, reason) in resumable.drain(..) {
             let slot = w.index();
             debug_assert_eq!(
                 self.warps[slot]
@@ -906,6 +911,8 @@ impl Sm {
                 }
             }
         }
+        self.scratch_actions = actions;
+        self.scratch_resumable = resumable;
         progress
     }
 
@@ -1187,7 +1194,9 @@ impl Sm {
                         StoreOutcome::Coalesced | StoreOutcome::NewEntry
                     ),
                     Engine::Epoch(_) => {
-                        self.line_tokens.entry(line).or_default().extend(tokens);
+                        if !tokens.is_empty() {
+                            self.line_tokens[line as usize].extend(tokens);
+                        }
                         true
                     }
                 };
@@ -1222,7 +1231,7 @@ impl Sm {
                     }
                     m
                 });
-                *self.line_written.entry(line).or_insert(0) |= mask;
+                self.line_written[line as usize] |= mask;
                 self.commit_store_group(slot, ms);
             }
             Plan::StoreVol { addr } => match self.ensure_line(slot, addr, ms, cycle) {

@@ -614,3 +614,47 @@ fn too_many_warp_slots_is_rejected_up_front() {
     };
     let _ = Gpu::new(&cfg);
 }
+
+/// A line wider than an SM's 128-bit written-byte mask is rejected when
+/// the GPU is built: a 256-byte line would overflow the store path's
+/// byte-mask shift.
+#[test]
+#[should_panic(expected = "line_bytes must be a power of two of at most 128 bytes")]
+fn line_wider_than_the_byte_mask_is_rejected_up_front() {
+    let cfg = GpuConfig {
+        line_bytes: 256,
+        ..GpuConfig::small(ModelKind::Sbrp, SystemDesign::PmNear)
+    };
+    let _ = Gpu::new(&cfg);
+}
+
+/// A line size that is not a power of two is rejected too: line
+/// alignment masks the address with `line_bytes - 1`.
+#[test]
+#[should_panic(expected = "line_bytes must be a power of two")]
+fn non_power_of_two_line_is_rejected_up_front() {
+    let cfg = GpuConfig {
+        line_bytes: 96,
+        ..GpuConfig::small(ModelKind::Sbrp, SystemDesign::PmNear)
+    };
+    let _ = Gpu::new(&cfg);
+}
+
+/// Lines narrower than a line write persist correctly under every
+/// model: each flush snapshots only its own line's bytes.
+#[test]
+fn narrow_lines_persist_every_store() {
+    for model in ModelKind::ALL {
+        let cfg = GpuConfig {
+            line_bytes: 64,
+            ..GpuConfig::small(model, SystemDesign::PmNear)
+        };
+        let mut gpu = Gpu::new(&cfg);
+        gpu.launch(&persist_fill_kernel(PM_BASE), LaunchConfig::new(4, 128));
+        let report = gpu.run(LIMIT).unwrap_or_else(|e| panic!("{model:?}: {e}"));
+        assert_eq!(report.outcome, RunOutcome::Completed);
+        for t in 0..4 * 128u64 {
+            assert_eq!(gpu.read_durable_u64(PM_BASE + t * 8), t + 1, "{model:?}");
+        }
+    }
+}
