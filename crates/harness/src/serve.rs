@@ -473,6 +473,10 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
     let mut batches = 0u64;
     let mut latencies: Vec<u64> = Vec::with_capacity(n);
     let mut verify_error: Option<String> = None;
+    // Per-batch buffers, cleared for each batch rather than rebuilt.
+    let mut members: Vec<usize> = Vec::new();
+    let mut lanes: Vec<LaneOp> = Vec::new();
+    let mut lane_of: HashMap<u64, usize> = HashMap::new();
     let fail = |slot: &mut Option<String>, msg: String| {
         if slot.is_none() {
             *slot = Some(msg);
@@ -547,19 +551,17 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
 
         // Form the batch: pop up to `batch` requests and coalesce them
         // into one lane per key. Multiple writes to a key collapse to
-        // the last one; gets are answered host-side from the reference
-        // (+ in-batch overlay), and a key whose lane stays a pure get
-        // is additionally read kernel-side and checked.
-        let mut members = Vec::new();
+        // the last one, and a key whose lane stays a pure get is read
+        // kernel-side and checked against the reference.
+        members.clear();
+        lanes.clear();
+        lane_of.clear();
         while members.len() < spec.batch as usize {
             match queue.pop_front() {
                 Some(i) => members.push(i),
                 None => break,
             }
         }
-        let mut lanes: Vec<LaneOp> = Vec::new();
-        let mut lane_of: HashMap<u64, usize> = HashMap::new();
-        let mut overlay: HashMap<u64, u64> = HashMap::new();
         for &i in &members {
             let r = &trace[i];
             match r.op {
@@ -574,7 +576,6 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
                     }
                 }
                 ReqOp::Put | ReqOp::Delete => {
-                    overlay.insert(r.key, r.value);
                     if let Some(&l) = lane_of.get(&r.key) {
                         lanes[l].op = OP_WRITE;
                         lanes[l].value = r.value;
@@ -600,7 +601,7 @@ pub fn run_service_detailed(spec: &ServeSpec) -> Result<(ServeOutput, ServeDetai
         if report.outcome == RunOutcome::Crashed {
             // Crash mid-batch: the batch never acked. The run stopped
             // at the crash cycle, so the crash branch above recovers.
-            in_flight = members;
+            in_flight.clone_from(&members);
             continue;
         }
 

@@ -71,6 +71,7 @@ impl BinOp {
     /// # Panics
     /// Panics on division or remainder by zero (a kernel bug).
     #[must_use]
+    #[inline]
     pub fn apply(self, a: u64, b: u64) -> u64 {
         match self {
             BinOp::Add => a.wrapping_add(b),
@@ -119,7 +120,7 @@ pub enum Special {
 /// Loads and stores address *bytes*; whether an access is persistent is a
 /// property of the address (the NVM range of the simulator's address
 /// map), exactly as in the paper's software model (§3).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Instr {
     /// `dst = imm`.
     MovI(Reg, u64),

@@ -7,13 +7,19 @@
 //! [`WarpInterp::complete_load`] / [`WarpInterp::complete`], after which
 //! stepping resumes past the instruction.
 //!
-//! Divergence is handled structurally: `if`/`while` narrow the active
-//! lane mask for their bodies and reconverge on exit.
+//! The warp runs the kernel's lowered [`Code`]: a flat op array in which
+//! every statement block is a contiguous op range. Divergence is handled
+//! by a reconvergence stack of `Copy` entries. A block entry runs an op
+//! range under an active lane mask until the range's end, where its
+//! lanes reconverge; a loop entry re-tests its condition each trip and
+//! narrows its mask as lanes leave. ALU instructions dispatch their
+//! operation once per warp instruction and then loop over the
+//! 32-lane register rows.
 
-use crate::instr::{Instr, MemWidth, Special};
+use crate::code::{Code, Op};
+use crate::instr::{BinOp, Instr, MemWidth, Special};
 use crate::kernel::{Kernel, LaunchConfig};
 use crate::reg::Reg;
-use crate::stmt::Stmt;
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::scope::{Scope, WARP_SIZE};
 use std::sync::Arc;
@@ -28,6 +34,42 @@ pub fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
             l
         })
     })
+}
+
+/// One register across the warp's lanes.
+type Row = [u64; WARP_SIZE];
+
+/// Writes `f(lane)` into `dst` for the lanes of `mask`. A full mask is a
+/// plain loop over every lane, which the compiler can vectorize; a
+/// partial mask visits only active lanes, so `f` never runs (and never
+/// panics, as a division by zero does) on an inactive one.
+#[inline(always)]
+fn write_row(dst: &mut Row, mask: u32, f: impl Fn(usize) -> u64) {
+    if mask == u32::MAX {
+        for (l, d) in dst.iter_mut().enumerate() {
+            *d = f(l);
+        }
+    } else {
+        for l in lanes_of(mask) {
+            dst[l] = f(l);
+        }
+    }
+}
+
+/// `dst = op(a, b)` on the lanes of `mask`, matching `op` once.
+#[inline(always)]
+fn bin_row(op: BinOp, dst: &mut Row, mask: u32, a: &Row, b: impl Fn(usize) -> u64) {
+    macro_rules! per_op {
+        ($($v:ident),*) => {
+            match op {
+                $(BinOp::$v => write_row(dst, mask, |l| BinOp::$v.apply(a[l], b(l))),)*
+            }
+        };
+    }
+    per_op!(
+        Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max, SetLt, SetLe, SetEq, SetNe,
+        SetGt, SetGe
+    );
 }
 
 /// What kind of plain memory access a warp issued.
@@ -109,17 +151,22 @@ pub enum StepResult {
     Done,
 }
 
-#[derive(Clone, Debug)]
-enum Frame {
+/// One entry of a warp's reconvergence stack.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    /// Running `block`'s ops from `pc` under `mask`; at `end` the block
+    /// is finished and its lanes reconverge into the entry below.
     Block {
-        stmts: Arc<[Stmt]>,
-        idx: usize,
+        pc: u32,
+        end: u32,
         mask: u32,
+        block: u32,
     },
+    /// A loop over the `While` op at `header` with its live lanes `mask`;
+    /// `in_body` is set while the body block above it runs (otherwise
+    /// the condition block runs, or is about to be tested).
     Loop {
-        cond_b: Arc<[Stmt]>,
-        cond: Reg,
-        body: Arc<[Stmt]>,
+        header: u32,
         mask: u32,
         in_body: bool,
     },
@@ -196,18 +243,21 @@ enum Pending {
 /// # Branching executions
 ///
 /// `WarpInterp` is `Clone`, and cloning is cheap relative to a kernel
-/// run (registers and the frame stack copy; the program is shared via
-/// `Arc`). A stateless model checker exploits this to branch an
-/// execution at every scheduling point: clone the interpreter, complete
-/// the outstanding action differently in each branch, and continue. The
-/// companion [`WarpInterp::fingerprint_into`] provides a canonical
-/// digest of the architectural state so converging branches can be
-/// deduplicated.
+/// run: it copies the register file and the fixed-size stack of `Copy`
+/// entries, and shares the lowered [`Code`] through `Arc`. A stateless
+/// model checker exploits this to branch an execution at every
+/// scheduling point: clone the interpreter, complete the outstanding
+/// action differently in each branch, and continue. The companion
+/// [`WarpInterp::fingerprint_into`] provides a canonical digest of the
+/// architectural state so converging branches can be deduplicated.
 #[derive(Clone)]
 pub struct WarpInterp {
-    params: Arc<Vec<u64>>,
-    regs: Box<[[u64; WARP_SIZE]]>,
-    frames: Vec<Frame>,
+    code: Arc<Code>,
+    regs: Box<[Row]>,
+    /// The reconvergence stack, sized once to [`Code`]'s depth bound;
+    /// `stack[..sp]` is live, the top last.
+    stack: Box<[Entry]>,
+    sp: usize,
     pending: Option<Pending>,
     block_id: u32,
     warp_in_block: u32,
@@ -221,7 +271,7 @@ impl std::fmt::Debug for WarpInterp {
         f.debug_struct("WarpInterp")
             .field("block", &self.block_id)
             .field("warp", &self.warp_in_block)
-            .field("frames", &self.frames.len())
+            .field("stack", &self.sp)
             .field("done", &self.is_done())
             .finish()
     }
@@ -229,31 +279,55 @@ impl std::fmt::Debug for WarpInterp {
 
 impl WarpInterp {
     /// Creates the interpreter for warp `warp_in_block` of block
-    /// `block_id` of a kernel launch.
+    /// `block_id` of a kernel launch, lowering the kernel for it alone.
+    /// A launch of many warps lowers once and uses
+    /// [`WarpInterp::with_code`].
     #[must_use]
     pub fn new(kernel: &Kernel, launch: LaunchConfig, block_id: u32, warp_in_block: u32) -> Self {
+        Self::with_code(
+            &Arc::new(Code::lower(kernel)),
+            launch,
+            block_id,
+            warp_in_block,
+        )
+    }
+
+    /// Creates the interpreter for warp `warp_in_block` of block
+    /// `block_id` of a launch of the lowered kernel `code`.
+    #[must_use]
+    pub fn with_code(
+        code: &Arc<Code>,
+        launch: LaunchConfig,
+        block_id: u32,
+        warp_in_block: u32,
+    ) -> Self {
         assert!(warp_in_block < launch.warps_per_block());
         assert!(block_id < launch.blocks);
-        WarpInterp {
-            params: Arc::clone(kernel.params()),
-            regs: vec![[0u64; WARP_SIZE]; kernel.regs()].into_boxed_slice(),
-            frames: vec![Frame::Block {
-                stmts: Arc::clone(kernel.program()),
-                idx: 0,
-                mask: u32::MAX,
-            }],
+        let vacant = Entry::Loop {
+            header: 0,
+            mask: 0,
+            in_body: false,
+        };
+        let mut w = WarpInterp {
+            code: Arc::clone(code),
+            regs: vec![[0u64; WARP_SIZE]; code.regs()].into_boxed_slice(),
+            stack: vec![vacant; code.depth()].into_boxed_slice(),
+            sp: 0,
             pending: None,
             block_id,
             warp_in_block,
             launch,
             retired: 0,
-        }
+        };
+        // Block 0 is the kernel's top-level block, run by every lane.
+        w.push_block(0, u32::MAX);
+        w
     }
 
     /// Whether the warp has retired its last instruction.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.frames.is_empty() && self.pending.is_none()
+        self.sp == 0 && self.pending.is_none()
     }
 
     /// Dynamic instruction count retired so far.
@@ -281,18 +355,36 @@ impl WarpInterp {
         self.regs.get(r.index()).map_or(0, |lanes| lanes[lane])
     }
 
-    fn special(&self, s: Special, lane: usize) -> u64 {
-        let tid = u64::from(self.warp_in_block) * WARP_SIZE as u64 + lane as u64;
-        match s {
-            Special::Tid => tid,
-            Special::Ntid => u64::from(self.launch.threads_per_block),
-            Special::CtaId => u64::from(self.block_id),
-            Special::NCta => u64::from(self.launch.blocks),
-            Special::Lane => lane as u64,
-            Special::WarpId => u64::from(self.warp_in_block),
-            Special::GlobalTid => {
-                u64::from(self.block_id) * u64::from(self.launch.threads_per_block) + tid
-            }
+    /// The lanes whose `cond` is non-zero, as a mask.
+    fn lanes_set(&self, cond: Reg) -> u32 {
+        self.regs[cond.index()]
+            .iter()
+            .enumerate()
+            .fold(0, |m, (l, &v)| m | u32::from(v != 0) << l)
+    }
+
+    fn push(&mut self, e: Entry) {
+        self.stack[self.sp] = e;
+        self.sp += 1;
+    }
+
+    /// Pushes an entry running block `b` under `mask`.
+    fn push_block(&mut self, b: u32, mask: u32) {
+        let blk = self.code.block(b);
+        self.push(Entry::Block {
+            pc: blk.start,
+            end: blk.end,
+            mask,
+            block: b,
+        });
+    }
+
+    /// Pushes block `b` under `mask` unless no lane takes it or it is
+    /// empty.
+    fn push_branch(&mut self, b: u32, mask: u32) {
+        let blk = self.code.block(b);
+        if mask != 0 && blk.start != blk.end {
+            self.push_block(b, mask);
         }
     }
 
@@ -310,110 +402,87 @@ impl WarpInterp {
     /// # Panics
     /// Panics if called while a memory/fence action is outstanding.
     pub fn step(&mut self) -> StepResult {
+        self.step_reusing(&mut Vec::new())
+    }
+
+    /// [`WarpInterp::step`], taking the lane list of a memory or fence
+    /// action from `spare` when it holds one, so a driver that hands
+    /// finished lane lists back does not allocate per access.
+    ///
+    /// # Panics
+    /// Panics if called while a memory/fence action is outstanding.
+    pub fn step_reusing(&mut self, spare: &mut Vec<Vec<LaneAccess>>) -> StepResult {
         assert!(
             self.pending.is_none(),
             "step while an action is outstanding"
         );
         loop {
-            let Some(top) = self.frames.last_mut() else {
+            let Some(&top) = self.stack[..self.sp].last() else {
                 return StepResult::Done;
             };
             match top {
-                Frame::Loop {
-                    cond_b,
-                    cond,
-                    body,
+                Entry::Loop {
+                    header,
                     mask,
                     in_body,
                 } => {
-                    if *in_body {
+                    let Op::While { cond, cond_b, body } = self.code.op(header) else {
+                        unreachable!("a loop entry heads a while op")
+                    };
+                    if in_body {
                         // Body finished: re-evaluate the condition.
-                        *in_body = false;
-                        let frame = Frame::Block {
-                            stmts: Arc::clone(cond_b),
-                            idx: 0,
-                            mask: *mask,
+                        self.stack[self.sp - 1] = Entry::Loop {
+                            header,
+                            mask,
+                            in_body: false,
                         };
-                        self.frames.push(frame);
+                        self.push_block(cond_b, mask);
                         continue;
                     }
                     // Condition block finished: test per lane.
-                    let cond_reg = *cond;
-                    let live: u32 = lanes_of(*mask)
-                        .filter(|&l| self.regs[cond_reg.index()][l] != 0)
-                        .fold(0, |m, l| m | (1 << l));
+                    let live = self.lanes_set(cond) & mask;
                     if live == 0 {
-                        self.frames.pop();
+                        self.sp -= 1;
                         continue;
                     }
-                    let body_rc = Arc::clone(body);
-                    *mask = live;
-                    *in_body = true;
-                    self.frames.push(Frame::Block {
-                        stmts: body_rc,
-                        idx: 0,
+                    self.stack[self.sp - 1] = Entry::Loop {
+                        header,
                         mask: live,
-                    });
-                    continue;
+                        in_body: true,
+                    };
+                    self.push_block(body, live);
                 }
-                Frame::Block { stmts, idx, mask } => {
-                    if *idx >= stmts.len() {
-                        self.frames.pop();
+                Entry::Block { pc, end, mask, .. } => {
+                    if pc >= end {
+                        // Popped lazily, here: a finished block stays on
+                        // the stack (and in the fingerprint) until the
+                        // next step.
+                        self.sp -= 1;
                         continue;
                     }
-                    let mask = *mask;
-                    let stmt = &stmts[*idx];
-                    match stmt {
-                        Stmt::I(instr) => {
-                            let instr = instr.clone();
-                            return self.exec(instr, mask);
-                        }
-                        Stmt::If {
+                    match self.code.op(pc) {
+                        Op::I(instr) => return self.exec(instr, mask, spare),
+                        Op::If {
                             cond,
                             then_b,
                             else_b,
                         } => {
-                            let cond = *cond;
-                            let (then_b, else_b) = (Arc::clone(then_b), Arc::clone(else_b));
-                            *idx += 1;
-                            let taken: u32 = lanes_of(mask)
-                                .filter(|&l| self.regs[cond.index()][l] != 0)
-                                .fold(0, |m, l| m | (1 << l));
-                            let not_taken = mask & !taken;
+                            self.bump_pc();
+                            let taken = self.lanes_set(cond) & mask;
                             // Push else first so the then-branch runs first.
-                            if not_taken != 0 && !else_b.is_empty() {
-                                self.frames.push(Frame::Block {
-                                    stmts: else_b,
-                                    idx: 0,
-                                    mask: not_taken,
-                                });
-                            }
-                            if taken != 0 && !then_b.is_empty() {
-                                self.frames.push(Frame::Block {
-                                    stmts: then_b,
-                                    idx: 0,
-                                    mask: taken,
-                                });
-                            }
+                            self.push_branch(else_b, mask & !taken);
+                            self.push_branch(then_b, taken);
                             self.retired += 1;
                             return StepResult::Alu;
                         }
-                        Stmt::While { cond_b, cond, body } => {
-                            let (cond_b, body) = (Arc::clone(cond_b), Arc::clone(body));
-                            let cond = *cond;
-                            *idx += 1;
-                            self.frames.push(Frame::Loop {
-                                cond_b: Arc::clone(&cond_b),
-                                cond,
-                                body,
+                        Op::While { cond_b, .. } => {
+                            self.bump_pc();
+                            self.push(Entry::Loop {
+                                header: pc,
                                 mask,
                                 in_body: false,
                             });
-                            self.frames.push(Frame::Block {
-                                stmts: cond_b,
-                                idx: 0,
-                                mask,
-                            });
+                            self.push_block(cond_b, mask);
                             self.retired += 1;
                             return StepResult::Alu;
                         }
@@ -423,151 +492,174 @@ impl WarpInterp {
         }
     }
 
-    fn advance(&mut self) {
-        match self.frames.last_mut() {
-            Some(Frame::Block { idx, .. }) => *idx += 1,
-            other => panic!("advance with top frame {other:?}"),
+    /// Moves the top block entry past its current op.
+    fn bump_pc(&mut self) {
+        match self.stack[..self.sp].last_mut() {
+            Some(Entry::Block { pc, .. }) => *pc += 1,
+            other => panic!("advance with top entry {other:?}"),
         }
+    }
+
+    fn advance(&mut self) {
+        self.bump_pc();
         self.retired += 1;
     }
 
-    fn gather(&self, addr: Reg, off: i64, val: Option<Reg>, mask: u32) -> Vec<LaneAccess> {
-        let mut lanes = Vec::with_capacity(mask.count_ones() as usize);
-        lanes.extend(lanes_of(mask).map(|l| LaneAccess {
+    fn gather(
+        &self,
+        spare: &mut Vec<Vec<LaneAccess>>,
+        addr: Reg,
+        off: i64,
+        val: Option<Reg>,
+        mask: u32,
+    ) -> Vec<LaneAccess> {
+        let mut lanes = spare.pop().unwrap_or_default();
+        lanes.clear();
+        lanes.reserve(mask.count_ones() as usize);
+        let addrs = &self.regs[addr.index()];
+        let vals = val.map(|v| &self.regs[v.index()]);
+        let lane = |l: usize| LaneAccess {
             lane: l as u8,
-            addr: self.regs[addr.index()][l].wrapping_add_signed(off),
-            value: val.map_or(0, |v| self.regs[v.index()][l]),
-        }));
+            addr: addrs[l].wrapping_add_signed(off),
+            value: vals.map_or(0, |v| v[l]),
+        };
+        if mask == u32::MAX {
+            lanes.extend((0..WARP_SIZE).map(lane));
+        } else {
+            lanes.extend(lanes_of(mask).map(lane));
+        }
         lanes
     }
 
-    fn exec(&mut self, instr: Instr, mask: u32) -> StepResult {
+    /// Runs an ALU instruction on the lanes of `mask`.
+    fn alu(&mut self, instr: Instr, mask: u32) {
         match instr {
-            Instr::MovI(d, v) => {
-                for l in lanes_of(mask) {
-                    self.regs[d.index()][l] = v;
-                }
-                self.advance();
-                StepResult::Alu
-            }
+            Instr::MovI(d, v) => write_row(&mut self.regs[d.index()], mask, |_| v),
             Instr::Mov(d, s) => {
-                for l in lanes_of(mask) {
-                    self.regs[d.index()][l] = self.regs[s.index()][l];
-                }
-                self.advance();
-                StepResult::Alu
+                let s = self.regs[s.index()];
+                write_row(&mut self.regs[d.index()], mask, |l| s[l]);
             }
             Instr::Bin(op, d, a, b) => {
-                for l in lanes_of(mask) {
-                    self.regs[d.index()][l] =
-                        op.apply(self.regs[a.index()][l], self.regs[b.index()][l]);
-                }
-                self.advance();
-                StepResult::Alu
+                let (a, b) = (self.regs[a.index()], self.regs[b.index()]);
+                bin_row(op, &mut self.regs[d.index()], mask, &a, |l| b[l]);
             }
             Instr::BinI(op, d, a, imm) => {
-                for l in lanes_of(mask) {
-                    self.regs[d.index()][l] = op.apply(self.regs[a.index()][l], imm);
-                }
-                self.advance();
-                StepResult::Alu
+                let a = self.regs[a.index()];
+                bin_row(op, &mut self.regs[d.index()], mask, &a, |_| imm);
             }
             Instr::Spec(d, s) => {
-                for l in lanes_of(mask) {
-                    self.regs[d.index()][l] = self.special(s, l);
-                }
-                self.advance();
-                StepResult::Alu
+                // Each special is `base + per_lane * lane`.
+                let tid0 = u64::from(self.warp_in_block) * WARP_SIZE as u64;
+                let tpb = u64::from(self.launch.threads_per_block);
+                let (base, per_lane) = match s {
+                    Special::Tid => (tid0, 1),
+                    Special::Ntid => (tpb, 0),
+                    Special::CtaId => (u64::from(self.block_id), 0),
+                    Special::NCta => (u64::from(self.launch.blocks), 0),
+                    Special::Lane => (0, 1),
+                    Special::WarpId => (u64::from(self.warp_in_block), 0),
+                    Special::GlobalTid => (u64::from(self.block_id) * tpb + tid0, 1),
+                };
+                write_row(&mut self.regs[d.index()], mask, |l| {
+                    base + per_lane * l as u64
+                });
             }
             Instr::Param(d, i) => {
                 let v = *self
-                    .params
+                    .code
+                    .params()
                     .get(usize::from(i))
                     .unwrap_or_else(|| panic!("kernel param {i} missing"));
-                for l in lanes_of(mask) {
-                    self.regs[d.index()][l] = v;
-                }
-                self.advance();
-                StepResult::Alu
+                write_row(&mut self.regs[d.index()], mask, |_| v);
             }
             Instr::Select(d, c, a, b) => {
-                for l in lanes_of(mask) {
-                    self.regs[d.index()][l] = if self.regs[c.index()][l] != 0 {
-                        self.regs[a.index()][l]
+                let (c, a, b) = (
+                    self.regs[c.index()],
+                    self.regs[a.index()],
+                    self.regs[b.index()],
+                );
+                write_row(&mut self.regs[d.index()], mask, |l| {
+                    if c[l] != 0 {
+                        a[l]
                     } else {
-                        self.regs[b.index()][l]
-                    };
-                }
+                        b[l]
+                    }
+                });
+            }
+            other => unreachable!("{other} is not an ALU instruction"),
+        }
+    }
+
+    fn exec(&mut self, instr: Instr, mask: u32, spare: &mut Vec<Vec<LaneAccess>>) -> StepResult {
+        let (pending, result) = match instr {
+            Instr::MovI(..)
+            | Instr::Mov(..)
+            | Instr::Bin(..)
+            | Instr::BinI(..)
+            | Instr::Spec(..)
+            | Instr::Param(..)
+            | Instr::Select(..) => {
+                self.alu(instr, mask);
                 self.advance();
-                StepResult::Alu
+                return StepResult::Alu;
             }
             Instr::Sleep(n) => {
                 self.advance();
-                StepResult::Sleep(n)
+                return StepResult::Sleep(n);
             }
-            Instr::Ld(d, a, off, w) => {
-                let lanes = self.gather(a, off, None, mask);
-                self.pending = Some(Pending::Values { dst: d, mask });
-                StepResult::Mem(MemAccess {
-                    kind: AccessKind::Load,
-                    width: w,
-                    lanes,
-                })
+            Instr::Ld(d, a, off, w) | Instr::LdVol(d, a, off, w) => {
+                let kind = if matches!(instr, Instr::Ld(..)) {
+                    AccessKind::Load
+                } else {
+                    AccessKind::LoadVolatile
+                };
+                let lanes = self.gather(spare, a, off, None, mask);
+                (
+                    Pending::Values { dst: d, mask },
+                    StepResult::Mem(MemAccess {
+                        kind,
+                        width: w,
+                        lanes,
+                    }),
+                )
             }
-            Instr::LdVol(d, a, off, w) => {
-                let lanes = self.gather(a, off, None, mask);
-                self.pending = Some(Pending::Values { dst: d, mask });
-                StepResult::Mem(MemAccess {
-                    kind: AccessKind::LoadVolatile,
-                    width: w,
-                    lanes,
-                })
-            }
-            Instr::St(a, off, s, w) => {
-                let lanes = self.gather(a, off, Some(s), mask);
-                self.pending = Some(Pending::Plain);
+            Instr::St(a, off, s, w) => (
+                Pending::Plain,
                 StepResult::Mem(MemAccess {
                     kind: AccessKind::Store,
                     width: w,
-                    lanes,
-                })
-            }
-            Instr::AtomAdd(d, a, v, w) => {
-                let lanes = self.gather(a, 0, Some(v), mask);
-                self.pending = Some(Pending::Values { dst: d, mask });
+                    lanes: self.gather(spare, a, off, Some(s), mask),
+                }),
+            ),
+            Instr::AtomAdd(d, a, v, w) => (
+                Pending::Values { dst: d, mask },
                 StepResult::Mem(MemAccess {
                     kind: AccessKind::AtomAdd,
                     width: w,
-                    lanes,
-                })
-            }
-            Instr::PAcq(d, a, scope) => {
-                let lanes = self.gather(a, 0, None, mask);
-                self.pending = Some(Pending::Values { dst: d, mask });
-                StepResult::Fence(FenceAccess::PAcq { scope, lanes })
-            }
-            Instr::PRel(a, v, scope) => {
-                let lanes = self.gather(a, 0, Some(v), mask);
-                self.pending = Some(Pending::Plain);
-                StepResult::Fence(FenceAccess::PRel { scope, lanes })
-            }
-            Instr::OFence => {
-                self.pending = Some(Pending::Plain);
-                StepResult::Fence(FenceAccess::OFence)
-            }
-            Instr::DFence => {
-                self.pending = Some(Pending::Plain);
-                StepResult::Fence(FenceAccess::DFence)
-            }
-            Instr::SyncBlock => {
-                self.pending = Some(Pending::Plain);
-                StepResult::Fence(FenceAccess::SyncBlock)
-            }
-            Instr::EpochBarrier => {
-                self.pending = Some(Pending::Plain);
-                StepResult::Fence(FenceAccess::EpochBarrier)
-            }
-        }
+                    lanes: self.gather(spare, a, 0, Some(v), mask),
+                }),
+            ),
+            Instr::PAcq(d, a, scope) => (
+                Pending::Values { dst: d, mask },
+                StepResult::Fence(FenceAccess::PAcq {
+                    scope,
+                    lanes: self.gather(spare, a, 0, None, mask),
+                }),
+            ),
+            Instr::PRel(a, v, scope) => (
+                Pending::Plain,
+                StepResult::Fence(FenceAccess::PRel {
+                    scope,
+                    lanes: self.gather(spare, a, 0, Some(v), mask),
+                }),
+            ),
+            Instr::OFence => (Pending::Plain, StepResult::Fence(FenceAccess::OFence)),
+            Instr::DFence => (Pending::Plain, StepResult::Fence(FenceAccess::DFence)),
+            Instr::SyncBlock => (Pending::Plain, StepResult::Fence(FenceAccess::SyncBlock)),
+            Instr::EpochBarrier => (Pending::Plain, StepResult::Fence(FenceAccess::EpochBarrier)),
+        };
+        self.pending = Some(pending);
+        result
     }
 
     /// Completes a value-producing action (load, `pAcq`, `atomAdd`);
@@ -584,8 +676,13 @@ impl WarpInterp {
                     values.len(),
                     "lane/value count mismatch"
                 );
-                for (lane, &v) in lanes_of(mask).zip(values) {
-                    self.regs[dst.index()][lane] = v;
+                let row = &mut self.regs[dst.index()];
+                if mask == u32::MAX {
+                    row.copy_from_slice(values);
+                } else {
+                    for (lane, &v) in lanes_of(mask).zip(values) {
+                        row[lane] = v;
+                    }
                 }
                 self.advance();
             }
@@ -621,18 +718,24 @@ impl WarpInterp {
     ///
     /// Two interpreters with equal fingerprint inputs behave identically
     /// for every future `step`/`complete` sequence: the digest covers
-    /// registers (sparsely: only non-zero lanes), the frame stack
-    /// (blocks identified by their stable [`crate::BlockIndex`] id, so
-    /// the digest is reproducible across processes), and the pending
-    /// action. The `retired` statistic is deliberately excluded — a
-    /// spin-loop iteration that changes nothing architectural must not
-    /// change the fingerprint, or a model checker could never prune
-    /// repeated spins.
+    /// registers (sparsely: only non-zero lanes), the stack (blocks
+    /// identified by their stable [`crate::BlockIndex`] id and the
+    /// offset of the entry's op within its block, so the digest is
+    /// reproducible across processes and equal to that of the statement
+    /// tree the code was lowered from), and the pending action. The
+    /// `retired` statistic is deliberately excluded — a spin-loop
+    /// iteration that changes nothing architectural must not change the
+    /// fingerprint, or a model checker could never prune repeated spins.
     ///
     /// # Panics
-    /// Panics if `blocks` was built from a different kernel than this
-    /// interpreter runs.
+    /// Panics if `blocks` indexes a different number of blocks than the
+    /// kernel this interpreter runs (it was built from another kernel).
     pub fn fingerprint_into(&self, blocks: &crate::kernel::BlockIndex, fp: &mut Fingerprint) {
+        assert_eq!(
+            blocks.len(),
+            self.code.block_ids(),
+            "block index of another kernel"
+        );
         fp.write_u64(u64::from(self.block_id));
         fp.write_u64(u64::from(self.warp_in_block));
         for (r, lanes) in self.regs.iter().enumerate() {
@@ -643,28 +746,32 @@ impl WarpInterp {
                 }
             }
         }
-        fp.write_u64(self.frames.len() as u64);
-        for f in &self.frames {
-            match f {
-                Frame::Block { stmts, idx, mask } => {
+        fp.write_u64(self.sp as u64);
+        for e in &self.stack[..self.sp] {
+            match *e {
+                Entry::Block {
+                    pc, mask, block, ..
+                } => {
+                    let b = self.code.block(block);
                     fp.write_u64(1);
-                    fp.write_u64(u64::from(blocks.id_of(stmts)));
-                    fp.write_u64(*idx as u64);
-                    fp.write_u64(u64::from(*mask));
+                    fp.write_u64(u64::from(b.id));
+                    fp.write_u64(u64::from(pc - b.start));
+                    fp.write_u64(u64::from(mask));
                 }
-                Frame::Loop {
-                    cond_b,
-                    cond,
-                    body,
+                Entry::Loop {
+                    header,
                     mask,
                     in_body,
                 } => {
+                    let Op::While { cond, cond_b, body } = self.code.op(header) else {
+                        unreachable!("a loop entry heads a while op")
+                    };
                     fp.write_u64(2);
-                    fp.write_u64(u64::from(blocks.id_of(cond_b)));
-                    fp.write_u64(u64::from(blocks.id_of(body)));
+                    fp.write_u64(u64::from(self.code.block(cond_b).id));
+                    fp.write_u64(u64::from(self.code.block(body).id));
                     fp.write_u64(cond.index() as u64);
-                    fp.write_u64(u64::from(*mask));
-                    fp.write_u64(u64::from(*in_body));
+                    fp.write_u64(u64::from(mask));
+                    fp.write_u64(u64::from(in_body));
                 }
             }
         }

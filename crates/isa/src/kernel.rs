@@ -145,9 +145,10 @@ impl Kernel {
     /// in the program tree (the top-level block, `if` branches, `while`
     /// condition and body blocks), in deterministic pre-order.
     ///
-    /// [`crate::WarpInterp::fingerprint_into`] uses these ids to name
-    /// the blocks on the interpreter's frame stack, so two processes
-    /// exploring the same kernel compute identical state fingerprints.
+    /// [`crate::Code::lower`] records these ids in the lowered program
+    /// and [`crate::WarpInterp::fingerprint_into`] uses them to name the
+    /// blocks on the interpreter's stack, so two processes exploring the
+    /// same kernel compute identical state fingerprints.
     #[must_use]
     pub fn block_index(&self) -> BlockIndex {
         let mut ids = std::collections::HashMap::new();
@@ -243,6 +244,11 @@ impl BlockIndex {
             .ids
             .get(&(Arc::as_ptr(block) as *const Stmt as usize))
             .expect("block not part of the indexed kernel")
+    }
+
+    /// The number of distinct blocks indexed.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
     }
 }
 

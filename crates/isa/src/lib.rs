@@ -16,13 +16,15 @@
 //!   `pAcq`/`pRel`, and the GPM/Epoch `epochBarrier`.
 //!
 //! Control flow is *structured* (`if`/`while` statement trees rather than
-//! a CFG), which lets the per-warp interpreter handle SIMT divergence
-//! with nothing more than nested active masks — no immediate
-//! post-dominator analysis.
+//! a CFG). [`Code::lower`] flattens a kernel's tree into one op array in
+//! which every block is a contiguous op range, so a block's end is its
+//! lanes' reconvergence point — the immediate post-dominator comes from
+//! the structure, with no CFG analysis.
 //!
 //! [`KernelBuilder`] is the ergonomic way to write kernels;
-//! [`WarpInterp`] executes one warp in lockstep, yielding memory/fence
-//! actions to the timing simulator and resuming when they complete.
+//! [`WarpInterp`] executes one warp of lowered code in lockstep on a
+//! reconvergence stack, yielding memory/fence actions to the timing
+//! simulator and resuming when they complete.
 //!
 //! ```
 //! use sbrp_isa::{KernelBuilder, MemWidth, Special};
@@ -46,6 +48,7 @@
 
 pub mod affine;
 mod builder;
+mod code;
 pub mod geometry;
 mod instr;
 mod interp;
@@ -55,6 +58,7 @@ mod stmt;
 
 pub use affine::Affine;
 pub use builder::KernelBuilder;
+pub use code::Code;
 pub use geometry::{rep_pairs, sample_threads, RepThread, ScopeLevel};
 pub use instr::{BinOp, Instr, MemWidth, Special};
 pub use interp::{

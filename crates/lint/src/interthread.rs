@@ -1309,7 +1309,7 @@ pub fn apply_fix(kernel: &Kernel, fix: &Fix) -> Kernel {
                     let loc = *pc;
                     *pc += 1;
                     let mut drop = false;
-                    let mut instr = i.clone();
+                    let mut instr = *i;
                     for e in edits {
                         match e {
                             Edit::DropInstr { loc: l } if *l == loc => drop = true,

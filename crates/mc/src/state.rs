@@ -45,8 +45,9 @@ use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::formal::{EventId, PmoGraph, TraceBuilder};
 use sbrp_core::ops::{ModelKind, PersistOpKind};
 use sbrp_core::scope::{Scope, ThreadPos, WARP_SIZE};
-use sbrp_isa::{AccessKind, BlockIndex, FenceAccess, LaneAccess, StepResult, WarpInterp};
+use sbrp_isa::{AccessKind, BlockIndex, Code, FenceAccess, LaneAccess, StepResult, WarpInterp};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// Cache-line size of the persist buffer (matches the simulator).
 pub const LINE_BYTES: u64 = 128;
@@ -171,10 +172,11 @@ impl State {
         let wpb = program.launch.warps_per_block();
         let total = (program.launch.blocks * wpb) as usize;
         let mut warps = Vec::with_capacity(total);
+        let code = Arc::new(Code::lower(&program.kernel));
         for b in 0..program.launch.blocks {
             for w in 0..wpb {
                 let mut ws = WarpState {
-                    interp: WarpInterp::new(&program.kernel, program.launch, b, w),
+                    interp: WarpInterp::with_code(&code, program.launch, b, w),
                     parked: None,
                     arrived: false,
                     done: false,

@@ -8,7 +8,8 @@ use crate::sm::Sm;
 use crate::stats::SimStats;
 use crate::trace::TraceCapture;
 use sbrp_core::scope::MAX_WARPS_PER_SM;
-use sbrp_isa::{Kernel, LaunchConfig};
+use sbrp_isa::{Code, Kernel, LaunchConfig};
+use std::sync::Arc;
 
 /// Why a run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,7 +87,8 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 struct ActiveLaunch {
-    kernel: Kernel,
+    /// The kernel, lowered once for every warp of the launch.
+    code: Arc<Code>,
     launch: LaunchConfig,
     next_block: u32,
     /// `completed_blocks` sum across SMs that marks launch completion.
@@ -311,7 +313,7 @@ impl Gpu {
         );
         let completed_now: u64 = self.sms.iter().map(|s| s.completed_blocks).sum();
         self.active = Some(ActiveLaunch {
-            kernel: kernel.clone(),
+            code: Arc::new(Code::lower(kernel)),
             launch,
             next_block: 0,
             target_completed: completed_now + u64::from(launch.blocks),
@@ -326,7 +328,7 @@ impl Gpu {
         };
         'outer: while active.next_block < active.launch.blocks {
             for sm in &mut self.sms {
-                if sm.try_place_block(&active.kernel, active.launch, active.next_block) {
+                if sm.try_place_block(&active.code, active.launch, active.next_block) {
                     active.next_block += 1;
                     continue 'outer;
                 }

@@ -15,9 +15,10 @@ use sbrp_core::scope::{Scope, ThreadPos, WarpSlot};
 use sbrp_core::stall::{StallBreakdown, StallCause};
 use sbrp_core::ModelKind;
 use sbrp_isa::{
-    lanes_of, AccessKind, FenceAccess, Kernel, LaneAccess, LaunchConfig, MemWidth, StepResult,
+    lanes_of, AccessKind, Code, FenceAccess, LaneAccess, LaunchConfig, MemWidth, StepResult,
     WarpInterp,
 };
+use std::sync::Arc;
 
 /// The per-SM persistency hardware. One instance per SM, held inline:
 /// the PersistUnit's size is fine unboxed and stays off the heap on
@@ -105,6 +106,9 @@ struct WarpCtx {
     since: u64,
 }
 
+/// A block's warp slots and barrier state. The entry is vacant while
+/// `live == 0`; a vacant entry keeps its buffers for the next block
+/// placed in it.
 struct ResidentBlock {
     slots: Vec<usize>,
     live: u32,
@@ -140,7 +144,7 @@ pub struct Sm {
     l1: crate::mem::Cache,
     engine: Engine,
     warps: Vec<Option<WarpCtx>>,
-    blocks: Vec<Option<ResidentBlock>>,
+    blocks: Vec<ResidentBlock>,
     /// Trace tokens of dirty PM lines, by L1 line. Empty unless an epoch
     /// engine runs with tracing on: untraced stores carry no tokens, and
     /// SBRP's persist buffer carries its own.
@@ -178,6 +182,15 @@ pub struct Sm {
     /// the persist unit's per-cycle output does not allocate.
     scratch_actions: Vec<DrainAction>,
     scratch_resumable: Vec<(WarpSlot, BlockReason)>,
+    /// Lane lists and coalesced groups of finished memory instructions,
+    /// handed back to the interpreter and to `coalesce` so the issue
+    /// path does not allocate per access. Emptied when the SM has no
+    /// resident warp.
+    spare_lanes: Vec<Vec<LaneAccess>>,
+    spare_groups: Vec<Vec<Group>>,
+    /// The barrier-arrival list swapped out of a block while its warps
+    /// are released.
+    scratch_arrived: Vec<usize>,
     /// Blocks completed on this SM.
     pub completed_blocks: u64,
     counters: SmCounters,
@@ -226,6 +239,9 @@ impl Sm {
             scratch_vals: Vec::new(),
             scratch_actions: Vec::new(),
             scratch_resumable: Vec::new(),
+            spare_lanes: Vec::new(),
+            spare_groups: Vec::new(),
+            scratch_arrived: Vec::new(),
             completed_blocks: 0,
             counters: SmCounters::default(),
             stall: StallBreakdown::default(),
@@ -318,10 +334,11 @@ impl Sm {
         }
     }
 
-    /// Places a block on this SM if enough warp slots are free.
+    /// Places a block of a launch of the lowered kernel `code` on this
+    /// SM if enough warp slots are free.
     pub fn try_place_block(
         &mut self,
-        kernel: &Kernel,
+        code: &Arc<Code>,
         launch: LaunchConfig,
         block_id: u32,
     ) -> bool {
@@ -332,21 +349,30 @@ impl Sm {
         if (self.free_slots as usize) < need {
             return false;
         }
-        let free: Vec<usize> = (0..self.warps.len())
-            .filter(|&i| self.warps[i].is_none())
-            .take(need)
-            .collect();
-        debug_assert_eq!(free.len(), need);
-        let block_slot = match self.blocks.iter().position(Option::is_none) {
+        let block_slot = match self.blocks.iter().position(|b| b.live == 0) {
             Some(i) => i,
             None => {
-                self.blocks.push(None);
+                self.blocks.push(ResidentBlock {
+                    slots: Vec::new(),
+                    live: 0,
+                    arrived: Vec::new(),
+                });
                 self.blocks.len() - 1
             }
         };
-        for (w, &slot) in free.iter().enumerate() {
+        let blk = &mut self.blocks[block_slot];
+        debug_assert!(blk.arrived.is_empty());
+        blk.slots.clear();
+        blk.slots.extend(
+            (0..self.warps.len())
+                .filter(|&i| self.warps[i].is_none())
+                .take(need),
+        );
+        debug_assert_eq!(blk.slots.len(), need);
+        blk.live = need as u32;
+        for (w, &slot) in blk.slots.iter().enumerate() {
             self.warps[slot] = Some(WarpCtx {
-                interp: WarpInterp::new(kernel, launch, block_id, w as u32),
+                interp: WarpInterp::with_code(code, launch, block_id, w as u32),
                 block_slot,
                 blocked: None,
                 op: None,
@@ -356,11 +382,6 @@ impl Sm {
                 since: 0,
             });
         }
-        self.blocks[block_slot] = Some(ResidentBlock {
-            slots: free,
-            live: need as u32,
-            arrived: Vec::new(),
-        });
         self.free_slots -= need as u32;
         self.ready += need as u32;
         true
@@ -401,15 +422,23 @@ impl Sm {
         )
     }
 
-    fn coalesce(&self, lanes: &[LaneAccess]) -> Vec<Group> {
+    fn coalesce(&mut self, lanes: &[LaneAccess]) -> Vec<Group> {
         // A warp touches at most 32 lines, so a linear scan beats a
         // HashMap here; insertion order (first-touch) is preserved.
         debug_assert!(lanes.len() <= 32, "a warp access has at most 32 lanes");
-        let mut groups: Vec<Group> = Vec::new();
+        let mut groups = self.spare_groups.pop().unwrap_or_default();
         for (i, la) in lanes.iter().enumerate() {
             let line = la.addr & !u64::from(self.line_bytes - 1);
-            match groups.iter_mut().find(|g| g.addr == line) {
-                Some(g) => g.lanes |= 1 << i,
+            // Neighbouring lanes mostly share a line: try the newest
+            // group before scanning (groups have distinct lines, so the
+            // scan would find the same one).
+            let found = if groups.last().is_some_and(|g| g.addr == line) {
+                Some(groups.len() - 1)
+            } else {
+                groups.iter().position(|g| g.addr == line)
+            };
+            match found {
+                Some(j) => groups[j].lanes |= 1 << i,
                 None => groups.push(Group {
                     addr: line,
                     lanes: 1 << i,
@@ -418,6 +447,14 @@ impl Sm {
             }
         }
         groups
+    }
+
+    /// Keeps a finished memory instruction's buffers for reuse. The
+    /// groups are cleared now, so a pooled list holds no trace tokens.
+    fn recycle(&mut self, mut op: MemOp) {
+        op.groups.clear();
+        self.spare_lanes.push(op.lanes);
+        self.spare_groups.push(op.groups);
     }
 
     /// Makes `addr`'s line resident, handling the victim. `Err(())`
@@ -957,7 +994,11 @@ impl Sm {
         if !retried {
             self.counters.instructions += 1;
         }
-        let result = self.warps[slot].as_mut().expect("warp").interp.step();
+        let result = self.warps[slot]
+            .as_mut()
+            .expect("warp")
+            .interp
+            .step_reusing(&mut self.spare_lanes);
         match result {
             StepResult::Alu => {}
             StepResult::Sleep(n) => {
@@ -1016,39 +1057,36 @@ impl Sm {
         // The warp was issuing (hence ready); done warps are neither
         // ready nor blocked.
         self.ready -= 1;
-        enum After {
-            Nothing,
-            Release(Vec<usize>),
-            BlockComplete,
-        }
-        let after = {
-            let blk = self.blocks[block_slot].as_mut().expect("resident block");
-            blk.live -= 1;
-            if blk.live == 0 {
-                After::BlockComplete
-            } else if !blk.arrived.is_empty() && blk.arrived.len() as u32 == blk.live {
-                After::Release(std::mem::take(&mut blk.arrived))
-            } else {
-                After::Nothing
+        let blk = &mut self.blocks[block_slot];
+        debug_assert!(blk.live > 0, "resident block");
+        blk.live -= 1;
+        if blk.live == 0 {
+            self.free_slots += blk.slots.len() as u32;
+            for &s in &blk.slots {
+                debug_assert!(self.warps[s].as_ref().is_some_and(|c| c.done));
+                self.warps[s] = None;
             }
-        };
-        match after {
-            After::BlockComplete => {
-                let blk = self.blocks[block_slot].take().expect("block");
-                self.free_slots += blk.slots.len() as u32;
-                for s in blk.slots {
-                    debug_assert!(self.warps[s].as_ref().is_some_and(|c| c.done));
-                    self.warps[s] = None;
-                }
-                self.completed_blocks += 1;
+            self.completed_blocks += 1;
+            if self.free_slots as usize == self.warps.len() {
+                // An idle SM returns its spare buffers: otherwise every
+                // SM would hold its busiest moment's worth for the rest
+                // of the run, which raised the crash benchmark's peak
+                // RSS.
+                self.spare_lanes = Vec::new();
+                self.spare_groups = Vec::new();
             }
-            After::Release(arrived) => self.release_barrier(arrived),
-            After::Nothing => {}
+        } else if !blk.arrived.is_empty() && blk.arrived.len() as u32 == blk.live {
+            self.release_barrier(block_slot);
         }
     }
 
-    fn release_barrier(&mut self, arrived: Vec<usize>) {
-        for s in arrived {
+    /// Releases every warp waiting at block `block_slot`'s barrier. The
+    /// arrival list is swapped with a scratch list, so neither allocates
+    /// after the first barrier.
+    fn release_barrier(&mut self, block_slot: usize) {
+        let mut arrived = std::mem::take(&mut self.scratch_arrived);
+        std::mem::swap(&mut arrived, &mut self.blocks[block_slot].arrived);
+        for &s in &arrived {
             debug_assert_eq!(
                 self.warps[s].as_ref().expect("warp at barrier").blocked,
                 Some(Blocked::Barrier)
@@ -1056,6 +1094,8 @@ impl Sm {
             self.clear_blocked(s);
             self.warps[s].as_mut().expect("warp").interp.complete();
         }
+        arrived.clear();
+        self.scratch_arrived = arrived;
     }
 
     // ------------------------------------------------------------------
@@ -1288,8 +1328,11 @@ impl Sm {
             if is_store {
                 // Stores complete at L1 acceptance.
                 let ctx = self.warps[slot].as_mut().expect("warp");
-                ctx.op = None;
+                let op = ctx.op.take();
                 ctx.interp.complete();
+                if let Some(WaitingOp::Mem(op)) = op {
+                    self.recycle(op);
+                }
             } else if outstanding > 0 {
                 self.set_blocked(slot, Blocked::Mem);
             } else {
@@ -1342,10 +1385,11 @@ impl Sm {
                 }
                 ctx.interp.complete_load(&values);
             }
-            OpKind::Atomic { olds } => ctx.interp.complete_load(&olds),
+            OpKind::Atomic { ref olds } => ctx.interp.complete_load(olds),
             OpKind::Store => panic!("stores have no completion"),
         }
         self.scratch_vals = values;
+        self.recycle(op);
     }
 
     // ------------------------------------------------------------------
@@ -1420,6 +1464,7 @@ impl Sm {
                     match unit.pacq(WarpSlot::new(slot), scope) {
                         OpOutcome::Proceed => {}
                         OpOutcome::StallRetry | OpOutcome::StallUntilDone => {
+                            self.spare_lanes.push(lanes);
                             self.set_blocked(slot, Blocked::Engine);
                             return;
                         }
@@ -1460,6 +1505,7 @@ impl Sm {
                         })
                         .collect(),
                 };
+                self.spare_lanes.push(lanes);
                 match &mut self.engine {
                     Engine::Sbrp(unit) => match unit.prel(WarpSlot::new(slot), scope) {
                         OpOutcome::Proceed => {
@@ -1491,15 +1537,10 @@ impl Sm {
     fn sync_block(&mut self, slot: usize) {
         let block_slot = self.warps[slot].as_ref().expect("warp").block_slot;
         self.set_blocked(slot, Blocked::Barrier);
-        let release = {
-            let blk = self.blocks[block_slot].as_mut().expect("block");
-            blk.arrived.push(slot);
-            blk.arrived.len() as u32 == blk.live
-        };
-        if release {
-            let arrived =
-                std::mem::take(&mut self.blocks[block_slot].as_mut().expect("block").arrived);
-            self.release_barrier(arrived);
+        let blk = &mut self.blocks[block_slot];
+        blk.arrived.push(slot);
+        if blk.arrived.len() as u32 == blk.live {
+            self.release_barrier(block_slot);
         }
     }
 
