@@ -52,6 +52,48 @@ impl fmt::Display for ScopeBugWarning {
     }
 }
 
+/// A set of events of one trace, as a bitset over their dense
+/// [`EventId`] positions: one memcpy to clone, one bit test to query.
+///
+/// ```
+/// use sbrp_core::formal::{EventId, EventSet};
+///
+/// let mut set = EventSet::new();
+/// set.insert(EventId::from_index(64));
+/// assert!(set.contains(EventId::from_index(64)));
+/// assert!(!set.contains(EventId::from_index(63)));
+/// assert!(!set.contains(EventId::from_index(1 << 20)));
+/// ```
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EventSet {
+    words: Vec<u64>,
+}
+
+impl EventSet {
+    /// An empty set.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `id`, growing the set to cover it.
+    pub fn insert(&mut self, id: EventId) {
+        let (word, bit) = (id.index() / 64, id.index() % 64);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << bit;
+    }
+
+    /// Whether `id` is in the set; ids past the last word are not.
+    #[must_use]
+    pub fn contains(&self, id: EventId) -> bool {
+        self.words
+            .get(id.index() / 64)
+            .is_some_and(|w| w >> (id.index() % 64) & 1 == 1)
+    }
+}
+
 /// Per-thread state used while building the graph.
 #[derive(Clone, Default)]
 struct ThreadState {
@@ -189,6 +231,16 @@ impl TraceBuilder {
                 effective,
             });
         }
+    }
+
+    /// [`PmoGraph::check_crash_cut`] on the trace recorded so far,
+    /// without finishing (or copying) it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`PmoViolation`] found.
+    pub fn check_crash_cut(&self, durable: &EventSet) -> Result<(), PmoViolation> {
+        crash_cut(&self.events, &self.succ, |id| durable.contains(id))
     }
 
     /// Finalizes the trace into an immutable [`PmoGraph`].
@@ -417,33 +469,45 @@ impl PmoGraph {
     ///
     /// Returns the first [`PmoViolation`] found.
     pub fn check_crash_cut(&self, durable: &HashSet<EventId>) -> Result<(), PmoViolation> {
-        // Forward-propagate "some non-durable persist precedes this node".
-        let mut tainted: Vec<Option<EventId>> = vec![None; self.events.len()];
-        for i in 0..self.events.len() {
-            let id = EventId(i as u32);
-            let mut taint = tainted[i];
-            if self.events[i].is_persist() {
-                if let (Some(w1), true) = (taint, durable.contains(&id)) {
-                    return Err(PmoViolation {
-                        before: w1,
-                        after: id,
-                        message: format!(
-                            "crash state contains persist {id} but not its PMO-predecessor {w1}"
-                        ),
-                    });
-                }
-                if taint.is_none() && !durable.contains(&id) {
-                    taint = Some(id);
-                }
+        crash_cut(&self.events, &self.succ, |id| durable.contains(&id))
+    }
+}
+
+/// The crash-cut check over a trace's events and forward edges:
+/// forward-propagates "some non-durable persist precedes this node" in
+/// trace (hence topological) order and reports the first durable
+/// persist it reaches.
+fn crash_cut(
+    events: &[Event],
+    succ: &[Vec<EventId>],
+    durable: impl Fn(EventId) -> bool,
+) -> Result<(), PmoViolation> {
+    let mut tainted: Vec<Option<EventId>> = vec![None; events.len()];
+    for (i, ev) in events.iter().enumerate() {
+        let id = EventId(i as u32);
+        let mut taint = tainted[i];
+        if ev.is_persist() {
+            let is_durable = durable(id);
+            if let (Some(w1), true) = (taint, is_durable) {
+                return Err(PmoViolation {
+                    before: w1,
+                    after: id,
+                    message: format!(
+                        "crash state contains persist {id} but not its PMO-predecessor {w1}"
+                    ),
+                });
             }
-            if let Some(w1) = taint {
-                for &m in &self.succ[i] {
-                    tainted[m.index()].get_or_insert(w1);
-                }
+            if taint.is_none() && !is_durable {
+                taint = Some(id);
             }
         }
-        Ok(())
+        if let Some(w1) = taint {
+            for &m in &succ[i] {
+                tainted[m.index()].get_or_insert(w1);
+            }
+        }
     }
+    Ok(())
 }
 
 fn merge_max(slot: &mut Option<(u64, EventId)>, incoming: Option<(u64, EventId)>) {
@@ -459,6 +523,7 @@ fn merge_max(slot: &mut Option<(u64, EventId)>, incoming: Option<(u64, EventId)>
 mod tests {
     use super::*;
     use crate::scope::Scope;
+    use proptest::prelude::*;
 
     fn t(block: u32, tid: u32) -> ThreadPos {
         ThreadPos::new(block, tid)
@@ -626,6 +691,91 @@ mod tests {
         let err = g.check_crash_cut(&HashSet::from([w2])).unwrap_err();
         assert_eq!(err.before, w1);
         assert_eq!(err.after, w2);
+    }
+
+    #[test]
+    fn event_set_word_boundaries() {
+        let id = EventId::from_index;
+        let mut set = EventSet::new();
+        assert!(!set.contains(id(0)));
+        for i in [63, 64, 127] {
+            set.insert(id(i));
+        }
+        for i in [63, 64, 127] {
+            assert!(set.contains(id(i)), "e{i} inserted");
+        }
+        for i in [0, 62, 65, 126] {
+            assert!(!set.contains(id(i)), "e{i} not inserted");
+        }
+        // Past the last word (two words cover ids 0..128).
+        assert!(!set.contains(id(128)));
+        assert!(!set.contains(id(10_000)));
+    }
+
+    /// One random trace step: `(kind, thread, scope, arg)`.
+    type Step = (u8, u8, u8, u8);
+
+    /// Builds a trace of persists, fences and acquire/release pairs over
+    /// two warps in each of two blocks, so scopes both include and
+    /// exclude the observing thread.
+    fn random_trace(steps: &[Step]) -> TraceBuilder {
+        let threads = [t(0, 0), t(0, 32), t(1, 0), t(1, 32)];
+        let scopes = [Scope::Block, Scope::Device, Scope::System];
+        let mut tb = TraceBuilder::new();
+        let mut last_rel: [Option<EventId>; 2] = [None; 2];
+        for &(kind, th, sc, arg) in steps {
+            let th = threads[usize::from(th)];
+            let scope = scopes[usize::from(sc)];
+            let var = usize::from(arg % 2);
+            match kind {
+                0 | 1 => {
+                    tb.persist(th, 0x100 * u64::from(arg));
+                }
+                2 => {
+                    tb.op(th, PersistOpKind::OFence, None);
+                }
+                3 => {
+                    tb.op(th, PersistOpKind::DFence, None);
+                }
+                4 => {
+                    let rel = tb.op(th, PersistOpKind::PRel(scope), Some(var as u64));
+                    last_rel[var] = Some(rel);
+                }
+                _ => {
+                    let acq = tb.op(th, PersistOpKind::PAcq(scope), Some(var as u64));
+                    if let (Some(rel), true) = (last_rel[var], arg & 2 != 0) {
+                        tb.observe(acq, rel);
+                    }
+                }
+            }
+        }
+        tb
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The builder's check on the borrowed trace and the finished
+        /// graph's check agree, down to the reported pair.
+        #[test]
+        fn builder_and_graph_crash_cuts_agree(
+            steps in collection::vec((0u8..6, 0u8..4, 0u8..3, any::<u8>()), 1..48),
+            durable_bits in collection::vec(any::<u8>(), 48),
+            threshold in any::<u8>(),
+        ) {
+            let tb = random_trace(&steps);
+            let mut set = EventSet::new();
+            let mut hash = HashSet::new();
+            for (i, &b) in durable_bits.iter().enumerate().take(steps.len()) {
+                if b < threshold {
+                    set.insert(EventId::from_index(i));
+                    hash.insert(EventId::from_index(i));
+                }
+            }
+            let borrowed = tb.check_crash_cut(&set);
+            let finished = tb.clone().finish().check_crash_cut(&hash);
+            prop_assert_eq!(borrowed, finished);
+        }
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   became durable, verify durability never inverts PMO;
 //! * [`PmoGraph::check_crash_cut`] — given the set of persists durable at
 //!   a crash, verify the set is downward-closed under PMO (no persist is
-//!   durable while a PMO-predecessor is not).
+//!   durable while a PMO-predecessor is not). The model checker runs the
+//!   same check on a trace still being recorded
+//!   ([`TraceBuilder::check_crash_cut`], over an [`EventSet`]).
 //!
 //! [`litmus`] contains the paper's motivating shapes as ready-made traces,
 //! including the scoped persistency bug of §5.3.
@@ -37,4 +39,4 @@ mod graph;
 pub mod litmus;
 
 pub use event::{Event, EventId, EventKind};
-pub use graph::{PmoGraph, PmoViolation, ScopeBugWarning, TraceBuilder};
+pub use graph::{EventSet, PmoGraph, PmoViolation, ScopeBugWarning, TraceBuilder};

@@ -76,11 +76,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Bumped whenever the cache serialization or the simulator's observable
-/// behaviour changes incompatibly. Every cache record carries it in its
-/// envelope and the spec cells fold it into their fingerprints, so stale
-/// caches miss instead of serving wrong results.
-pub const CACHE_SCHEMA: u64 = 3;
+/// Bumped whenever the cache serialization, the simulator's observable
+/// behaviour or the [`Fingerprint`] algorithm changes incompatibly.
+/// Every cache record carries it in its envelope and the spec cells fold
+/// it into their fingerprints, so stale caches miss instead of serving
+/// wrong results.
+pub const CACHE_SCHEMA: u64 = 4;
 
 /// Per-cell fault handling: deadlines and retries. Part of
 /// [`SweepOpts`]; the defaults (no deadline, no retries) reproduce the

@@ -1100,10 +1100,12 @@ mod tests {
     }
 
     /// The digest of a pending value-producing action names its lanes as
-    /// a count followed by each lane index. The constants were computed
-    /// when the pending lanes were still a `Vec<u8>` of lane ids, so a
-    /// change of representation cannot silently re-key model-checker
-    /// states.
+    /// a count followed by each lane index. The hashed `u64` stream was
+    /// pinned when the pending lanes were still a `Vec<u8>` of lane ids,
+    /// so a change of representation cannot silently re-key
+    /// model-checker states. (The constants were re-derived for the
+    /// folded-multiply `Fingerprint` from an unchanged interpreter, so
+    /// they still pin that stream.)
     #[test]
     fn pending_value_fingerprints_are_pinned() {
         // A load under a partial mask (lanes 3..20 taken), then a pAcq
@@ -1133,7 +1135,7 @@ mod tests {
         assert_eq!(ld.lanes.len(), 17);
         assert_eq!(
             digest(&w),
-            0xe294_f59b_47bc_c54a,
+            0xffea_ba2e_f2ad_249e,
             "pending partial-mask load"
         );
         let vals: Vec<u64> = ld.lanes.iter().map(|la| la.addr ^ 0x55).collect();
@@ -1142,7 +1144,7 @@ mod tests {
             panic!("expected the pAcq")
         };
         assert_eq!(lanes.len(), 32);
-        assert_eq!(digest(&w), 0x3866_072a_8ad5_575c, "pending full-mask pAcq");
+        assert_eq!(digest(&w), 0x7881_0487_6f54_29d2, "pending full-mask pAcq");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! The expected values were recorded from the tree-walking interpreter,
 //! so any later implementation must reproduce its action stream, its
 //! lazy block popping (which the fingerprint's frame count observes) and
-//! its block ids exactly.
+//! its block ids exactly. The digests were re-derived for the
+//! folded-multiply `Fingerprint` from an unchanged interpreter, so they
+//! still pin the tree walker's hashed `u64` stream.
 
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::scope::Scope;
@@ -176,7 +178,7 @@ fn if_inside_while_whose_cond_holds_an_if() {
          st:cccccccc A A A A A st:88888888 A A A ld:88888888 A A A A A A st:88888888 A \
          OFence D",
         44,
-        0xe9c5_5aee_6b72_e65d,
+        0x7dbb_fe8e_0e2c_6cc8,
     );
 }
 
@@ -201,12 +203,12 @@ fn empty_branches_are_not_entered() {
             (
                 "A A A A st:ffffffff A A A DFence A A D",
                 11,
-                0x0ee7_2e6c_994f_c1f9,
+                0xfcd5_1d43_34a2_2397,
             ),
             (
                 "A A A A st:ff A st:ffffff00 A A DFence A A D",
                 12,
-                0x5376_87cb_2294_ff86,
+                0x1f63_2e5d_298c_29b2,
             ),
         ][warp as usize];
         check(&format!("empty_else/w{warp}"), &s, tokens, retired, digest);
@@ -239,7 +241,7 @@ fn empty_body_and_zero_trip_loops() {
         &s,
         "A A A A A A A A A A A A A A A st:ffffffff D",
         16,
-        0xbd6b_5a33_4dd9_2359,
+        0x6afe_62af_2b3a_6ce4,
     );
 }
 
@@ -264,7 +266,7 @@ fn lanes_leave_a_loop_one_at_a_time() {
     let s = run(&k, launch(), 0, 0);
     // Lane l runs l iterations, so one lane leaves per iteration.
     let tokens = format!("A A A{} A A st:ffffffff D", " A A A S2".repeat(31));
-    check("one_at_a_time", &s, &tokens, 130, 0xc12a_c6ad_46a2_c4ad);
+    check("one_at_a_time", &s, &tokens, 130, 0xf2b7_d418_abfe_0b29);
 }
 
 /// Every ALU and memory instruction kind under a partial mask, nested in
@@ -326,7 +328,7 @@ fn every_instruction_under_divergence() {
     let trip = "st:fefefefe atom:fefefefe OFence A A ldv:1010101 A prel:1010101 \
                 pacq:1010101 EpochBarrier SyncBlock A A A ld:ffffffff st:ffffffff";
     let tokens = format!("{} {trip} A A A A A A {trip} A D", ["A"; 20].join(" "));
-    check("every", &s, &tokens, 59, 0xd6d2_8e23_9f96_6193);
+    check("every", &s, &tokens, 59, 0x0b10_48f6_07d0_3e3a);
 }
 
 /// A hand-built tree that uses one `Arc` block in two places: block ids
@@ -362,6 +364,6 @@ fn shared_blocks_keep_one_id() {
         &s,
         "A A A A S1 A S1 A A A S1 A A S1 A st:ffffffff D",
         16,
-        0xa5b2_17c3_7674_f2f8,
+        0xa094_fd4e_416a_2f92,
     );
 }

@@ -25,6 +25,7 @@ use sbrp_core::fingerprint::Fingerprint;
 use sbrp_harness::sweep::{sweep, CellOutcome, SweepCell, SweepOpts};
 use sbrp_isa::BlockIndex;
 use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Serial BFS stops (and the parallel phase starts) once the frontier
@@ -32,6 +33,29 @@ use std::sync::Arc;
 /// count — so the cell decomposition, and therefore the merged report,
 /// is identical at every `--jobs` value.
 const FRONTIER_TARGET: usize = 64;
+
+/// A set of state digests. The digests are [`Fingerprint`] outputs,
+/// already mixed, so the set keys its table with the digest itself
+/// instead of re-hashing it.
+type DigestSet = HashSet<u64, BuildHasherDefault<DigestHasher>>;
+
+/// The identity hasher behind [`DigestSet`]; it takes only `u64` keys.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a DigestSet holds only u64 digests")
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Exploration limits and parallelism.
 #[derive(Clone, Copy, Debug)]
@@ -221,11 +245,11 @@ fn explore_from(
     program: &Program,
     spec: &Spec,
     bidx: &BlockIndex,
-    base: &HashSet<u64>,
+    base: &DigestSet,
     max_states: u64,
 ) -> Acc {
     let mut acc = Acc::new(spec);
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited = DigestSet::default();
     let mut stack = vec![start.clone()];
     while let Some(st) = stack.pop() {
         let choices = st.choices(program);
@@ -261,7 +285,7 @@ struct McCell {
     spec: Spec,
     start: State,
     start_fp: u64,
-    base: Arc<HashSet<u64>>,
+    base: Arc<DigestSet>,
     max_states: u64,
 }
 
@@ -304,7 +328,7 @@ impl SweepCell for McCell {
 pub fn explore(program: &Program, spec: &Spec, opts: &McOpts) -> McReport {
     let bidx = program.kernel.block_index();
     let mut acc = Acc::new(spec);
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited = DigestSet::default();
     let mut queue: VecDeque<State> = VecDeque::new();
 
     let init = State::initial(program);
@@ -406,7 +430,8 @@ fn shortest_schedule(
     if stop(&init, Vec::new()) {
         return Some(Vec::new());
     }
-    let mut visited = HashSet::from([init.fingerprint(program, &bidx)]);
+    let mut visited = DigestSet::default();
+    visited.insert(init.fingerprint(program, &bidx));
     let mut queue = VecDeque::from([init]);
     let mut states: u64 = 0;
     while let Some(st) = queue.pop_front() {

@@ -42,11 +42,11 @@
 
 use crate::spec::{Choice, Evidence, PersistDomain, Program, Violation, ViolationKind};
 use sbrp_core::fingerprint::Fingerprint;
-use sbrp_core::formal::{EventId, PmoGraph, TraceBuilder};
+use sbrp_core::formal::{EventId, EventSet, PmoGraph, TraceBuilder};
 use sbrp_core::ops::{ModelKind, PersistOpKind};
 use sbrp_core::scope::{Scope, ThreadPos, WARP_SIZE};
 use sbrp_isa::{AccessKind, BlockIndex, Code, FenceAccess, LaneAccess, StepResult, WarpInterp};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Cache-line size of the persist buffer (matches the simulator).
@@ -149,7 +149,7 @@ pub struct State {
     /// The formal trace of this execution path.
     pub(crate) tb: TraceBuilder,
     /// Durable persists, as this path's trace event ids.
-    pub(crate) durable_ids: HashSet<EventId>,
+    pub(crate) durable_ids: EventSet,
     /// Durable persists, as canonical marks.
     pub(crate) durable_marks: BTreeSet<Mark>,
     /// Addresses with at least one durable write.
@@ -195,7 +195,7 @@ impl State {
             pending: BTreeMap::new(),
             flags: BTreeMap::new(),
             tb: TraceBuilder::new(),
-            durable_ids: HashSet::new(),
+            durable_ids: EventSet::new(),
             durable_marks: BTreeSet::new(),
             durable_addrs: BTreeSet::new(),
             marks: BTreeMap::new(),
@@ -400,7 +400,7 @@ impl State {
     /// Verifies the durable set is still downward-closed under the PMO of
     /// the trace so far — every reachable state is a crash cut.
     fn check_crash_cut(&self, out: &mut Vec<Violation>) {
-        if let Err(v) = self.tb.clone().finish().check_crash_cut(&self.durable_ids) {
+        if let Err(v) = self.tb.check_crash_cut(&self.durable_ids) {
             out.push(Violation {
                 kind: ViolationKind::CrashCut,
                 message: v.to_string(),
