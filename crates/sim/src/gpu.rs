@@ -120,6 +120,9 @@ pub struct Gpu {
     /// to. The cycles before it are visited but are not scheduling
     /// steps, so both modes issue warps in the same order.
     idle_until: u64,
+    /// The PCIe-backoff flag every SM's uncharged stall span accrues
+    /// under; it flips only once every SM is charged up to the flip.
+    backoff: bool,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -171,14 +174,16 @@ impl Gpu {
             serial: false,
             steps: 0,
             idle_until: 0,
+            backoff: false,
         }
     }
 
-    /// Forces strictly serial stepping: the scheduler visits every cycle
-    /// instead of fast-forwarding over idle gaps. Orders of magnitude
-    /// slower; results (stats, stall breakdowns, durable images) must be
-    /// identical to fast-forwarded runs, which the equivalence tests
-    /// check.
+    /// Forces strictly serial stepping, the test-only reference: the
+    /// scheduler visits every cycle instead of fast-forwarding over idle
+    /// gaps and ticks every SM instead of skipping the idle ones. Orders
+    /// of magnitude slower; results (stats, stall breakdowns, durable
+    /// images, not the timeline) must be identical to the default
+    /// scheduler's, which the equivalence tests check.
     pub fn set_serial_stepping(&mut self, serial: bool) {
         self.serial = serial;
     }
@@ -337,49 +342,65 @@ impl Gpu {
         }
     }
 
-    /// Charges stall cycles up to `upto` on every SM.
-    fn charge_all(&mut self, upto: u64) {
-        for sm in &mut self.sms {
-            sm.charge_stalls(upto, &self.ms);
+    /// Opens a step: ends an expired backoff, then, in a timeline run,
+    /// observes each SM whose warp states may have changed at
+    /// `cycle - 1`, under that cycle's flag.
+    fn open_step(&mut self) {
+        self.sync_backoff(0);
+        if let (true, Some(prev)) = (self.cfg.timeline, self.cycle.checked_sub(1)) {
+            let flag = self.ms.pcie_backoff_active(prev);
+            for sm in &mut self.sms {
+                sm.observe(prev, flag);
+                // A backoff that ends at this very cycle.
+                sm.unobserved |= flag != self.backoff;
+            }
         }
     }
 
-    /// Charges stall cycles up to `self.cycle - 1` on every SM. Run
-    /// exit paths (crash, timeout) call this because a fast-forward can
-    /// land exactly on the bound and leave the loop before the next
-    /// step's charge — serial stepping charged that span cycle by
-    /// cycle, and the two modes must agree.
+    /// Opens a step and charges every SM up to `self.cycle - 1`: the
+    /// crash and timeout exits leave before the next step would.
     fn charge_pending_stalls(&mut self) {
-        if let Some(prev) = self.cycle.checked_sub(1) {
-            self.charge_all(prev);
+        self.open_step();
+        for sm in &mut self.sms {
+            sm.charge_stalls(self.cycle.saturating_sub(1), self.backoff);
         }
     }
 
-    /// With `lazy` set, charges SM `sm` up to `self.cycle - 1` before a
-    /// completion is routed to it: the completion may change the state
-    /// its span since its last charge must be attributed with.
-    fn charge_before_route(&mut self, sm: u32, lazy: bool) {
-        if let (true, Some(prev)) = (lazy, self.cycle.checked_sub(1)) {
-            self.sms[sm as usize].charge_stalls(prev, &self.ms);
+    /// Charges SM `sm` up to `self.cycle - 1`, so a completion routed to
+    /// it cannot re-attribute the span, and marks it for observation.
+    fn before_route(&mut self, sm: u32) {
+        let sm = &mut self.sms[sm as usize];
+        sm.charge_stalls(self.cycle.saturating_sub(1), self.backoff);
+        sm.unobserved = true;
+    }
+
+    /// Follows a flip of the PCIe-backoff flag, once the first `ticked`
+    /// SMs in tick order have ticked or been skipped, by charging every
+    /// SM under the old flag up to where the serial reference had: up
+    /// to the expiry, or, for a set at this cycle `c` (which makes
+    /// `pcie_backoff_active(c - 1)` true after the fact), the first
+    /// `ticked` SMs up to `c` and the rest up to `c - 1`.
+    fn sync_backoff(&mut self, ticked: usize) {
+        let old = self.backoff;
+        if self.ms.pcie_backoff_active(self.cycle) == old {
+            return;
+        }
+        self.backoff = !old;
+        // An expiry is only ever seen as a step opens (`ticked == 0`).
+        let rest = if old {
+            self.ms.pcie_backoff_until() - 1
+        } else {
+            self.cycle.saturating_sub(1)
+        };
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            sm.charge_stalls(if i < ticked { self.cycle } else { rest }, old);
+            sm.unobserved = true;
         }
     }
 
-    /// Whether this run skips the ticks of idle SMs ([`Sm::is_idle_at`])
-    /// and charges each SM's stalls only when its state next changes.
-    /// Two kinds of run keep the exact every-SM path, where every SM is
-    /// charged and ticked at every step: a timeline samples every SM's
-    /// warp states at every step, and a PCIe fault can set the backoff
-    /// flag partway through a step (in the middle of the SM ticks), so
-    /// only a charge of every SM at every visited cycle splits each span
-    /// where the flag flips.
-    fn skips_idle_sms(&self) -> bool {
-        !self.cfg.timeline && !self.ms.pcie_backoff_possible(self.cycle)
-    }
-
-    /// Routes this cycle's completions. With `lazy` set, each SM is
-    /// charged up to the previous cycle before it takes a completion
-    /// (see [`Gpu::charge_before_route`]).
-    fn route_completions(&mut self, lazy: bool) -> Result<(), SimError> {
+    /// Routes this cycle's completions, each SM charged up to the
+    /// previous cycle before it takes one (see [`Gpu::before_route`]).
+    fn route_completions(&mut self) -> Result<(), SimError> {
         let protocol = |cycle: u64, detail: String| SimError::Protocol { cycle, detail };
         // Reuse the scratch buffer: taking it out keeps the borrow
         // checker happy while `self` routes each completion.
@@ -390,7 +411,7 @@ impl Gpu {
         for c in &batch {
             let r = match c.tag {
                 ReqTag::LoadFill { sm, token } | ReqTag::Atomic { sm, token } => {
-                    self.charge_before_route(sm, lazy);
+                    self.before_route(sm);
                     self.sms[sm as usize]
                         .on_fill(token as usize, &mut self.tracer, &self.ms)
                         .map_err(|d| protocol(c.at, d))
@@ -410,13 +431,13 @@ impl Gpu {
                             }
                             match dest {
                                 PersistDest::Sbrp { sm, line } => {
-                                    self.charge_before_route(sm, lazy);
+                                    self.before_route(sm);
                                     self.sms[sm as usize]
                                         .on_persist_ack(line)
                                         .map_err(|d| protocol(c.at, d))
                                 }
                                 PersistDest::Epoch { sm } => {
-                                    self.charge_before_route(sm, lazy);
+                                    self.before_route(sm);
                                     self.sms[sm as usize]
                                         .on_epoch_ack(&mut self.ms, c.at)
                                         .map_err(|d| protocol(c.at, d))
@@ -427,12 +448,12 @@ impl Gpu {
                     }
                 }
                 ReqTag::PersistAccept { sm } => {
-                    self.charge_before_route(sm, lazy);
+                    self.before_route(sm);
                     self.sms[sm as usize].on_flush_accepted();
                     Ok(())
                 }
                 ReqTag::EpochVol { sm } => {
-                    self.charge_before_route(sm, lazy);
+                    self.before_route(sm);
                     self.sms[sm as usize]
                         .on_epoch_ack(&mut self.ms, c.at)
                         .map_err(|d| protocol(c.at, d))
@@ -480,45 +501,39 @@ impl Gpu {
 
     /// Advances one scheduling step, never moving `self.cycle` past
     /// `bound`. Returns `Ok(true)` when the active launch completed.
-    /// With `skip_idle` set (see [`Gpu::skips_idle_sms`]) only the SMs
-    /// that can change state this cycle tick.
+    /// Only the SMs that are not [`Sm::is_idle_at`] tick, except under
+    /// the serial reference.
     ///
     /// Callers must only invoke this with `self.cycle < bound`; the
     /// landed cycle then satisfies `self.cycle <= bound` exactly, so run
     /// loops observe crash cycles, timeout limits, and cycle-window
     /// fault triggers on the cycle they name instead of overshooting
     /// them during a fast-forward jump.
-    fn step_until(&mut self, bound: u64, skip_idle: bool) -> Result<bool, SimError> {
+    fn step_until(&mut self, bound: u64) -> Result<bool, SimError> {
         debug_assert!(self.cycle < bound, "step_until past its bound");
-        // Charge stalls up to the *previous* cycle before completions
-        // land: a completion that unblocks a warp this cycle must not
-        // erase the stalled span behind it (under fast-forward the whole
-        // leapt span would vanish). `Sm::tick` charges the final cycle
-        // with post-routing state — in serial stepping this pre-charge
-        // is a delta-0 no-op, so both modes attribute identically. When
-        // skipping idle SMs, only the SMs that take a completion are
-        // charged, each just before its first one.
-        if !skip_idle {
-            self.charge_pending_stalls();
-        }
-        if let Err(e) = self.route_completions(skip_idle) {
-            if skip_idle {
-                // Leave every SM charged as the every-SM path leaves it.
-                self.charge_pending_stalls();
+        self.open_step();
+        self.route_completions()?;
+        self.sync_backoff(0);
+        let (cycle, serial) = (self.cycle, self.serial);
+        if self.cfg.timeline {
+            for sm in &mut self.sms {
+                sm.observe(cycle, self.backoff);
             }
-            return Err(e);
         }
         let mut progress = false;
-        for sm in &mut self.sms {
-            if skip_idle && sm.is_idle_at(self.cycle) {
-                continue;
+        for i in 0..self.sms.len() {
+            let (sm, backoff) = (&mut self.sms[i], self.backoff);
+            if serial || !sm.is_idle_at(cycle) {
+                progress |= sm.tick(cycle, self.steps, backoff, &mut self.ms, &mut self.tracer);
+                self.sync_backoff(i + 1);
             }
-            progress |= sm.tick(self.cycle, self.steps, &mut self.ms, &mut self.tracer);
         }
         if self.cycle >= self.idle_until {
             self.steps += 1;
         }
         self.dispatch();
+        // The final drain's flushes can set the flag too, but no warp is
+        // left to charge or observe; the next step's test catches up.
         if self.launch_finished() {
             return Ok(true);
         }
@@ -537,9 +552,9 @@ impl Gpu {
         match next {
             Some(t) => {
                 let mut target = t.max(self.cycle + 1).min(bound);
-                // Stall causes are sampled when the jump lands, so a jump
-                // must not cross the PCIe-backoff expiry: cycles on either
-                // side of it are attributed differently.
+                // A jump stops short of the PCIe-backoff expiry: the
+                // cycles a run visits set its step count (the order warps
+                // issue in) and its timeline's cycles.
                 let backoff_until = self.ms.pcie_backoff_until();
                 if self.cycle + 1 < backoff_until {
                     target = target.min(backoff_until - 1);
@@ -551,14 +566,7 @@ impl Gpu {
                 self.cycle = target;
                 Ok(false)
             }
-            None => {
-                if skip_idle {
-                    // The every-SM path ticked, and so charged, every SM
-                    // up to this cycle.
-                    self.charge_all(self.cycle);
-                }
-                Err(SimError::Deadlock { cycle: self.cycle })
-            }
+            None => Err(SimError::Deadlock { cycle: self.cycle }),
         }
     }
 
@@ -583,7 +591,6 @@ impl Gpu {
             Some(CrashTrigger::AtCycle(c)) => limit.min(c.max(self.cycle + 1)),
             _ => limit,
         };
-        let skip_idle = self.skips_idle_sms();
         while self.cycle < limit {
             if self.fault_crash_now() {
                 // Completions route at the start of a step: commit the
@@ -591,10 +598,10 @@ impl Gpu {
                 // durable image is the exact event-prefix. (A no-op for
                 // power cuts inside the memory system.)
                 self.charge_pending_stalls();
-                self.route_completions(false)?;
+                self.route_completions()?;
                 return self.end_run(RunOutcome::Crashed);
             }
-            match self.step_until(bound, skip_idle) {
+            match self.step_until(bound) {
                 Ok(true) => return self.end_run(RunOutcome::Completed),
                 Ok(false) => {}
                 // A power cut strands waiters mid-step; that is the
@@ -676,13 +683,7 @@ impl Gpu {
         }
         match self.fault_trigger {
             Some(CrashTrigger::AtCycle(c)) => self.cycle >= c,
-            Some(CrashTrigger::DFenceWait(k)) => {
-                self.sms
-                    .iter()
-                    .map(|s| s.counters().dfence_waits)
-                    .sum::<u64>()
-                    >= k
-            }
+            Some(CrashTrigger::DFenceWait(k)) => self.fault_event_counts().dfence_waits >= k,
             _ => false,
         }
     }

@@ -203,6 +203,9 @@ pub struct Sm {
     last_charge: u64,
     /// Warp-state interval recorder (None unless tracing is on).
     timeline: Option<SmTimeline>,
+    /// Whether the warp states may have changed since the last
+    /// [`Sm::observe`]; also set by the GPU (completions, backoff flips).
+    pub(crate) unobserved: bool,
 }
 
 impl Sm {
@@ -248,6 +251,7 @@ impl Sm {
             warp_stalls: vec![StallBreakdown::default(); slots],
             last_charge: 0,
             timeline: cfg.timeline.then(|| SmTimeline::new(id, slots)),
+            unobserved: false,
         }
     }
 
@@ -279,10 +283,9 @@ impl Sm {
 
     /// Closes and drains the timeline recorder (empty if tracing off).
     pub fn take_timeline(&mut self, now: u64) -> Vec<crate::timeline::Slice> {
-        match self.timeline.as_mut() {
-            Some(tl) => tl.finish(now),
-            None => Vec::new(),
-        }
+        self.timeline
+            .as_mut()
+            .map_or_else(Vec::new, |tl| tl.finish(now))
     }
 
     /// Persist-buffer stats (zero for epoch engines).
@@ -384,6 +387,7 @@ impl Sm {
         }
         self.free_slots -= need as u32;
         self.ready += need as u32;
+        self.unobserved = true;
         true
     }
 
@@ -666,15 +670,19 @@ impl Sm {
     /// Runs one cycle: engine drain, wakeups, and warp issue. Returns
     /// whether any externally visible progress happened. `step` is the
     /// GPU's scheduling-step count; the round-robin issue scan starts at
-    /// slot `step % warp slots`.
+    /// slot `step % warp slots`; `backoff` is the PCIe-backoff flag.
     pub fn tick(
         &mut self,
         cycle: u64,
         step: u64,
+        backoff: bool,
         ms: &mut MemSubsystem,
         tracer: &mut Option<TraceCapture>,
     ) -> bool {
-        self.charge_stalls(cycle, ms);
+        self.charge_stalls(cycle, backoff);
+        self.observe(cycle, backoff);
+        // What the tick changes is observed when the next step opens.
+        self.unobserved = true;
         let mut progress = self.engine_tick(cycle, ms, tracer);
 
         // Wake sleepers — only when the cached minimum says one is due,
@@ -731,21 +739,20 @@ impl Sm {
     }
 
     /// Attributes every warp-stall cycle since the last charge to one
-    /// [`StallCause`], per SM and per warp. Runs before wakeups and
-    /// issue so an interval that ends this cycle is still charged up to
-    /// it; `last_charge` makes fast-forward jumps and skipped ticks cost
-    /// one delta.
+    /// [`StallCause`], per SM and per warp, under the PCIe-backoff flag
+    /// `backoff`. Runs before wakeups and issue so an interval that ends
+    /// this cycle is still charged up to it; `last_charge` makes
+    /// fast-forward jumps and skipped ticks cost one delta.
     ///
-    /// Charging is two-phase. The GPU calls this up to `cycle - 1` just
+    /// Charging is lazy. The GPU calls this up to `cycle - 1` just
     /// before it routes a completion to the SM, so a span the SM spent
     /// leapt over or skipped is attributed with the blocked state that
     /// actually held during it; [`Sm::tick`] then charges the final
     /// cycle with post-routing state. A completion is the only thing
     /// that changes a skipped SM's state, so an SM that takes none is
     /// charged its whole span at its next tick with that same state.
-    /// Serial stepping makes the pre-routing call a delta-0 no-op, which
-    /// is exactly why fast-forwarded and serial runs produce identical
-    /// stall breakdowns.
+    /// The GPU passes in the flag and charges every SM at each flip, so
+    /// each span charged here held one flag throughout.
     ///
     /// Only `Blocked::Engine` warps are sampled here: their cause is
     /// the persist unit's live state. Every other kind has a cause that
@@ -754,8 +761,7 @@ impl Sm {
     /// [`Sm::settle`] when the warp unblocks or is re-blocked. Before
     /// the flag flips, every pending span is settled up to the last
     /// charge, so each span is charged under the flag it accrued under.
-    pub(crate) fn charge_stalls(&mut self, cycle: u64, ms: &MemSubsystem) {
-        let backoff = ms.pcie_backoff_active(cycle);
+    pub(crate) fn charge_stalls(&mut self, cycle: u64, backoff: bool) {
         if cycle > self.last_charge {
             if backoff != self.pending_backoff {
                 for slot in 0..self.warps.len() {
@@ -775,24 +781,30 @@ impl Sm {
             }
             self.last_charge = cycle;
         }
-        if let Some(tl) = self.timeline.as_mut() {
-            for (slot, warp) in self.warps.iter().enumerate() {
-                let state = match warp {
-                    None => None,
-                    Some(ctx) if ctx.done => None,
-                    Some(ctx) => Some(match ctx.blocked {
-                        None => WarpState::Running,
-                        Some(b) => WarpState::Stalled(Self::stall_cause_of(
-                            &self.engine,
-                            ctx,
-                            b,
-                            backoff,
-                            slot,
-                        )),
-                    }),
-                };
-                tl.observe(slot, state, cycle);
-            }
+    }
+
+    /// Records every slot's warp state on the timeline at `cycle` under
+    /// the flag `backoff`, if the states may have changed since the last
+    /// record (a no-op without a timeline).
+    pub(crate) fn observe(&mut self, cycle: u64, backoff: bool) {
+        let Some(tl) = self.timeline.as_mut() else {
+            return;
+        };
+        if !std::mem::take(&mut self.unobserved) {
+            return;
+        }
+        let engine = &self.engine;
+        for (slot, warp) in self.warps.iter().enumerate() {
+            let state = match warp {
+                Some(ctx) if !ctx.done => Some(match ctx.blocked {
+                    None => WarpState::Running,
+                    Some(b) => {
+                        WarpState::Stalled(Self::stall_cause_of(engine, ctx, b, backoff, slot))
+                    }
+                }),
+                _ => None,
+            };
+            tl.observe(slot, state, cycle);
         }
     }
 
@@ -1585,8 +1597,8 @@ impl Sm {
     /// Whether a tick at `cycle` would change nothing but the stall
     /// accounts: no warp can issue, no sleeper is due, and the persist
     /// engine is an epoch engine (it acts only on completions) or an
-    /// idle [`PersistUnit`]. The GPU skips such an SM's tick; the
-    /// stall cycles it skips are charged at its next charge.
+    /// idle [`PersistUnit`]. The GPU skips such an SM's tick, except
+    /// under the serial reference; its skipped stalls are charged later.
     #[must_use]
     pub fn is_idle_at(&self, cycle: u64) -> bool {
         self.ready == 0

@@ -54,8 +54,9 @@ pub struct Slice {
 }
 
 /// Per-SM run-length recorder of warp states. The SM calls
-/// [`SmTimeline::observe`] once per tick per slot; identical
-/// consecutive states extend the open slice, changes close it.
+/// [`SmTimeline::observe`] for every slot whenever its warp states may
+/// have changed; identical consecutive states extend the open slice,
+/// changes close it.
 #[derive(Debug)]
 pub struct SmTimeline {
     sm: u32,
@@ -75,8 +76,8 @@ impl SmTimeline {
     }
 
     /// Records slot `slot` being in `state` from cycle `now` onward
-    /// (`None` = no resident warp). Called every tick; cycle jumps from
-    /// fast-forwarding extend the open interval.
+    /// (`None` = no resident warp). Cycles with no call extend the open
+    /// interval.
     pub fn observe(&mut self, slot: usize, state: Option<WarpState>, now: u64) {
         let open = &mut self.open[slot];
         match (*open, state) {

@@ -1,11 +1,13 @@
-//! Property test: fast-forwarding is a pure scheduling optimization.
-//! Forcing serial stepping (one cycle per step, no idle-time leaps)
-//! must produce *identical* results — same completion cycle, same
+//! Property test: the scheduler's shortcuts are pure optimizations.
+//! The serial reference (`Gpu::set_serial_stepping`: every cycle
+//! visited, every SM ticked and charged one cycle at a time) must
+//! produce *identical* results — same completion cycle, same
 //! `SimStats`, same per-SM and per-warp stall breakdowns — as the
-//! fast-forwarded run, for any kernel, model, system, and crash point.
-//! Recording a timeline must not change those results either, and
-//! read cycle by cycle the stall accounts only ever grow, by at most
-//! one cycle per warp per cycle.
+//! default scheduler, which fast-forwards over idle gaps, skips the
+//! ticks of idle SMs and charges their stalls lazily, for any kernel,
+//! model, system, and crash point. Recording a timeline must not change
+//! those results either, and read cycle by cycle the stall accounts
+//! only ever grow, by at most one cycle per warp per cycle.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -43,8 +45,21 @@ fn wal_kernel(log: u64, data: u64) -> Kernel {
 /// durability wait (engine-blocked under SBRP, an epoch barrier under
 /// the baselines).
 fn mixed_kernel(log: u64, data: u64, sleep: u32) -> Kernel {
+    skewed_kernel(log, data, sleep, 0)
+}
+
+/// [`mixed_kernel`] whose odd blocks first compute for `skew` cycles,
+/// so blocks on different SMs stop running in lockstep: one SM's PCIe
+/// transfers then set the backoff flag while another SM's warps wait
+/// with their ticks skipped.
+fn skewed_kernel(log: u64, data: u64, sleep: u32, skew: u32) -> Kernel {
     let mut b = KernelBuilder::new();
     b.set_params(vec![log, data]);
+    if skew > 0 {
+        let cta = b.special(Special::CtaId);
+        let odd = b.andi(cta, 1);
+        b.if_then(odd, |b| b.sleep(skew));
+    }
     let log_r = b.param(0);
     let data_r = b.param(1);
     let tid = b.special(Special::GlobalTid);
@@ -78,7 +93,8 @@ struct Observed {
     end_cycle: u64,
     stats: SimStats,
     sm_stalls: Vec<StallBreakdown>,
-    warp_stalls: Vec<StallBreakdown>,
+    /// Per SM, per warp slot.
+    warp_stalls: Vec<Vec<StallBreakdown>>,
 }
 
 fn observe(
@@ -103,7 +119,9 @@ fn observe(
         end_cycle: report.cycles,
         stats: gpu.stats(),
         sm_stalls: gpu.sm_stall_breakdowns(),
-        warp_stalls: gpu.warp_stall_breakdowns(0),
+        warp_stalls: (0..cfg.num_sms as usize)
+            .map(|sm| gpu.warp_stall_breakdowns(sm))
+            .collect(),
     }
 }
 
@@ -111,8 +129,34 @@ fn assert_identical(a: &Observed, b: &Observed) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.end_cycle, b.end_cycle, "end cycle");
     prop_assert_eq!(a.stats, b.stats, "SimStats");
     prop_assert_eq!(&a.sm_stalls, &b.sm_stalls, "per-SM stalls");
-    prop_assert_eq!(&a.warp_stalls, &b.warp_stalls, "SM0 warp stalls");
+    for (sm, (a, b)) in a.warp_stalls.iter().zip(&b.warp_stalls).enumerate() {
+        prop_assert_eq!(a, b, "SM{} warp stalls", sm);
+    }
     Ok(())
+}
+
+/// The default scheduler's run and the serial reference's.
+fn assert_matches_serial_reference(
+    cfg: &GpuConfig,
+    kernel: &Kernel,
+    launch: LaunchConfig,
+    drive: Drive,
+) -> Result<(), TestCaseError> {
+    assert_identical(
+        &observe(cfg, kernel, launch, false, drive),
+        &observe(cfg, kernel, launch, true, drive),
+    )
+}
+
+/// A PCIe fault plan that keeps the link in backoff most of the time:
+/// a burst of two retries on every other transfer.
+fn busy_link_plan() -> FaultPlan {
+    FaultPlan::default().with_pcie(PcieFaultConfig {
+        period: 2,
+        burst: 2,
+        max_retries: 8,
+        backoff_base: 24,
+    })
 }
 
 /// The model/system pairs the paper evaluates (GPM only exists on
@@ -130,13 +174,25 @@ fn crash_drive(crash_at: u64) -> Drive {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(28))]
 
-    /// Fast-forwarded and serial-stepped runs are indistinguishable —
-    /// to completion (`crash_at == 0`) or at any crash point.
+    /// The default scheduler and the serial reference are
+    /// indistinguishable — to completion (`crash_at == 0`) or at any
+    /// crash point, with and without PCIe faults flipping the backoff
+    /// flag mid-span, with and without a timeline recorded. On the small
+    /// GPU two blocks share its SMs; on the 30-SM Table 1 GPU a sparse
+    /// launch leaves most SMs idle, so most SM ticks are skipped and
+    /// their stalls charged lazily, across backoff flips too.
     #[test]
     fn serial_and_fast_forward_runs_are_identical(
         crash_at in prop_oneof![Just(0u64), 100u64..20_000],
+        sparse in any::<bool>(),
+        blocks in 1u32..3,
+        wide in any::<bool>(),
+        sleep in 1u32..200,
+        skew in prop_oneof![Just(0u32), 1u32..600],
+        pcie in any::<bool>(),
+        timeline in any::<bool>(),
         model_ix in 0usize..3,
         system_ix in 0usize..2,
     ) {
@@ -145,15 +201,31 @@ proptest! {
         if !valid(model, system) {
             return Ok(());
         }
-        let cfg = GpuConfig::small(model, system);
-        let kernel = wal_kernel(PM_BASE, PM_BASE + (1 << 20));
-        let launch = LaunchConfig::new(2, 64);
-        let drive = crash_drive(crash_at);
-        assert_identical(
-            &observe(&cfg, &kernel, launch, false, drive),
-            &observe(&cfg, &kernel, launch, true, drive),
-        )?;
+        let (cfg, kernel, launch) = if sparse {
+            // 32-warp blocks fill an SM each; 2-warp blocks share SM0.
+            let launch = LaunchConfig::new(blocks, if wide { 1024 } else { 64 });
+            let kernel = skewed_kernel(PM_BASE, PM_BASE + (1 << 20), sleep, skew);
+            (GpuConfig::table1(model, system), kernel, launch)
+        } else {
+            let kernel = wal_kernel(PM_BASE, PM_BASE + (1 << 20));
+            (GpuConfig::small(model, system), kernel, LaunchConfig::new(2, 64))
+        };
+        let cfg = GpuConfig { timeline, ..cfg };
+        let drive = if pcie {
+            let mut plan = busy_link_plan();
+            if crash_at > 0 {
+                plan.trigger = Some(CrashTrigger::AtCycle(crash_at));
+            }
+            Drive::Faulted(plan)
+        } else {
+            crash_drive(crash_at)
+        };
+        assert_matches_serial_reference(&cfg, &kernel, launch, drive)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Barrier and sleep waits that a fast-forward jump leaps over are
     /// charged exactly as serial stepping charges them cycle by cycle.
@@ -181,20 +253,26 @@ proptest! {
     }
 
     /// PCIe fault-retry backoff flips the cause of memory and
-    /// durability waits mid-block; fast-forwarded runs must split each
-    /// wait at the flip exactly as serial stepping does.
+    /// durability waits mid-block; the default scheduler must split each
+    /// wait at the flip exactly as serial stepping does — also for an
+    /// SM whose ticks are skipped when another SM's transfer sets the
+    /// flag (sparse: two 18-warp blocks on the Table 1 GPU, one SM each).
     #[test]
     fn pcie_backoff_flips_attribute_identically(
-        period in 1u64..6,
+        period in 1u64..13,
         burst in 1u32..4,
         backoff_base in 4u64..96,
         crash_at in prop_oneof![Just(0u64), 500u64..20_000],
+        sparse in any::<bool>(),
         model_ix in 0usize..3,
     ) {
         let model = ModelKind::ALL[model_ix];
-        let cfg = GpuConfig::small(model, SystemDesign::PmFar);
         let kernel = mixed_kernel(PM_BASE, PM_BASE + (1 << 20), 16);
-        let launch = LaunchConfig::new(4, 128);
+        let (cfg, launch) = if sparse {
+            (GpuConfig::table1(model, SystemDesign::PmFar), LaunchConfig::new(2, 576))
+        } else {
+            (GpuConfig::small(model, SystemDesign::PmFar), LaunchConfig::new(4, 128))
+        };
         let mut plan = FaultPlan::default().with_pcie(PcieFaultConfig {
             period,
             burst,
@@ -246,9 +324,17 @@ proptest! {
     #[test]
     fn stall_accounts_grow_one_cycle_at_a_time(
         pcie in any::<bool>(),
+        sparse in any::<bool>(),
         model_ix in 0usize..3,
     ) {
-        let cfg = GpuConfig::small(ModelKind::ALL[model_ix], SystemDesign::PmFar);
+        let model = ModelKind::ALL[model_ix];
+        // Sparse: two 18-warp blocks on the Table 1 GPU, one SM each,
+        // the other 28 SMs idle throughout.
+        let (cfg, launch) = if sparse {
+            (GpuConfig::table1(model, SystemDesign::PmFar), LaunchConfig::new(2, 576))
+        } else {
+            (GpuConfig::small(model, SystemDesign::PmFar), LaunchConfig::new(4, 128))
+        };
         let mut gpu = Gpu::new(&cfg);
         if pcie {
             gpu.set_fault_plan(FaultPlan::default().with_pcie(PcieFaultConfig {
@@ -258,7 +344,7 @@ proptest! {
                 backoff_base: 16,
             }));
         }
-        gpu.launch(&mixed_kernel(PM_BASE, PM_BASE + (1 << 20), 16), LaunchConfig::new(4, 128));
+        gpu.launch(&mixed_kernel(PM_BASE, PM_BASE + (1 << 20), 16), launch);
         let sms = cfg.num_sms as usize;
         let mut prev: Vec<Vec<StallBreakdown>> =
             (0..sms).map(|sm| gpu.warp_stall_breakdowns(sm)).collect();
@@ -279,6 +365,9 @@ proptest! {
                 }
                 prop_assert_eq!(sum, per_sm[sm], "SM{} account", sm);
                 for (slot, (p, n)) in prev.iter().zip(&now).enumerate() {
+                    if n == p {
+                        continue;
+                    }
                     for cause in StallCause::ALL {
                         prop_assert!(
                             n.get(cause) >= p.get(cause),
@@ -301,108 +390,6 @@ proptest! {
     }
 }
 
-/// Runs `kernel` as `drive` says and returns the GPU with its end cycle.
-fn run_gpu(
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    serial: bool,
-    drive: Drive,
-) -> (Gpu, u64) {
-    let mut gpu = Gpu::new(cfg);
-    gpu.set_serial_stepping(serial);
-    gpu.launch(kernel, launch);
-    let report = match drive {
-        Drive::Complete => gpu.run(LIMIT).expect("completes"),
-        Drive::CrashAt(cycle) => gpu.run_until(cycle).expect("no deadlock"),
-        Drive::Faulted(plan) => {
-            gpu.set_fault_plan(plan);
-            gpu.run(LIMIT).expect("completes or crashes")
-        }
-    };
-    (gpu, report.cycles)
-}
-
-/// A timeline-on run ticks and charges every SM at every step; a
-/// timeline-off run skips the SMs that cannot change state and charges
-/// each only when a completion next reaches it. Both must end with the
-/// same stats and the same stall accounts on every SM and every warp.
-fn assert_skipping_matches_every_sm_path(
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    serial: bool,
-    drive: Drive,
-) -> Result<(), TestCaseError> {
-    let traced = GpuConfig {
-        timeline: true,
-        ..cfg.clone()
-    };
-    let (skip, skip_end) = run_gpu(cfg, kernel, launch, serial, drive);
-    let (every, every_end) = run_gpu(&traced, kernel, launch, serial, drive);
-    prop_assert_eq!(skip_end, every_end, "end cycle");
-    prop_assert_eq!(skip.stats(), every.stats(), "SimStats");
-    prop_assert_eq!(
-        skip.sm_stall_breakdowns(),
-        every.sm_stall_breakdowns(),
-        "per-SM stalls"
-    );
-    for sm in 0..cfg.num_sms as usize {
-        prop_assert_eq!(
-            skip.warp_stall_breakdowns(sm),
-            every.warp_stall_breakdowns(sm),
-            "SM{} warp stalls",
-            sm
-        );
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// A sparse launch on the 30-SM Table 1 GPU leaves most SMs idle,
-    /// so most SM ticks are skipped: the skipping run must charge and
-    /// simulate exactly what the every-SM run does, to completion or at
-    /// any crash point, serial or fast-forwarded. With PCIe faults armed
-    /// both runs must take the every-SM path: a backoff flip splits
-    /// spans that a skipped SM would charge in one piece.
-    #[test]
-    fn skipping_idle_sms_matches_the_every_sm_path(
-        crash_at in prop_oneof![Just(0u64), 100u64..20_000],
-        blocks in 1u32..3,
-        wide in any::<bool>(),
-        serial in any::<bool>(),
-        pcie in any::<bool>(),
-        sleep in 1u32..200,
-        model_ix in 0usize..3,
-        system_ix in 0usize..2,
-    ) {
-        let model = ModelKind::ALL[model_ix];
-        let system = [SystemDesign::PmNear, SystemDesign::PmFar][system_ix];
-        if !valid(model, system) {
-            return Ok(());
-        }
-        let cfg = GpuConfig::table1(model, system);
-        let kernel = mixed_kernel(PM_BASE, PM_BASE + (1 << 20), sleep);
-        // 32-warp blocks fill an SM each; 2-warp blocks share SM0.
-        let launch = LaunchConfig::new(blocks, if wide { 1024 } else { 64 });
-        let mut plan = FaultPlan::default();
-        if pcie {
-            plan = plan.with_pcie(PcieFaultConfig {
-                period: 2,
-                burst: 2,
-                max_retries: 8,
-                backoff_base: 24,
-            });
-        }
-        if crash_at > 0 {
-            plan.trigger = Some(CrashTrigger::AtCycle(crash_at));
-        }
-        assert_skipping_matches_every_sm_path(&cfg, &kernel, launch, serial, Drive::Faulted(plan))?;
-    }
-}
-
 /// One warp persists a line and waits at a dFence. While the flush is
 /// in flight on PM-far, its SM has only that engine-blocked warp and an
 /// idle persist unit, so its ticks are skipped for the whole round-trip.
@@ -422,10 +409,10 @@ fn a_skipped_span_is_charged_with_the_cause_before_the_ack() {
     let kernel = b.build("store_dfence");
     let cfg = GpuConfig::table1(ModelKind::Sbrp, SystemDesign::PmFar);
     let launch = LaunchConfig::new(1, 32);
-    assert_skipping_matches_every_sm_path(&cfg, &kernel, launch, false, Drive::Complete)
-        .expect("skipping run charges as the every-SM run does");
-    let (gpu, _) = run_gpu(&cfg, &kernel, launch, false, Drive::Complete);
-    let warp = gpu.warp_stall_breakdowns(0)[0];
+    assert_matches_serial_reference(&cfg, &kernel, launch, Drive::Complete)
+        .expect("the skipped SM is charged as the serial reference charges it");
+    let run = observe(&cfg, &kernel, launch, false, Drive::Complete);
+    let warp = run.warp_stalls[0][0];
     assert!(
         warp.wpq_backpressure > 500,
         "the round-trip is charged as backpressure: {warp:?}"
