@@ -173,20 +173,60 @@ fn crash_drive(crash_at: u64) -> Drive {
     }
 }
 
+/// A completed or crashed run, with the busy-link PCIe plan armed when
+/// `pcie` is set (the crash then comes from the plan's trigger).
+fn pcie_or_crash_drive(pcie: bool, crash_at: u64) -> Drive {
+    if !pcie {
+        return crash_drive(crash_at);
+    }
+    let mut plan = busy_link_plan();
+    if crash_at > 0 {
+        plan.trigger = Some(CrashTrigger::AtCycle(crash_at));
+    }
+    Drive::Faulted(plan)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(28))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The default scheduler and the serial reference are
     /// indistinguishable — to completion (`crash_at == 0`) or at any
     /// crash point, with and without PCIe faults flipping the backoff
-    /// flag mid-span, with and without a timeline recorded. On the small
-    /// GPU two blocks share its SMs; on the 30-SM Table 1 GPU a sparse
-    /// launch leaves most SMs idle, so most SM ticks are skipped and
-    /// their stalls charged lazily, across backoff flips too.
+    /// flag mid-span, with and without a timeline recorded — on the
+    /// small GPU, where two blocks share its SMs.
     #[test]
     fn serial_and_fast_forward_runs_are_identical(
         crash_at in prop_oneof![Just(0u64), 100u64..20_000],
-        sparse in any::<bool>(),
+        pcie in any::<bool>(),
+        timeline in any::<bool>(),
+        model_ix in 0usize..3,
+        system_ix in 0usize..2,
+    ) {
+        let model = ModelKind::ALL[model_ix];
+        let system = [SystemDesign::PmNear, SystemDesign::PmFar][system_ix];
+        if !valid(model, system) {
+            return Ok(());
+        }
+        let cfg = GpuConfig { timeline, ..GpuConfig::small(model, system) };
+        let kernel = wal_kernel(PM_BASE, PM_BASE + (1 << 20));
+        let launch = LaunchConfig::new(2, 64);
+        assert_matches_serial_reference(&cfg, &kernel, launch, pcie_or_crash_drive(pcie, crash_at))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A sparse launch on the 30-SM Table 1 GPU leaves most SMs idle,
+    /// so the default scheduler skips most SM ticks and charges their
+    /// stalls lazily: it must simulate and charge exactly what the
+    /// every-SM path (the serial reference, which ticks and charges
+    /// every SM at every cycle) does — to completion or at any crash
+    /// point, with and without a timeline, and with PCIe faults whose
+    /// backoff flips split the spans a skipped SM has not yet charged.
+    #[test]
+    fn skipping_idle_sms_matches_the_every_sm_path(
+        crash_at in prop_oneof![Just(0u64), 100u64..20_000],
         blocks in 1u32..3,
         wide in any::<bool>(),
         sleep in 1u32..200,
@@ -201,26 +241,11 @@ proptest! {
         if !valid(model, system) {
             return Ok(());
         }
-        let (cfg, kernel, launch) = if sparse {
-            // 32-warp blocks fill an SM each; 2-warp blocks share SM0.
-            let launch = LaunchConfig::new(blocks, if wide { 1024 } else { 64 });
-            let kernel = skewed_kernel(PM_BASE, PM_BASE + (1 << 20), sleep, skew);
-            (GpuConfig::table1(model, system), kernel, launch)
-        } else {
-            let kernel = wal_kernel(PM_BASE, PM_BASE + (1 << 20));
-            (GpuConfig::small(model, system), kernel, LaunchConfig::new(2, 64))
-        };
-        let cfg = GpuConfig { timeline, ..cfg };
-        let drive = if pcie {
-            let mut plan = busy_link_plan();
-            if crash_at > 0 {
-                plan.trigger = Some(CrashTrigger::AtCycle(crash_at));
-            }
-            Drive::Faulted(plan)
-        } else {
-            crash_drive(crash_at)
-        };
-        assert_matches_serial_reference(&cfg, &kernel, launch, drive)?;
+        let cfg = GpuConfig { timeline, ..GpuConfig::table1(model, system) };
+        let kernel = skewed_kernel(PM_BASE, PM_BASE + (1 << 20), sleep, skew);
+        // 32-warp blocks fill an SM each; 2-warp blocks share SM0.
+        let launch = LaunchConfig::new(blocks, if wide { 1024 } else { 64 });
+        assert_matches_serial_reference(&cfg, &kernel, launch, pcie_or_crash_drive(pcie, crash_at))?;
     }
 }
 
