@@ -156,15 +156,7 @@ mod tests {
 
     #[test]
     fn sweep_flags_select_a_figure_binarys_sweep_opts_without_progress() {
-        let sweep = [
-            "--jobs",
-            "2",
-            "--no-cache",
-            "--cell-timeout",
-            "1.5",
-            "--retries",
-            "3",
-        ];
+        let sweep = ["--jobs", "2", "--no-cache", "--cell-timeout", "1.5"];
         let strings = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
         for sweep in [&sweep[..], &[]] {
             let extras = ["--quick", "--points", "3", "--seed", "9"];

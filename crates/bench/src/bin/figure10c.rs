@@ -1,58 +1,34 @@
 //! Figure 10(c): SBRP-near speedup over epoch-near while varying the
 //! drain-window size (outstanding persists per SM): 2 / 4 / 6 / 8 / 10.
 
-use sbrp_bench::Cli;
+use sbrp_bench::{speedup, Cli, RatioTable};
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::SystemDesign;
-use sbrp_harness::report::Table;
-use sbrp_harness::sweep::run_cells_expect;
-use sbrp_harness::{geomean, RunSpec};
-use sbrp_workloads::WorkloadKind;
+use sbrp_harness::RunSpec;
 
 fn main() {
     let cli = Cli::parse();
-    let windows = [2u32, 4, 6, 8, 10];
-    // Per workload: one epoch baseline, then SBRP at each window size.
-    let stride = 1 + windows.len();
-    let specs: Vec<RunSpec> = WorkloadKind::ALL
-        .into_iter()
-        .flat_map(|kind| {
-            let base = RunSpec {
-                workload: kind,
-                system: SystemDesign::PmNear,
-                scale: cli.scale_for(kind),
-                small_gpu: cli.small,
-                ..RunSpec::default()
-            };
-            std::iter::once(RunSpec {
-                model: ModelKind::Epoch,
-                ..base.clone()
-            })
-            .chain(windows.into_iter().map(move |w| RunSpec {
-                model: ModelKind::Sbrp,
-                window: Some(w),
-                ..base.clone()
-            }))
-        })
-        .collect();
-    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
-
-    let mut table = Table::new(
-        "Figure 10(c): SBRP-near speedup over epoch-near, varying window size",
-        &["app", "2", "4", "6", "8", "10"],
-    );
-    let mut per_w: Vec<Vec<f64>> = vec![Vec::new(); windows.len()];
-    for (w, kind) in WorkloadKind::ALL.into_iter().enumerate() {
-        let row = &outs[w * stride..(w + 1) * stride];
-        let epoch = row[0].cycles as f64;
-        let speedups: Vec<f64> = row[1..].iter().map(|o| epoch / o.cycles as f64).collect();
-        for (i, s) in speedups.iter().enumerate() {
-            per_w[i].push(*s);
-        }
-        table.row_f64(kind.label(), &speedups);
-    }
-    let means: Vec<f64> = per_w.iter().map(|v| geomean(v)).collect();
-    table.row_f64("GMean", &means);
-    cli.emit(&table);
-    eprintln!("{}", summary.summary_line());
+    let windows = [("2", 2), ("4", 4), ("6", 6), ("8", 8), ("10", 10)];
+    let epoch = RunSpec {
+        model: ModelKind::Epoch,
+        system: SystemDesign::PmNear,
+        ..RunSpec::default()
+    };
+    // One epoch baseline, then SBRP at each window size.
+    let sbrp = windows.map(|(_, w)| RunSpec {
+        model: ModelKind::Sbrp,
+        window: Some(w),
+        ..epoch.clone()
+    });
+    cli.ratio_tables(&[RatioTable {
+        title: "Figure 10(c): SBRP-near speedup over epoch-near, varying window size".into(),
+        cells: [&[epoch][..], &sbrp].concat(),
+        columns: windows
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (w.0, 0, i + 1))
+            .collect(),
+        value: speedup,
+        mean: Some("GMean"),
+    }]);
 }

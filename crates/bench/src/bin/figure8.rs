@@ -2,54 +2,34 @@
 //! (lower is better). SBRP keeps PM data cached across intra-thread and
 //! intra-threadblock ordering points; the epoch barrier invalidates it.
 
-use sbrp_bench::Cli;
-use sbrp_core::ModelKind;
-use sbrp_gpu_sim::config::SystemDesign;
-use sbrp_harness::report::Table;
-use sbrp_harness::sweep::run_cells_expect;
-use sbrp_harness::RunSpec;
-use sbrp_workloads::WorkloadKind;
+use sbrp_bench::{Cli, RatioTable};
+use sbrp_harness::{Fig6Bar, RunSpec};
 
 fn main() {
     let cli = Cli::parse();
-    let bars = [
-        ("Epoch-far", ModelKind::Epoch, SystemDesign::PmFar),
-        ("SBRP-far", ModelKind::Sbrp, SystemDesign::PmFar),
-        ("Epoch-near", ModelKind::Epoch, SystemDesign::PmNear),
-        ("SBRP-near", ModelKind::Sbrp, SystemDesign::PmNear),
-    ];
-    let specs: Vec<RunSpec> = WorkloadKind::ALL
-        .into_iter()
-        .flat_map(|kind| {
-            let scale = cli.scale_for(kind);
-            bars.into_iter().map(move |(_, model, system)| RunSpec {
-                workload: kind,
-                model,
-                system,
-                scale,
-                small_gpu: cli.small,
-                ..RunSpec::default()
-            })
-        })
-        .collect();
-    let (outs, summary) = run_cells_expect(&cli.sweep_opts(), &specs);
-
-    let headers: Vec<&str> = std::iter::once("app")
-        .chain(bars.iter().map(|b| b.0))
-        .collect();
-    let mut table = Table::new(
-        "Figure 8: L1 read misses for NVM data (normalized to epoch-far)",
-        &headers,
-    );
-    for (w, kind) in WorkloadKind::ALL.into_iter().enumerate() {
-        let misses: Vec<u64> = outs[w * bars.len()..(w + 1) * bars.len()]
+    // Figure 6's bars without GPM: epoch-far first.
+    let bars = &Fig6Bar::ALL[1..];
+    cli.ratio_tables(&[RatioTable {
+        title: "Figure 8: L1 read misses for NVM data (normalized to epoch-far)".into(),
+        cells: bars
             .iter()
-            .map(|o| o.stats.l1_pm_read_misses)
-            .collect();
-        let baseline = (misses[0].max(1)) as f64;
-        let normalized: Vec<f64> = misses.iter().map(|&m| m as f64 / baseline).collect();
-        table.row_f64(kind.label(), &normalized);
-    }
-    cli.emit(&table);
-    eprintln!("{}", summary.summary_line());
+            .map(|bar| {
+                let (model, system) = bar.model_system();
+                RunSpec {
+                    model,
+                    system,
+                    ..RunSpec::default()
+                }
+            })
+            .collect(),
+        columns: bars
+            .iter()
+            .enumerate()
+            .map(|(i, bar)| (bar.label(), 0, i))
+            .collect(),
+        value: |base, cell| {
+            cell.stats.l1_pm_read_misses as f64 / base.stats.l1_pm_read_misses.max(1) as f64
+        },
+        mean: None,
+    }]);
 }

@@ -26,9 +26,12 @@
 //!   it, so a `--no-cache` run restarts from scratch;
 //! * `--cell-timeout SECS` — wall-clock budget per sweep cell; a cell
 //!   that overruns it becomes an explicit deadline failure instead of
-//!   hanging the sweep;
-//! * `--retries N` — re-run a failed cell (panic, deadline, simulation
-//!   error) up to N extra times with a deterministic backoff.
+//!   hanging the sweep.
+//!
+//! Figures 6, 8, 9, 10a–c and the ablation share one shape — a row per
+//! application, each column one cell's value over a baseline cell of
+//! its row — and each declares its table as a [`RatioTable`] that
+//! [`Cli::ratio_tables`] runs and prints.
 //!
 //! Every binary but `benchmark` parses its command line with
 //! [`parse_env`]: `--help` prints the usage line and exits 0, and a
@@ -39,7 +42,9 @@
 
 use sbrp_core::json::Json;
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::{FaultPolicy, SweepOpts};
+use sbrp_harness::sweep::{run_cells_expect, SweepOpts};
+use sbrp_harness::{geomean, RunOutput, RunSpec};
+use sbrp_workloads::WorkloadKind;
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
@@ -202,14 +207,14 @@ pub struct Cli {
     pub jobs: usize,
     /// Bypass the on-disk result cache.
     pub no_cache: bool,
-    /// Per-cell deadline and retry policy.
-    pub fault: FaultPolicy,
+    /// Wall-clock budget per sweep cell.
+    pub cell_timeout: Option<Duration>,
 }
 
 impl Flags for Cli {
     fn usage() -> String {
         "[--scale N] [--small] [--csv|--json] [--trace-out FILE] [--jobs N] [--no-cache] \
-         [--cell-timeout SECS] [--retries N]"
+         [--cell-timeout SECS]"
             .into()
     }
 
@@ -225,12 +230,11 @@ impl Flags for Cli {
             "--jobs" => self.jobs = value.positive()?,
             "--no-cache" => self.no_cache = true,
             "--cell-timeout" => {
-                self.fault.cell_timeout = Some(value.parse_with(|s| {
+                self.cell_timeout = Some(value.parse_with(|s| {
                     let secs = s.parse().ok().filter(|&secs: &f64| secs > 0.0)?;
                     Duration::try_from_secs_f64(secs).ok()
                 })?);
             }
-            "--retries" => self.fault.retries = value.value(|_| true)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -255,13 +259,13 @@ impl Cli {
                 Some(SweepOpts::default_cache_dir())
             },
             progress: true,
-            fault: self.fault.clone(),
+            cell_timeout: self.cell_timeout,
         }
     }
 
     /// The scale to use for a workload.
     #[must_use]
-    pub fn scale_for(&self, kind: sbrp_workloads::WorkloadKind) -> u64 {
+    pub fn scale_for(&self, kind: WorkloadKind) -> u64 {
         self.scale
             .unwrap_or_else(|| sbrp_harness::default_scale(kind))
     }
@@ -302,6 +306,89 @@ impl Cli {
             eprintln!("wrote Chrome-trace timeline to {path} (open in Perfetto)");
         }
     }
+
+    /// Runs every row of `tables` in one sweep (table by table, each in
+    /// [`WorkloadKind::ALL`] order) and prints the tables: one as
+    /// [`Cli::emit`] does, several as [`Cli::emit_all`] does.
+    ///
+    /// # Panics
+    /// Panics if a run fails verification.
+    pub fn ratio_tables(&self, tables: &[RatioTable]) {
+        let specs: Vec<RunSpec> = tables
+            .iter()
+            .flat_map(|t| {
+                WorkloadKind::ALL.into_iter().flat_map(move |kind| {
+                    t.cells.iter().map(move |cell| RunSpec {
+                        workload: kind,
+                        scale: self.scale_for(kind),
+                        small_gpu: self.small,
+                        ..cell.clone()
+                    })
+                })
+            })
+            .collect();
+        let (outs, summary) = run_cells_expect(&self.sweep_opts(), &specs);
+        for (spec, out) in specs.iter().zip(&outs) {
+            assert!(out.verified, "{} failed verification", spec.cell_name());
+        }
+        let mut rows = &outs[..];
+        let mut rendered = Vec::new();
+        for t in tables {
+            let headers: Vec<&str> = std::iter::once("app")
+                .chain(t.columns.iter().map(|c| c.0))
+                .collect();
+            let mut table = Table::new(t.title.clone(), &headers);
+            let mut per_column = vec![Vec::new(); t.columns.len()];
+            for kind in WorkloadKind::ALL {
+                let (row, rest) = rows.split_at(t.cells.len());
+                rows = rest;
+                let values: Vec<f64> = t
+                    .columns
+                    .iter()
+                    .map(|&(_, base, cell)| (t.value)(&row[base], &row[cell]))
+                    .collect();
+                for (column, &v) in per_column.iter_mut().zip(&values) {
+                    column.push(v);
+                }
+                table.row_f64(kind.label(), &values);
+            }
+            if let Some(label) = t.mean {
+                let means: Vec<f64> = per_column.iter().map(|c| geomean(c)).collect();
+                table.row_f64(label, &means);
+            }
+            rendered.push(table);
+        }
+        match &rendered[..] {
+            [table] => self.emit(table),
+            tables => self.emit_all(tables),
+        }
+        eprintln!("{}", summary.summary_line());
+    }
+}
+
+/// The speedup of a run over its baseline: the baseline's cycles over
+/// the run's.
+#[must_use]
+pub fn speedup(base: &RunOutput, cell: &RunOutput) -> f64 {
+    base.cycles as f64 / cell.cycles as f64
+}
+
+/// One table of the shape most §7 figures share: a row per
+/// application, every row running the same cells, and each column one
+/// cell's value relative to a baseline cell of its row.
+pub struct RatioTable {
+    /// The table's title.
+    pub title: String,
+    /// Each row's cells, in run order. The row sets their workload, its
+    /// scale and the GPU size.
+    pub cells: Vec<RunSpec>,
+    /// Each column's label, baseline cell and cell, as indices into
+    /// `cells`.
+    pub columns: Vec<(&'static str, usize, usize)>,
+    /// A column's value, from its baseline's run and its cell's run.
+    pub value: fn(&RunOutput, &RunOutput) -> f64,
+    /// The label of a closing geometric-mean row, if there is one.
+    pub mean: Option<&'static str>,
 }
 
 #[cfg(test)]
@@ -316,29 +403,27 @@ mod tests {
     fn default_cli_uses_workload_scales() {
         let cli = Cli::default();
         assert_eq!(
-            cli.scale_for(sbrp_workloads::WorkloadKind::Gpkvs),
-            sbrp_harness::default_scale(sbrp_workloads::WorkloadKind::Gpkvs)
+            cli.scale_for(WorkloadKind::Gpkvs),
+            sbrp_harness::default_scale(WorkloadKind::Gpkvs)
         );
         let cli2 = Cli {
             scale: Some(64),
             ..Cli::default()
         };
-        assert_eq!(cli2.scale_for(sbrp_workloads::WorkloadKind::Scan), 64);
+        assert_eq!(cli2.scale_for(WorkloadKind::Scan), 64);
     }
 
     #[test]
     fn fault_flags_map_onto_sweep_opts() {
-        let opts = cli(&["--cell-timeout", "1.5", "--retries", "3", "--no-cache"])
+        let opts = cli(&["--cell-timeout", "1.5", "--no-cache"])
             .expect("valid")
             .expect("not --help")
             .sweep_opts();
-        assert_eq!(opts.fault.cell_timeout, Some(Duration::from_millis(1500)));
-        assert_eq!(opts.fault.retries, 3);
+        assert_eq!(opts.cell_timeout, Some(Duration::from_millis(1500)));
         assert_eq!(opts.cache_dir, None, "--no-cache disables the cache");
-        // With no flags: the conventional cache, no deadline and no
-        // retries.
+        // With no flags: the conventional cache and no deadline.
         let opts = cli(&[]).unwrap().unwrap().sweep_opts();
-        assert_eq!((opts.fault.cell_timeout, opts.fault.retries), (None, 0));
+        assert_eq!(opts.cell_timeout, None);
         assert_eq!(opts.cache_dir, Some(SweepOpts::default_cache_dir()));
     }
 
@@ -359,10 +444,6 @@ mod tests {
                 invalid("--cell-timeout", "1e300"),
             ),
             (
-                &["--retries", "4294967297"],
-                invalid("--retries", "4294967297"),
-            ),
-            (
                 &["--csv", "--json"],
                 UsageError::Conflict("--csv", "--json"),
             ),
@@ -373,6 +454,10 @@ mod tests {
             (
                 &["--small", "--bogus"],
                 UsageError::UnknownFlag("--bogus".into()),
+            ),
+            (
+                &["--retries", "1"],
+                UsageError::UnknownFlag("--retries".into()),
             ),
         ] {
             assert_eq!(cli(args).unwrap_err(), want, "{args:?}");

@@ -812,18 +812,6 @@ pub fn run_with_summary(
     (CampaignReport { cells: reports }, summary)
 }
 
-/// Runs the campaign serially (no cache, no worker threads), invoking
-/// `on_cell` after each finished cell.
-pub fn run_with(spec: &CampaignSpec, on_cell: impl FnMut(&CellReport) + Send) -> CampaignReport {
-    run_with_opts(spec, &SweepOpts::serial(), on_cell)
-}
-
-/// Runs the campaign silently and serially.
-#[must_use]
-pub fn run(spec: &CampaignSpec) -> CampaignReport {
-    run_with(spec, |_| {})
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,7 +858,7 @@ mod tests {
     #[test]
     fn tiny_cell_sweeps_clean() {
         let spec = tiny_spec();
-        let report = run(&spec);
+        let report = run_with_opts(&spec, &SweepOpts::serial(), |_| {});
         assert_eq!(report.cells.len(), 1);
         let cell = &report.cells[0];
         assert!(cell.baseline_error.is_none(), "{:?}", cell.baseline_error);

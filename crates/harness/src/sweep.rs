@@ -30,22 +30,19 @@
 //!   panicking cell becomes [`CellOutcome::Panicked`] (an explicit
 //!   error row downstream) instead of poisoning the flush mutex and
 //!   aborting the whole matrix.
-//! * **Cell deadlines** — with [`FaultPolicy::cell_timeout`] set, a
+//! * **Cell deadlines** — with [`SweepOpts::cell_timeout`] set, a
 //!   watchdog runs the cell on its own thread and abandons it at the
 //!   wall-clock limit, turning hangs into
 //!   [`CellOutcome::DeadlineExceeded`].
-//! * **Bounded retries** — [`FaultPolicy::retries`] re-runs
-//!   transiently-failed cells (panics, deadlines, and outputs the
-//!   cell's [`SweepCell::failure`] classifies as failures) with a
-//!   seeded backoff schedule ([`retry_backoff_millis`]) that is a pure
-//!   function of `(fingerprint, attempt)` — jobs-1 and jobs-N
-//!   sweeps stay byte-identical.
 //! * **Crash-safe reruns** — the result cache is the resume mechanism.
 //!   Every successful cell is published to it by atomic temp-file +
 //!   rename the moment it finishes, so after a `kill -9` the same
 //!   command re-executes only the cells missing from the cache: the
 //!   kill loses at most the in-flight cells. A run without a cache
 //!   (`--no-cache`) keeps nothing on disk and restarts from scratch.
+//!
+//! A failed cell is not retried: cells are deterministic (contract 1 of
+//! [`SweepCell`]), so a second run would fail the same way.
 //!
 //! Cells whose output is a `Result<T, HarnessError>` go through
 //! [`run_cells`] (engine failures become typed errors) or
@@ -83,25 +80,6 @@ use std::time::{Duration, Instant};
 /// wrong results.
 pub const CACHE_SCHEMA: u64 = 4;
 
-/// Per-cell fault handling: deadlines and retries. Part of
-/// [`SweepOpts`]; the defaults (no deadline, no retries) reproduce the
-/// historical fail-fast execution except that failures are *contained*
-/// rather than fatal.
-#[derive(Clone, Debug, Default)]
-pub struct FaultPolicy {
-    /// Wall-clock budget per cell attempt; `None` means unbounded. When
-    /// set, each attempt runs on a watchdog-supervised thread that is
-    /// abandoned (left to finish in the background) once the budget is
-    /// spent, and the cell resolves to
-    /// [`CellOutcome::DeadlineExceeded`].
-    pub cell_timeout: Option<Duration>,
-    /// Maximum number of *re*-runs after a failed attempt (so a cell
-    /// executes at most `retries + 1` times). Applies to panics,
-    /// deadline overruns, and outputs classified as failures by
-    /// [`SweepCell::failure`].
-    pub retries: u32,
-}
-
 /// How a sweep executes.
 #[derive(Clone, Debug)]
 pub struct SweepOpts {
@@ -113,8 +91,11 @@ pub struct SweepOpts {
     pub cache_dir: Option<PathBuf>,
     /// Print `[done/total] cell (ms)` progress lines to stderr.
     pub progress: bool,
-    /// Per-cell deadline and retry policy.
-    pub fault: FaultPolicy,
+    /// Wall-clock budget per cell; `None` means unbounded. When set,
+    /// each cell runs on a watchdog-supervised thread that is abandoned
+    /// (left to finish in the background) once the budget is spent, and
+    /// the cell resolves to [`CellOutcome::DeadlineExceeded`].
+    pub cell_timeout: Option<Duration>,
 }
 
 impl Default for SweepOpts {
@@ -125,7 +106,7 @@ impl Default for SweepOpts {
             jobs: 0,
             cache_dir: Some(Self::default_cache_dir()),
             progress: true,
-            fault: FaultPolicy::default(),
+            cell_timeout: None,
         }
     }
 }
@@ -140,7 +121,7 @@ impl SweepOpts {
             jobs: 1,
             cache_dir: None,
             progress: false,
-            fault: FaultPolicy::default(),
+            cell_timeout: None,
         }
     }
 
@@ -176,7 +157,7 @@ impl SweepOpts {
 ///    results; when in doubt, hash more.
 ///
 /// The `Clone + Send + 'static` supertraits exist for the deadline
-/// watchdog: a timed attempt runs a clone of the cell on a thread the
+/// watchdog: a timed cell runs a clone of the cell on a thread the
 /// engine may have to abandon, which the borrow checker (rightly)
 /// refuses for borrowed cells.
 pub trait SweepCell: Sync + Send + Clone + 'static {
@@ -195,9 +176,8 @@ pub trait SweepCell: Sync + Send + Clone + 'static {
     fn run(&self) -> Self::Out;
 
     /// Classifies a completed output as a failure (returning its
-    /// message) or a success (`None`, the default). Failures are
-    /// retried under [`FaultPolicy::retries`] and resolve to
-    /// [`CellOutcome::Err`] once the budget is spent.
+    /// message) or a success (`None`, the default). Failures resolve to
+    /// [`CellOutcome::Err`].
     fn failure(&self, _out: &Self::Out) -> Option<String> {
         None
     }
@@ -224,30 +204,24 @@ pub trait SweepCell: Sync + Send + Clone + 'static {
 pub enum CellOutcome<T> {
     /// The cell completed and its output classified as a success.
     Ok(T),
-    /// The cell completed every attempt, but the final output still
-    /// classified as a failure ([`SweepCell::failure`]). The typed
-    /// output is preserved alongside the failure message.
+    /// The cell completed, but its output classified as a failure
+    /// ([`SweepCell::failure`]). The typed output is preserved alongside
+    /// the failure message.
     Err {
-        /// The final attempt's output.
+        /// The output.
         out: T,
-        /// The failure message of the final attempt.
+        /// The failure message.
         message: String,
-        /// Total attempts executed (1 + retries spent).
-        attempts: u32,
     },
-    /// Every attempt panicked; the last panic payload is captured.
+    /// The cell panicked; the panic payload is captured.
     Panicked {
-        /// The final panic message.
+        /// The panic message.
         message: String,
-        /// Total attempts executed.
-        attempts: u32,
     },
-    /// Every attempt overran the per-cell wall-clock deadline.
+    /// The cell overran the per-cell wall-clock deadline.
     DeadlineExceeded {
         /// The configured budget, in milliseconds.
         limit_millis: u64,
-        /// Total attempts executed.
-        attempts: u32,
     },
 }
 
@@ -273,41 +247,13 @@ impl<T> CellOutcome<T> {
     pub fn error(&self) -> Option<String> {
         match self {
             CellOutcome::Ok(_) => None,
-            CellOutcome::Err {
-                message, attempts, ..
-            } => Some(format!("failed after {attempts} attempt(s): {message}")),
-            CellOutcome::Panicked { message, attempts } => {
-                Some(format!("panicked after {attempts} attempt(s): {message}"))
+            CellOutcome::Err { message, .. } => Some(format!("failed: {message}")),
+            CellOutcome::Panicked { message } => Some(format!("panicked: {message}")),
+            CellOutcome::DeadlineExceeded { limit_millis } => {
+                Some(format!("exceeded the {limit_millis} ms cell deadline"))
             }
-            CellOutcome::DeadlineExceeded {
-                limit_millis,
-                attempts,
-            } => Some(format!(
-                "exceeded the {limit_millis} ms cell deadline ({attempts} attempt(s))"
-            )),
         }
     }
-}
-
-/// The deterministic retry backoff, in milliseconds: a pure function of
-/// the cell fingerprint and the (1-based) retry attempt. Exponential
-/// base (10 ms doubling per attempt, capped) plus a seeded jitter in
-/// `[0, base)`; the total never exceeds 4096 ms. Because the schedule
-/// depends on nothing runtime-varying, jobs-1 and jobs-N sweeps retry
-/// identically and stay byte-identical.
-#[must_use]
-pub fn retry_backoff_millis(fingerprint: u64, attempt: u32) -> u64 {
-    const SEED: u64 = 42;
-    let base = 10u64 << attempt.saturating_sub(1).min(7);
-    let jitter = splitmix64(SEED ^ fingerprint.rotate_left(17) ^ u64::from(attempt)) % base;
-    (base + jitter).min(4096)
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Wall-clock record of one executed cell.
@@ -319,8 +265,6 @@ pub struct CellTiming {
     pub millis: u64,
     /// Whether the result came from the cache.
     pub cached: bool,
-    /// Attempts executed (0 for cache loads).
-    pub attempts: u32,
     /// Whether the cell resolved to a non-`Ok` outcome.
     pub failed: bool,
 }
@@ -415,7 +359,7 @@ pub fn sweep_with<C: SweepCell>(
     if jobs <= 1 {
         let mut on_done = on_done;
         for (i, (cell, slot)) in cells.iter().zip(&mut slots).enumerate() {
-            let done = run_one(cache, &opts.fault, cell);
+            let done = run_one(cache, opts.cell_timeout, cell);
             on_done(i, &done.0);
             if opts.progress {
                 progress_line(i + 1, cells.len(), &done.1);
@@ -436,7 +380,7 @@ pub fn sweep_with<C: SweepCell>(
                     if i >= cells.len() {
                         break;
                     }
-                    let done = run_one(cache, &opts.fault, &cells[i]);
+                    let done = run_one(cache, opts.cell_timeout, &cells[i]);
                     // Cell panics are contained by run_one, but recover
                     // from poisoning anyway (e.g. an on_done hook that
                     // panicked on another worker) — one bad observer
@@ -486,23 +430,11 @@ struct FlushState<'a, Out, F> {
 
 fn progress_line(done: usize, total: usize, t: &CellTiming) {
     let source = if t.cached { " (cached)" } else { "" };
-    let attempts = if t.attempts > 1 {
-        format!(" ({} attempts)", t.attempts)
-    } else {
-        String::new()
-    };
     let failed = if t.failed { " FAILED" } else { "" };
     eprintln!(
-        "[{done}/{total}] {} {} ms{source}{attempts}{failed}",
+        "[{done}/{total}] {} {} ms{source}{failed}",
         t.name, t.millis
     );
-}
-
-/// One attempt's raw result, before retry accounting.
-enum Attempt<T> {
-    Finished(T),
-    Panicked(String),
-    TimedOut(u64),
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -515,16 +447,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one attempt of `cell` inside the fault boundary. Without a
-/// deadline the attempt runs inline under `catch_unwind`; with one, it
-/// runs a clone of the cell on a watchdog thread that is abandoned
-/// (detached, left to wind down on its own) if the budget expires — a
-/// hung simulation costs its thread, never the sweep.
-fn attempt_run<C: SweepCell>(cell: &C, timeout: Option<Duration>) -> Attempt<C::Out> {
+/// Runs `cell` inside the fault boundary. Without a deadline the cell
+/// runs inline under `catch_unwind`; with one, it runs a clone of the
+/// cell on a watchdog thread that is abandoned (detached, left to wind
+/// down on its own) if the budget expires — a hung simulation costs its
+/// thread, never the sweep.
+fn run_guarded<C: SweepCell>(cell: &C, timeout: Option<Duration>) -> CellOutcome<C::Out> {
+    let finished = |out| match cell.failure(&out) {
+        None => CellOutcome::Ok(out),
+        Some(message) => CellOutcome::Err { out, message },
+    };
     match timeout {
         None => match catch_unwind(AssertUnwindSafe(|| cell.run())) {
-            Ok(out) => Attempt::Finished(out),
-            Err(payload) => Attempt::Panicked(panic_message(payload.as_ref())),
+            Ok(out) => finished(out),
+            Err(payload) => CellOutcome::Panicked {
+                message: panic_message(payload.as_ref()),
+            },
         },
         Some(limit) => {
             let (tx, rx) = mpsc::channel();
@@ -538,11 +476,15 @@ fn attempt_run<C: SweepCell>(cell: &C, timeout: Option<Duration>) -> Attempt<C::
                     let _ = tx.send(result.map_err(|p| panic_message(p.as_ref())));
                 });
             match spawned {
-                Err(e) => Attempt::Panicked(format!("could not spawn cell thread: {e}")),
+                Err(e) => CellOutcome::Panicked {
+                    message: format!("could not spawn cell thread: {e}"),
+                },
                 Ok(_) => match rx.recv_timeout(limit) {
-                    Ok(Ok(out)) => Attempt::Finished(out),
-                    Ok(Err(message)) => Attempt::Panicked(message),
-                    Err(_) => Attempt::TimedOut(limit.as_millis() as u64),
+                    Ok(Ok(out)) => finished(out),
+                    Ok(Err(message)) => CellOutcome::Panicked { message },
+                    Err(_) => CellOutcome::DeadlineExceeded {
+                        limit_millis: limit.as_millis() as u64,
+                    },
                 },
             }
         }
@@ -590,17 +532,15 @@ pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 
 fn run_one<C: SweepCell>(
     cache: Option<&Path>,
-    fault: &FaultPolicy,
+    timeout: Option<Duration>,
     cell: &C,
 ) -> (CellOutcome<C::Out>, CellTiming) {
     let t0 = Instant::now();
-    let fp = cell.fingerprint();
-    let key = Fingerprint::hex(fp);
-    let timing = |cached: bool, attempts: u32, failed: bool| CellTiming {
+    let key = Fingerprint::hex(cell.fingerprint());
+    let timing = |cached: bool, failed: bool| CellTiming {
         name: cell.name(),
         millis: t0.elapsed().as_millis() as u64,
         cached,
-        attempts,
         failed,
     };
 
@@ -611,42 +551,11 @@ fn run_one<C: SweepCell>(
         .and_then(|path| read_record(path, &key))
         .and_then(|payload| cell.parse_cached(&payload))
     {
-        return (CellOutcome::Ok(out), timing(true, 0, false));
+        return (CellOutcome::Ok(out), timing(true, false));
     }
 
-    // 2. Execute, with bounded retries behind the fault boundary.
-    let mut attempts = 0u32;
-    let outcome = loop {
-        attempts += 1;
-        let exhausted = attempts > fault.retries;
-        match attempt_run(cell, fault.cell_timeout) {
-            Attempt::Finished(out) => match cell.failure(&out) {
-                None => break CellOutcome::Ok(out),
-                Some(message) if exhausted => {
-                    break CellOutcome::Err {
-                        out,
-                        message,
-                        attempts,
-                    }
-                }
-                Some(_) => {}
-            },
-            Attempt::Panicked(message) => {
-                if exhausted {
-                    break CellOutcome::Panicked { message, attempts };
-                }
-            }
-            Attempt::TimedOut(limit_millis) => {
-                if exhausted {
-                    break CellOutcome::DeadlineExceeded {
-                        limit_millis,
-                        attempts,
-                    };
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(retry_backoff_millis(fp, attempts)));
-    };
+    // 2. Execute behind the fault boundary.
+    let outcome = run_guarded(cell, timeout);
 
     // 3. Publish a successful outcome by atomic temp-file + rename, so
     //    a kill mid-write can never leave a torn record. A failed write
@@ -662,7 +571,7 @@ fn run_one<C: SweepCell>(
         }
     }
     let failed = !outcome.is_ok();
-    (outcome, timing(false, attempts, failed))
+    (outcome, timing(false, failed))
 }
 
 // ---------------------------------------------------------------------
@@ -929,23 +838,6 @@ mod tests {
         assert!(outs.is_empty());
         assert_eq!(summary.cells(), 0);
         assert!(summary.summary_line().contains("0 cells"));
-    }
-
-    #[test]
-    fn backoff_is_pure_and_bounded() {
-        for fp in [1u64, u64::MAX, 0x1234_5678] {
-            for attempt in 1..=12u32 {
-                let a = retry_backoff_millis(fp, attempt);
-                let b = retry_backoff_millis(fp, attempt);
-                assert_eq!(a, b, "schedule must be pure");
-                assert!(a <= 4096, "backoff capped at 4096 ms, got {a}");
-                assert!(a >= 10, "backoff at least the 10 ms base, got {a}");
-            }
-        }
-        // Distinct fingerprints must actually steer the jitter somewhere.
-        let any_differs =
-            (1..=8u32).any(|k| retry_backoff_millis(99, k) != retry_backoff_millis(100, k));
-        assert!(any_differs, "fingerprint must influence the schedule");
     }
 
     #[test]

@@ -325,6 +325,13 @@ impl Gpu {
             draining: false,
         });
         self.dispatch();
+        // The next step opens by observing at `cycle - 1`, which would
+        // date the new warps a cycle before their launch.
+        if self.cfg.timeline {
+            for sm in &mut self.sms {
+                sm.observe(self.cycle, self.backoff);
+            }
+        }
     }
 
     fn dispatch(&mut self) {

@@ -9,9 +9,12 @@
 //! Chrome-trace JSON.
 //!
 //! The values were recorded from the exact every-SM scheduler, which
-//! ticked and charged every SM at every step of these runs. A change to
-//! SM stepping, stall charging or timeline observation that moves any
-//! of them changes what the simulator reports.
+//! ticked and charged every SM at every step of these runs, except the
+//! trace digests of the `relaunch` cases: that scheduler dated a second
+//! launch's warps one cycle before the launch, and those digests were
+//! re-recorded once new warps were observed at their launch cycle. A
+//! change to SM stepping, stall charging or timeline observation that
+//! moves any of them changes what the simulator reports.
 
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::stall::{StallBreakdown, StallCause};
@@ -379,14 +382,14 @@ const PINS: &[(&str, u64, u64, u64)] = &[
     ("Sbrp/PmFar/2x1024/crash/Both/p7b1+8/skew90", 1500, 0xc0130057f66a80b0, 0x526444a5b8185134),
     ("Sbrp/PmFar/2x576/complete/Both/p12b1+8/skew0", 10722, 0xa9435919b67b147e, 0x9dcbc151b74aa2b7),
     ("Sbrp/PmFar/2x576/crash/Both/p12b1+8/skew0", 1500, 0xf5ee7efcb4ade206, 0x5ea344b2374c9003),
-    ("Gpm/PmFar/1x64/relaunch/Timeline/p3b2+24/skew0", 8669, 0x622f4bb9516ac055, 0xa5acc14d4adb1d98),
-    ("Gpm/PmFar/1x64/relaunch/Both/p3b2+24/skew0", 26777, 0x97a2cd660beb9b50, 0x4739b30f4e7a0f29),
-    ("Epoch/PmNear/1x64/relaunch/Timeline/p3b2+24/skew0", 1540, 0xde3d6dcdb07c6722, 0xc21a126d7a25a137),
-    ("Epoch/PmFar/1x64/relaunch/Timeline/p3b2+24/skew0", 8669, 0x622f4bb9516ac055, 0xa5acc14d4adb1d98),
-    ("Epoch/PmFar/1x64/relaunch/Both/p3b2+24/skew0", 26777, 0x97a2cd660beb9b50, 0x4739b30f4e7a0f29),
-    ("Sbrp/PmNear/1x64/relaunch/Timeline/p3b2+24/skew0", 1383, 0x2624c1f4523cc599, 0xb691a2edbadaa39e),
-    ("Sbrp/PmFar/1x64/relaunch/Timeline/p3b2+24/skew0", 6326, 0xdc57e58e1baf9fb3, 0x44ba0ff1cd77315e),
-    ("Sbrp/PmFar/1x64/relaunch/Both/p3b2+24/skew0", 23255, 0xc2fc76ad5f3ce824, 0xac33d804d930a6ff),
+    ("Gpm/PmFar/1x64/relaunch/Timeline/p3b2+24/skew0", 8669, 0x622f4bb9516ac055, 0x4fae619b8e67315f),
+    ("Gpm/PmFar/1x64/relaunch/Both/p3b2+24/skew0", 26777, 0x97a2cd660beb9b50, 0xc824b633afaf74ef),
+    ("Epoch/PmNear/1x64/relaunch/Timeline/p3b2+24/skew0", 1540, 0xde3d6dcdb07c6722, 0x8b64032d1a600d21),
+    ("Epoch/PmFar/1x64/relaunch/Timeline/p3b2+24/skew0", 8669, 0x622f4bb9516ac055, 0x4fae619b8e67315f),
+    ("Epoch/PmFar/1x64/relaunch/Both/p3b2+24/skew0", 26777, 0x97a2cd660beb9b50, 0xc824b633afaf74ef),
+    ("Sbrp/PmNear/1x64/relaunch/Timeline/p3b2+24/skew0", 1383, 0x2624c1f4523cc599, 0xb59192d7c7eb3a27),
+    ("Sbrp/PmFar/1x64/relaunch/Timeline/p3b2+24/skew0", 6326, 0xdc57e58e1baf9fb3, 0x2c2609a10d127cf1),
+    ("Sbrp/PmFar/1x64/relaunch/Both/p3b2+24/skew0", 23255, 0xc2fc76ad5f3ce824, 0x572d4226243b117d),
 ];
 
 #[test]
@@ -410,4 +413,29 @@ fn traced_and_faulted_sparse_runs_match_their_pins() {
         })
         .collect();
     assert_eq!(actual, expected, "actual pins:\n{}", table.join("\n"));
+}
+
+/// A launch at the cycle the previous one completed shows its warps
+/// from that cycle, not from the cycle before it.
+#[test]
+fn a_relaunched_kernel_starts_on_the_timeline_at_its_launch_cycle() {
+    let cfg = GpuConfig {
+        timeline: true,
+        ..GpuConfig::table1(ModelKind::Epoch, SystemDesign::PmNear)
+    };
+    let mut gpu = Gpu::new(&cfg);
+    gpu.launch(&mixed_kernel(0), LaunchConfig::new(1, 64));
+    let first = gpu.run(LIMIT).expect("completes");
+    assert_eq!(first.cycles, 694);
+    // Three 3-warp blocks: the first lands on SM 0, whose slot 2 the
+    // 2-warp first launch never used.
+    gpu.launch(&mixed_kernel(0), LaunchConfig::new(3, 96));
+    gpu.run(LIMIT).expect("completes");
+    let timeline = gpu.take_timeline().expect("timeline on");
+    let slot2 = timeline
+        .slices
+        .iter()
+        .find(|s| s.pid == 0 && s.tid == 2)
+        .expect("slot 2 of SM 0 ran a warp");
+    assert_eq!(slot2.start, first.cycles, "{slot2:?}");
 }
