@@ -142,6 +142,18 @@ impl TraceBuilder {
         Self::default()
     }
 
+    /// Number of events recorded so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether no event has been recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
     fn push(&mut self, ev: Event) -> EventId {
         let id = EventId(u32::try_from(self.events.len()).expect("trace too large"));
         self.events.push(ev);

@@ -77,6 +77,19 @@ impl TraceCapture {
         self.persists
     }
 
+    /// Number of events recorded: persists and ordering operations.
+    #[must_use]
+    pub fn event_count(&self) -> usize {
+        self.tb.len()
+    }
+
+    /// The cycle at which persist `id` first became durable, or `None`
+    /// if it has not (or `id` is not a persist).
+    #[must_use]
+    pub fn durable_cycle(&self, id: EventId) -> Option<u64> {
+        self.durable_at.get(&id).copied()
+    }
+
     /// Number of persists the warp sampler skipped.
     #[must_use]
     pub fn skipped_count(&self) -> u64 {

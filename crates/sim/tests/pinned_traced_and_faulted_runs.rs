@@ -15,12 +15,24 @@
 //! re-recorded once new warps were observed at their launch cycle. A
 //! change to SM stepping, stall charging or timeline observation that
 //! moves any of them changes what the simulator reports.
+//!
+//! A second table pins traced SBRP runs by which persist became durable
+//! when: each run's result, its trace's event count, every event's first
+//! durable cycle and the trace's check verdict. Its kernels reach every
+//! path that flushes a persist-buffer entry (the drain tick, an early
+//! flush after a store-ordering stall, an L1 eviction) and the
+//! sanitizer's two kinds of verdict (a dropped WPQ write and a §5.3
+//! scope bug), on the Table 1 and the small GPU, to completion and cut
+//! mid-run. A change to how flushes are attributed to persists moves
+//! them.
 
 use sbrp_core::fingerprint::Fingerprint;
+use sbrp_core::formal::EventId;
+use sbrp_core::scope::Scope;
 use sbrp_core::stall::{StallBreakdown, StallCause};
 use sbrp_core::ModelKind;
 use sbrp_gpu_sim::config::{GpuConfig, SystemDesign, PM_BASE};
-use sbrp_gpu_sim::fault::{CrashTrigger, FaultPlan, PcieFaultConfig};
+use sbrp_gpu_sim::fault::{CrashTrigger, FaultPlan, NvmFault, PcieFaultConfig};
 use sbrp_gpu_sim::{Gpu, RunOutcome};
 use sbrp_isa::{Kernel, KernelBuilder, LaunchConfig, MemWidth, Special};
 
@@ -438,4 +450,248 @@ fn a_relaunched_kernel_starts_on_the_timeline_at_its_launch_cycle() {
         .find(|s| s.pid == 0 && s.tid == 2)
         .expect("slot 2 of SM 0 ran a warp");
     assert_eq!(slot2.start, first.cycles, "{slot2:?}");
+}
+
+/// Each thread stores to its own word `rounds` times, with an oFence
+/// after each store and a dFence at the end. The second store to a
+/// line finds the line's first persist still buffered behind the
+/// warp's own oFence, so it stalls and flushes that persist early.
+fn overwrite_kernel(rounds: u32) -> Kernel {
+    let mut b = KernelBuilder::new();
+    b.set_params(vec![PM_BASE]);
+    let base = b.param(0);
+    let tid = b.special(Special::GlobalTid);
+    let off = b.muli(tid, 8);
+    let addr = b.add(base, off);
+    for round in 0..rounds {
+        let v = b.addi(tid, u64::from(round));
+        b.st(addr, 0, v, MemWidth::W8);
+        b.ofence();
+    }
+    b.dfence();
+    b.build("overwrite")
+}
+
+/// Each thread stores to `lines` words 16 KiB apart: a multiple of
+/// the L1 set span on both the Table 1 and the small GPU, so every
+/// store after the fourth maps to a full set and evicts a dirty PM
+/// line whose persist may still be buffered. No fence until the end.
+fn conflict_kernel(lines: u32) -> Kernel {
+    let mut b = KernelBuilder::new();
+    b.set_params(vec![PM_BASE]);
+    let base = b.param(0);
+    let tid = b.special(Special::GlobalTid);
+    let off = b.muli(tid, 8);
+    let addr = b.add(base, off);
+    for line in 0..lines {
+        b.st(addr, i64::from(line) * 16 * 1024, tid, MemWidth::W8);
+    }
+    b.dfence();
+    b.build("conflict")
+}
+
+/// log[gtid] = gtid, oFence, data[gtid] = gtid (the WAL idiom).
+fn wal_kernel() -> Kernel {
+    let mut b = KernelBuilder::new();
+    b.set_params(vec![PM_BASE, PM_BASE + (1 << 20)]);
+    let log = b.param(0);
+    let data = b.param(1);
+    let tid = b.special(Special::GlobalTid);
+    let off = b.muli(tid, 8);
+    let laddr = b.add(log, off);
+    let daddr = b.add(data, off);
+    b.st(laddr, 0, tid, MemWidth::W8);
+    b.ofence();
+    b.st(daddr, 0, tid, MemWidth::W8);
+    b.build("wal")
+}
+
+/// Thread 0 of block 0 persists and releases a flag at block scope;
+/// thread 0 of every other block acquires it at block scope and
+/// persists: the value crosses blocks but the scope does not (the
+/// §5.3 scoped persistency bug).
+fn block_scope_handoff_kernel() -> Kernel {
+    let flag = 0x78_000;
+    let mut b = KernelBuilder::new();
+    b.set_params(vec![PM_BASE, flag]);
+    let arr = b.param(0);
+    let flag_r = b.param(1);
+    let cta = b.special(Special::CtaId);
+    let tid = b.special(Special::Tid);
+    let first = b.eqi(tid, 0);
+    let is_b0 = b.eqi(cta, 0);
+    let off = b.muli(tid, 8);
+    let addr = b.add(arr, off);
+    b.if_then_else(
+        is_b0,
+        |b| {
+            b.if_then(first, |b| {
+                b.st(addr, 0, tid, MemWidth::W8);
+                let one = b.movi(1);
+                b.prel(flag_r, one, Scope::Block);
+            });
+        },
+        |b| {
+            b.if_then(first, |b| {
+                b.while_loop(
+                    |b| {
+                        let v = b.pacq(flag_r, Scope::Block);
+                        b.eqi(v, 0)
+                    },
+                    |_| {},
+                );
+                b.st(addr, 16384, tid, MemWidth::W8);
+            });
+        },
+    );
+    b.build("block_scope_handoff")
+}
+
+/// The kernels of the traced SBRP pins.
+#[derive(Clone, Copy, Debug)]
+enum Traced {
+    /// [`overwrite_kernel`] with 4 rounds: store-ordering early flushes.
+    Overwrite,
+    /// [`conflict_kernel`] with 8 lines: L1 evictions of buffered lines.
+    Conflict,
+    /// [`wal_kernel`] with the 3rd WPQ accept dropped: a crash-cut or
+    /// durability-order violation.
+    DroppedWal,
+    /// [`block_scope_handoff_kernel`]: a §5.3 scope bug.
+    BlockHandoff,
+}
+
+/// One traced SBRP run with the trace and the sanitizer on, to
+/// completion or cut at half the completed run's cycles: the label and
+/// a digest over the run's result, the trace's event count, every
+/// event's first durable cycle (or "never") and the trace's check
+/// verdict.
+fn traced_run(small: bool, system: SystemDesign, kernel: Traced, crash: bool) -> (String, u64) {
+    let base = if small {
+        GpuConfig::small(ModelKind::Sbrp, system)
+    } else {
+        GpuConfig::table1(ModelKind::Sbrp, system)
+    };
+    let cfg = GpuConfig {
+        trace: true,
+        sanitize: true,
+        ..base
+    };
+    let (k, launch) = match kernel {
+        Traced::Overwrite => (overwrite_kernel(4), LaunchConfig::new(2, 256)),
+        Traced::Conflict => (conflict_kernel(8), LaunchConfig::new(2, 256)),
+        Traced::DroppedWal => (wal_kernel(), LaunchConfig::new(2, 128)),
+        Traced::BlockHandoff => (block_scope_handoff_kernel(), LaunchConfig::new(3, 32)),
+    };
+    let start = |gpu: &mut Gpu| {
+        if matches!(kernel, Traced::DroppedWal) {
+            gpu.set_fault_plan(FaultPlan::default().with_nvm(NvmFault::DropWpqEntry(3)));
+        }
+        gpu.launch(&k, launch);
+    };
+    let mut gpu = Gpu::new(&cfg);
+    start(&mut gpu);
+    let mut result = gpu.run(LIMIT);
+    if crash {
+        let end = result.as_ref().map_or(gpu.cycle(), |r| r.cycles);
+        gpu = Gpu::new(&cfg);
+        start(&mut gpu);
+        result = gpu.run_until(end / 2);
+    }
+    let gpu_name = if small { "small" } else { "table1" };
+    let end = if crash { "crash" } else { "complete" };
+    let label = format!("{gpu_name}/{system:?}/{kernel:?}/{end}");
+    let mut fp = Fingerprint::new();
+    match &result {
+        Ok(r) => fp.write_str(&format!("{:?} at {}", r.outcome, r.cycles)),
+        Err(e) => fp.write_str(&e.to_string()),
+    }
+    let trace = gpu.take_trace().expect("tracing is on");
+    fp.write_u64(trace.event_count() as u64);
+    for i in 0..trace.event_count() {
+        match trace.durable_cycle(EventId::from_index(i)) {
+            Some(cycle) => fp.write_u64(cycle),
+            None => fp.write_str("never"),
+        }
+    }
+    match trace.check() {
+        Ok(()) => fp.write_str("ok"),
+        Err(v) => fp.write_str(&v.to_string()),
+    }
+    (label, fp.finish())
+}
+
+/// Every traced SBRP case: both GPUs, both systems, each kernel, to
+/// completion and crashed.
+fn traced_cases() -> Vec<(bool, SystemDesign, Traced, bool)> {
+    let mut out = Vec::new();
+    for small in [false, true] {
+        for system in [SystemDesign::PmNear, SystemDesign::PmFar] {
+            for kernel in [
+                Traced::Overwrite,
+                Traced::Conflict,
+                Traced::DroppedWal,
+                Traced::BlockHandoff,
+            ] {
+                for crash in [false, true] {
+                    out.push((small, system, kernel, crash));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One line per traced case: label, digest.
+#[rustfmt::skip]
+const TRACED_PINS: &[(&str, u64)] = &[
+    ("table1/PmNear/Overwrite/complete", 0x17d3be540c5f1ce5),
+    ("table1/PmNear/Overwrite/crash", 0xbb16566e70c11bd0),
+    ("table1/PmNear/Conflict/complete", 0xac2b559bd4849c89),
+    ("table1/PmNear/Conflict/crash", 0xaf09c126cff6c979),
+    ("table1/PmNear/DroppedWal/complete", 0xf490747fa5d4799e),
+    ("table1/PmNear/DroppedWal/crash", 0x5915300d75171e30),
+    ("table1/PmNear/BlockHandoff/complete", 0x87dceea9f154f7a7),
+    ("table1/PmNear/BlockHandoff/crash", 0xfcebdf0ef1a38289),
+    ("table1/PmFar/Overwrite/complete", 0x58ee1209fafbeef0),
+    ("table1/PmFar/Overwrite/crash", 0xfadcc0de367c94b5),
+    ("table1/PmFar/Conflict/complete", 0xf4e077f5aa626c58),
+    ("table1/PmFar/Conflict/crash", 0xef28c2dcfec50426),
+    ("table1/PmFar/DroppedWal/complete", 0x3a173a8b4d1e47df),
+    ("table1/PmFar/DroppedWal/crash", 0xbebb545ee735bdfe),
+    ("table1/PmFar/BlockHandoff/complete", 0x8e27e7bd9b9ccea9),
+    ("table1/PmFar/BlockHandoff/crash", 0x79f4f5ff5ddfdc20),
+    ("small/PmNear/Overwrite/complete", 0xc29d91368a685bb0),
+    ("small/PmNear/Overwrite/crash", 0x010a34e6201aa79a),
+    ("small/PmNear/Conflict/complete", 0x47590629ab5c593b),
+    ("small/PmNear/Conflict/crash", 0x90093a6ce81700bb),
+    ("small/PmNear/DroppedWal/complete", 0x7603dc9a706b2c57),
+    ("small/PmNear/DroppedWal/crash", 0x4881cee14535ae04),
+    ("small/PmNear/BlockHandoff/complete", 0x9fdb6e59a827eea8),
+    ("small/PmNear/BlockHandoff/crash", 0x52c30edfa315f61f),
+    ("small/PmFar/Overwrite/complete", 0x02f9809f9933fe97),
+    ("small/PmFar/Overwrite/crash", 0x5786c27281d0b53e),
+    ("small/PmFar/Conflict/complete", 0x12a01fd3ee21f52a),
+    ("small/PmFar/Conflict/crash", 0x37b1cfccc15a30b4),
+    ("small/PmFar/DroppedWal/complete", 0xcf30b3d6c045adf1),
+    ("small/PmFar/DroppedWal/crash", 0x1902316cacc9a7b4),
+    ("small/PmFar/BlockHandoff/complete", 0x843886dadb37a5b3),
+    ("small/PmFar/BlockHandoff/crash", 0x8452c2e96613b55b),
+];
+
+#[test]
+fn traced_sbrp_runs_match_their_durability_pins() {
+    let actual: Vec<(String, u64)> = traced_cases()
+        .into_iter()
+        .map(|(small, system, kernel, crash)| traced_run(small, system, kernel, crash))
+        .collect();
+    let expected: Vec<(String, u64)> = TRACED_PINS
+        .iter()
+        .map(|&(label, digest)| (label.to_string(), digest))
+        .collect();
+    let table: Vec<String> = actual
+        .iter()
+        .map(|(label, digest)| format!("    (\"{label}\", {digest:#018x}),"))
+        .collect();
+    assert_eq!(actual, expected, "actual pins:\n{}", table.join("\n"));
 }
