@@ -17,7 +17,7 @@ impl EventId {
 
     /// Reconstructs an id from [`EventId::index`] — for callers that
     /// round-trip ids through opaque integer tokens (e.g. the simulator's
-    /// persist-buffer trace tokens). Using an index that was not produced
+    /// per-line trace tokens). Using an index that was not produced
     /// by the same trace yields nonsense results from the checkers.
     #[must_use]
     pub fn from_index(index: usize) -> Self {

@@ -245,14 +245,36 @@ impl TraceBuilder {
         }
     }
 
+    /// Scoped persistency bugs observed so far (see
+    /// [`PmoGraph::scope_bugs`]).
+    #[must_use]
+    pub fn scope_bugs(&self) -> &[ScopeBugWarning] {
+        &self.scope_bugs
+    }
+
     /// [`PmoGraph::check_crash_cut`] on the trace recorded so far,
-    /// without finishing (or copying) it.
+    /// without finishing (or copying) it; `durable` says whether a
+    /// persist is durable.
     ///
     /// # Errors
     ///
     /// Returns the first [`PmoViolation`] found.
-    pub fn check_crash_cut(&self, durable: &EventSet) -> Result<(), PmoViolation> {
-        crash_cut(&self.events, &self.succ, |id| durable.contains(id))
+    pub fn check_crash_cut(&self, durable: impl Fn(EventId) -> bool) -> Result<(), PmoViolation> {
+        crash_cut(&self.events, &self.succ, durable)
+    }
+
+    /// [`PmoGraph::check_durability_order`] on the trace recorded so far,
+    /// without finishing (or copying) it; `durable_at` gives the cycle a
+    /// persist became durable, if it did.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`PmoViolation`] found.
+    pub fn check_durability_order(
+        &self,
+        durable_at: impl Fn(EventId) -> Option<u64>,
+    ) -> Result<(), PmoViolation> {
+        durability_order(&self.events, &self.succ, durable_at)
     }
 
     /// Finalizes the trace into an immutable [`PmoGraph`].
@@ -361,45 +383,6 @@ impl PmoGraph {
         false
     }
 
-    /// Renders the PMO graph in Graphviz DOT format for visual
-    /// inspection (persists as boxes, ordering operations as ellipses,
-    /// scope-bug pairs as dashed red edges).
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph pmo {\n  rankdir=TB;\n");
-        for (i, e) in self.events.iter().enumerate() {
-            let id = EventId(i as u32);
-            match e.kind {
-                EventKind::Persist { addr } => {
-                    let _ = writeln!(
-                        out,
-                        "  e{i} [shape=box,label=\"{} W({addr:#x})\"];",
-                        e.thread
-                    );
-                }
-                EventKind::Op { op, var } => {
-                    let var = var.map(|v| format!(" @{v:#x}")).unwrap_or_default();
-                    let _ = writeln!(out, "  e{i} [label=\"{} {op}{var}\"];", e.thread);
-                }
-            }
-            for m in &self.succ[i] {
-                let _ = writeln!(out, "  e{i} -> e{};", m.index());
-            }
-            let _ = id;
-        }
-        for bug in &self.scope_bugs {
-            let _ = writeln!(
-                out,
-                "  e{} -> e{} [style=dashed,color=red,label=\"scope bug\"];",
-                bug.release.index(),
-                bug.acquire.index()
-            );
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Checks that the observed durability times never invert PMO.
     ///
     /// `durable_at` maps each persist event to the cycle at which it became
@@ -415,60 +398,7 @@ impl PmoGraph {
         &self,
         durable_at: &HashMap<EventId, u64>,
     ) -> Result<(), PmoViolation> {
-        // Process events in trace (hence topological) order, propagating
-        // the latest durability time of any PMO-predecessor persist.
-        let mut max_before: Vec<Option<(u64, EventId)>> = vec![None; self.events.len()];
-        for i in 0..self.events.len() {
-            let id = EventId(i as u32);
-            let inherited = max_before[i];
-            if self.events[i].is_persist() {
-                let here = durable_at.get(&id).copied();
-                if let Some((t_pred, pred)) = inherited {
-                    match here {
-                        Some(t) if t >= t_pred => {}
-                        Some(t) => {
-                            return Err(PmoViolation {
-                                before: pred,
-                                after: id,
-                                message: format!(
-                                    "persist {id} durable at {t} before its PMO-predecessor \
-                                     {pred} (durable at {t_pred})"
-                                ),
-                            });
-                        }
-                        None => {
-                            return Err(PmoViolation {
-                                before: pred,
-                                after: id,
-                                message: format!(
-                                    "persist {id} never became durable but PMO-orders after \
-                                     {pred}; durability-order check requires complete runs"
-                                ),
-                            });
-                        }
-                    }
-                }
-                let out = match (inherited, here) {
-                    (Some((tp, p)), Some(t)) => {
-                        if t >= tp {
-                            Some((t, id))
-                        } else {
-                            Some((tp, p))
-                        }
-                    }
-                    (None, Some(t)) => Some((t, id)),
-                    (v, None) => v,
-                };
-                for &m in &self.succ[i] {
-                    merge_max(&mut max_before[m.index()], out);
-                }
-            } else {
-                for &m in &self.succ[i] {
-                    merge_max(&mut max_before[m.index()], inherited);
-                }
-            }
-        }
-        Ok(())
+        durability_order(&self.events, &self.succ, |id| durable_at.get(&id).copied())
     }
 
     /// Checks that the set of persists durable at a crash is
@@ -516,6 +446,69 @@ fn crash_cut(
         if let Some(w1) = taint {
             for &m in &succ[i] {
                 tainted[m.index()].get_or_insert(w1);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The durability-order check over a trace's events and forward edges:
+/// propagates the latest durability time of any PMO-predecessor persist
+/// in trace (hence topological) order and reports the first persist
+/// durable before it, or never durable after it.
+fn durability_order(
+    events: &[Event],
+    succ: &[Vec<EventId>],
+    durable_at: impl Fn(EventId) -> Option<u64>,
+) -> Result<(), PmoViolation> {
+    let mut max_before: Vec<Option<(u64, EventId)>> = vec![None; events.len()];
+    for (i, ev) in events.iter().enumerate() {
+        let id = EventId(i as u32);
+        let inherited = max_before[i];
+        if ev.is_persist() {
+            let here = durable_at(id);
+            if let Some((t_pred, pred)) = inherited {
+                match here {
+                    Some(t) if t >= t_pred => {}
+                    Some(t) => {
+                        return Err(PmoViolation {
+                            before: pred,
+                            after: id,
+                            message: format!(
+                                "persist {id} durable at {t} before its PMO-predecessor \
+                                 {pred} (durable at {t_pred})"
+                            ),
+                        });
+                    }
+                    None => {
+                        return Err(PmoViolation {
+                            before: pred,
+                            after: id,
+                            message: format!(
+                                "persist {id} never became durable but PMO-orders after \
+                                 {pred}; durability-order check requires complete runs"
+                            ),
+                        });
+                    }
+                }
+            }
+            let out = match (inherited, here) {
+                (Some((tp, p)), Some(t)) => {
+                    if t >= tp {
+                        Some((t, id))
+                    } else {
+                        Some((tp, p))
+                    }
+                }
+                (None, Some(t)) => Some((t, id)),
+                (v, None) => v,
+            };
+            for &m in &succ[i] {
+                merge_max(&mut max_before[m.index()], out);
+            }
+        } else {
+            for &m in &succ[i] {
+                merge_max(&mut max_before[m.index()], inherited);
             }
         }
     }
@@ -784,8 +777,28 @@ mod tests {
                     hash.insert(EventId::from_index(i));
                 }
             }
-            let borrowed = tb.check_crash_cut(&set);
+            let borrowed = tb.check_crash_cut(|id| set.contains(id));
             let finished = tb.clone().finish().check_crash_cut(&hash);
+            prop_assert_eq!(borrowed, finished);
+        }
+
+        /// Likewise for the durability-order check, over durable cycles
+        /// that may tie, invert PMO or be missing.
+        #[test]
+        fn builder_and_graph_durability_orders_agree(
+            steps in collection::vec((0u8..6, 0u8..4, 0u8..3, any::<u8>()), 1..48),
+            cycles in collection::vec(any::<u8>(), 48),
+            threshold in any::<u8>(),
+        ) {
+            let tb = random_trace(&steps);
+            let mut at = HashMap::new();
+            for (i, &c) in cycles.iter().enumerate().take(steps.len()) {
+                if c < threshold {
+                    at.insert(EventId::from_index(i), u64::from(c % 8));
+                }
+            }
+            let borrowed = tb.check_durability_order(|id| at.get(&id).copied());
+            let finished = tb.clone().finish().check_durability_order(&at);
             prop_assert_eq!(borrowed, finished);
         }
     }
@@ -840,20 +853,6 @@ mod tests {
         let acq = tb.op(b, PersistOpKind::PAcq(Scope::Device), Some(0x8));
         tb.observe(acq, rel);
         assert!(tb.finish().scope_bugs().is_empty());
-    }
-
-    #[test]
-    fn dot_export_mentions_every_event() {
-        let th = t(0, 0);
-        let mut tb = TraceBuilder::new();
-        tb.persist(th, 0x100);
-        tb.op(th, PersistOpKind::OFence, None);
-        tb.persist(th, 0x200);
-        let dot = tb.finish().to_dot();
-        assert!(dot.starts_with("digraph pmo {"));
-        assert!(dot.contains("W(0x100)"));
-        assert!(dot.contains("oFence"));
-        assert!(dot.contains("e0 -> e1"));
     }
 
     #[test]

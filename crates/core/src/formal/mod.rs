@@ -27,9 +27,11 @@
 //!   became durable, verify durability never inverts PMO;
 //! * [`PmoGraph::check_crash_cut`] — given the set of persists durable at
 //!   a crash, verify the set is downward-closed under PMO (no persist is
-//!   durable while a PMO-predecessor is not). The model checker runs the
-//!   same check on a trace still being recorded
-//!   ([`TraceBuilder::check_crash_cut`], over an [`EventSet`]).
+//!   durable while a PMO-predecessor is not).
+//!
+//! [`TraceBuilder`] runs both checks on a trace still being recorded,
+//! without finishing or copying it: the model checker's crash cut (over
+//! an [`EventSet`]) and the simulator's verdict on each traced run.
 //!
 //! [`litmus`] contains the paper's motivating shapes as ready-made traces,
 //! including the scoped persistency bug of §5.3.

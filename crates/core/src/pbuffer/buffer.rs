@@ -127,11 +127,6 @@ impl PersistBuffer {
         self.index_of(seq).map(|i| &self.fifo[i])
     }
 
-    /// Mutable access to the entry with sequence number `seq`.
-    pub fn entry_mut(&mut self, seq: u64) -> Option<&mut PbEntry> {
-        self.index_of(seq).map(|i| &mut self.fifo[i])
-    }
-
     /// The seqs the FIFO spans, head to tail, tombstones included: each
     /// names an entry of [`PersistBuffer::entry`].
     #[must_use]

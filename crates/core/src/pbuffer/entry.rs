@@ -60,22 +60,13 @@ pub struct PbEntry {
     pub kind: EntryKind,
     /// Warps that issued (or coalesced into) this entry.
     pub warps: WarpMask,
-    /// Opaque tokens of the individual persists coalesced into this entry,
-    /// reported back on flush so the simulator can attribute durability
-    /// (used by tracing/formal checking; empty when tracing is off).
-    pub tokens: Vec<u64>,
 }
 
 impl PbEntry {
     /// Creates a fresh entry.
     #[must_use]
     pub fn new(seq: u64, kind: EntryKind, warps: WarpMask) -> Self {
-        PbEntry {
-            seq,
-            kind,
-            warps,
-            tokens: Vec::new(),
-        }
+        PbEntry { seq, kind, warps }
     }
 }
 
@@ -98,7 +89,6 @@ mod tests {
     fn entry_construction() {
         let e = PbEntry::new(7, EntryKind::OFence, WarpMask::single(WarpSlot::new(2)));
         assert_eq!(e.seq, 7);
-        assert!(e.tokens.is_empty());
         assert!(e.warps.contains(WarpSlot::new(2)));
     }
 }

@@ -83,12 +83,10 @@ pub enum EvictOutcome {
     /// The line has no PB entry; the cache may do as it pleases.
     NotBuffered,
     /// The eviction is permitted; flush the line now. Carries the entry's
-    /// warp mask and trace tokens for durability attribution.
+    /// warp mask.
     Flushed {
         /// Warps whose persists coalesced into the flushed entry.
         warps: WarpMask,
-        /// Trace tokens of the coalesced persists.
-        tokens: Vec<u64>,
     },
     /// An ordering entry precedes the line's entry (or unacknowledged
     /// flushed lines are ordered before it); the evicting warp stalls and
@@ -120,10 +118,8 @@ pub enum DrainAction {
     Flush {
         /// The L1 line to write back.
         line: LineIdx,
-        /// Warps whose persists are in the line (stats/tracing).
+        /// Warps whose persists are in the line.
         warps: WarpMask,
-        /// Trace tokens of the coalesced persists.
-        tokens: Vec<u64>,
     },
 }
 
@@ -439,7 +435,6 @@ impl PersistUnit {
                 out.push(DrainAction::Flush {
                     line,
                     warps: e.warps,
-                    tokens: e.tokens,
                 });
                 picked += 1;
             }
@@ -486,20 +481,8 @@ impl PersistUnit {
     // Warp-facing events
     // ------------------------------------------------------------------
 
-    /// A warp wrote to the dirty PM line `line` in the L1. `tokens` are
-    /// opaque trace ids for the lane stores (empty when tracing is off).
+    /// A warp wrote to the dirty PM line `line` in the L1.
     pub fn persist_store(&mut self, warp: WarpSlot, line: LineIdx) -> StoreOutcome {
-        self.idle = false;
-        self.persist_store_traced(warp, line, &[])
-    }
-
-    /// [`PersistUnit::persist_store`] with trace tokens attached.
-    pub fn persist_store_traced(
-        &mut self,
-        warp: WarpSlot,
-        line: LineIdx,
-        tokens: &[u64],
-    ) -> StoreOutcome {
         self.idle = false;
         if let Some(seq) = self.buf.line_entry(line) {
             if self.buf.warp_has_ordering_after(warp, seq) {
@@ -509,26 +492,12 @@ impl PersistUnit {
                 return StoreOutcome::StallOrdered;
             }
             self.buf.coalesce(seq, warp);
-            if !tokens.is_empty() {
-                self.buf
-                    .entry_mut(seq)
-                    .expect("coalesced entry present")
-                    .tokens
-                    .extend_from_slice(tokens);
-            }
             self.stats.stores += 1;
             self.stats.coalesced += 1;
             StoreOutcome::Coalesced
         } else {
             match self.buf.push(EntryKind::Persist(line), warp) {
-                Some(seq) => {
-                    if !tokens.is_empty() {
-                        self.buf
-                            .entry_mut(seq)
-                            .expect("new entry present")
-                            .tokens
-                            .extend_from_slice(tokens);
-                    }
+                Some(_) => {
                     self.stats.stores += 1;
                     self.stats.entries += 1;
                     StoreOutcome::NewEntry
@@ -651,10 +620,7 @@ impl PersistUnit {
         let e = self.buf.tombstone(seq);
         self.note_flush(line, e.warps);
         self.free_space();
-        EvictOutcome::Flushed {
-            warps: e.warps,
-            tokens: e.tokens,
-        }
+        EvictOutcome::Flushed { warps: e.warps }
     }
 
     /// Attempts an out-of-order flush of `line`'s buffered persist —
@@ -664,7 +630,7 @@ impl PersistUnit {
     /// eviction rule. On success the caller must write the line back and
     /// acknowledge via [`PersistUnit::ack_persist`]; the line stays in
     /// the cache (clean).
-    pub fn try_early_flush(&mut self, line: LineIdx) -> Option<(WarpMask, Vec<u64>)> {
+    pub fn try_early_flush(&mut self, line: LineIdx) -> Option<WarpMask> {
         self.idle = false;
         if !self.early_flush_enabled {
             return None;
@@ -679,7 +645,7 @@ impl PersistUnit {
         let e = self.buf.tombstone(seq);
         self.note_flush(line, e.warps);
         self.free_space();
-        Some((e.warps, e.tokens))
+        Some(e.warps)
     }
 
     fn free_space(&mut self) {
@@ -750,7 +716,6 @@ impl PersistUnit {
                     actions.push(DrainAction::Flush {
                         line,
                         warps: e.warps,
-                        tokens: e.tokens,
                     });
                 }
                 EntryKind::OFence => {
@@ -1087,7 +1052,6 @@ mod tests {
             vec![DrainAction::Flush {
                 line: LineIdx(1),
                 warps: WarpMask::single(w(0)),
-                tokens: vec![]
             }]
         );
         let (_, _, fsm) = u.masks();
@@ -1208,19 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn tokens_travel_with_flushes() {
-        let mut u = PersistUnit::new(PbConfig {
-            capacity: 8,
-            policy: DrainPolicy::Eager,
-            ..PbConfig::default()
-        });
-        u.persist_store_traced(w(0), LineIdx(1), &[10, 11]);
-        u.persist_store_traced(w(1), LineIdx(1), &[12]);
-        let DrainAction::Flush { tokens, .. } = &u.tick(8)[0];
-        assert_eq!(tokens, &vec![10, 11, 12]);
-    }
-
-    #[test]
     fn quiescence_reflects_buffer_and_actr() {
         let mut u = unit();
         assert!(u.is_quiescent());
@@ -1242,7 +1193,7 @@ mod tests {
         // Line 2 is behind w0's fence: not early-flushable.
         assert_eq!(u.try_early_flush(LineIdx(2)), None);
         // Line 1 has nothing ordered before it: flushable.
-        let (warps, _) = u.try_early_flush(LineIdx(1)).expect("eligible");
+        let warps = u.try_early_flush(LineIdx(1)).expect("eligible");
         assert!(warps.contains(w(0)));
         assert_eq!(u.outstanding(), 1);
         // Now that line 1 left the buffer, the fence is in front of

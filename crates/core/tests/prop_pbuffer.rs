@@ -54,6 +54,9 @@ struct Harness {
     durable_at: HashMap<sbrp_core::formal::EventId, u64>,
     step: u64,
     ack_gap: u64,
+    /// Trace tokens of each line's buffered persists, taken when the
+    /// line flushes (the simulator's per-line ledger).
+    line_tokens: HashMap<LineIdx, Vec<u64>>,
     flushed_tokens: Vec<u64>,
 }
 
@@ -70,6 +73,7 @@ impl Harness {
             durable_at: HashMap::new(),
             step: 0,
             ack_gap,
+            line_tokens: HashMap::new(),
             flushed_tokens: Vec::new(),
         }
     }
@@ -81,13 +85,8 @@ impl Harness {
     fn tick(&mut self) {
         self.step += 1;
         for action in self.unit.tick(2) {
-            let DrainAction::Flush { line, tokens, .. } = action;
-            self.flushed_tokens.extend_from_slice(&tokens);
-            self.pending_acks
-                .push_back((self.step + self.ack_gap, line, tokens));
-            // Downstream accept (window credit) is immediate here; the
-            // durability ack follows after the gap.
-            self.unit.flush_accepted();
+            let DrainAction::Flush { line, .. } = action;
+            self.flush(line);
         }
         while matches!(self.pending_acks.front(), Some(&(t, _, _)) if t <= self.step) {
             let (_, line, tokens) = self.pending_acks.pop_front().expect("peeked");
@@ -101,6 +100,17 @@ impl Harness {
             }
         }
         let _ = self.unit.take_resumable();
+    }
+
+    /// Takes `line`'s tokens into an in-flight flush.
+    fn flush(&mut self, line: LineIdx) {
+        let tokens = self.line_tokens.remove(&line).unwrap_or_default();
+        self.flushed_tokens.extend_from_slice(&tokens);
+        self.pending_acks
+            .push_back((self.step + self.ack_gap, line, tokens));
+        // Downstream accept (window credit) is immediate here; the
+        // durability ack follows after the gap.
+        self.unit.flush_accepted();
     }
 
     /// Runs one warp op; retries through ticks when the engine stalls.
@@ -118,11 +128,14 @@ impl Harness {
                     // The trace event stands across hardware retries; the
                     // token is attached only when the store is accepted.
                     for _retry in 0..10_000 {
-                        match self
-                            .unit
-                            .persist_store_traced(slot, LineIdx(*line), &[token])
-                        {
-                            StoreOutcome::Coalesced | StoreOutcome::NewEntry => return,
+                        match self.unit.persist_store(slot, LineIdx(*line)) {
+                            StoreOutcome::Coalesced | StoreOutcome::NewEntry => {
+                                self.line_tokens
+                                    .entry(LineIdx(*line))
+                                    .or_default()
+                                    .push(token);
+                                return;
+                            }
                             StoreOutcome::StallOrdered | StoreOutcome::StallFull => {
                                 self.wait_unblocked(slot);
                             }
@@ -159,14 +172,8 @@ impl Harness {
                 Op::Evict(line) => {
                     match self.unit.evict_request(slot, LineIdx(*line)) {
                         EvictOutcome::NotBuffered => return,
-                        EvictOutcome::Flushed { tokens, .. } => {
-                            self.flushed_tokens.extend_from_slice(&tokens);
-                            self.pending_acks.push_back((
-                                self.step + self.ack_gap,
-                                LineIdx(*line),
-                                tokens,
-                            ));
-                            self.unit.flush_accepted();
+                        EvictOutcome::Flushed { .. } => {
+                            self.flush(LineIdx(*line));
                             return;
                         }
                         EvictOutcome::Stall => {

@@ -305,13 +305,6 @@ impl AbsVal {
         self
     }
 
-    /// The effective address of a memory access `base_reg + off`, when
-    /// statically known.
-    #[must_use]
-    pub fn address_with(&self, off: i64) -> Option<u64> {
-        self.concrete.map(|v| v.wrapping_add(off.cast_unsigned()))
-    }
-
     /// Object identity of a pointer: the address of the base object it
     /// was derived from (displacements do not change identity).
     #[must_use]

@@ -400,7 +400,7 @@ impl State {
     /// Verifies the durable set is still downward-closed under the PMO of
     /// the trace so far — every reachable state is a crash cut.
     fn check_crash_cut(&self, out: &mut Vec<Violation>) {
-        if let Err(v) = self.tb.check_crash_cut(&self.durable_ids) {
+        if let Err(v) = self.tb.check_crash_cut(|id| self.durable_ids.contains(id)) {
             out.push(Violation {
                 kind: ViolationKind::CrashCut,
                 message: v.to_string(),

@@ -16,6 +16,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sbrp_core::formal::EventId;
 use sbrp_core::ops::ModelKind;
 use sbrp_core::scope::Scope;
 use sbrp_gpu_sim::config::{GpuConfig, SystemDesign, PM_BASE};
@@ -171,10 +172,14 @@ fn simulate_signature(kernel: &Kernel, launch: LaunchConfig) -> ExecutionSig {
         .unwrap_or_else(|e| panic!("{}: sim failed: {e}", kernel.name()));
     assert_eq!(report.outcome, RunOutcome::Completed);
     let capture = gpu.take_trace().expect("tracing was enabled");
-    let (graph, _durable_at, durable) = capture.into_parts();
-    let durable_addrs: Vec<u64> = durable
-        .iter()
-        .map(|&id| match graph.event(id).kind {
+    let durable: Vec<bool> = (0..capture.event_count())
+        .map(|i| capture.durable_cycle(EventId::from_index(i)).is_some())
+        .collect();
+    let graph = capture.into_graph();
+    let durable_addrs: Vec<u64> = graph
+        .persists()
+        .filter(|id| durable[id.index()])
+        .map(|id| match graph.event(id).kind {
             sbrp_core::formal::EventKind::Persist { addr } => addr,
             other => panic!("durable non-persist event {other:?}"),
         })

@@ -95,19 +95,12 @@ pub struct GpuConfig {
     /// with run length).
     pub timeline: bool,
     /// Online persistency sanitizer: record persist/fence/acquire-release
-    /// events (sampled per warp by [`GpuConfig::sanitize_sample`]) and
-    /// verify the trace against the formal PMO model when a run
-    /// completes or crashes. A violation — durability inverting PMO, a
+    /// events and verify the trace against the formal PMO model when a
+    /// run completes or crashes. A violation — durability inverting PMO, a
     /// crash image that is not PMO-downward-closed, or a §5.3 scoped
     /// persistency bug — surfaces as
     /// [`crate::gpu::SimError::PmoViolation`].
     pub sanitize: bool,
-    /// Per-warp sampling modulus for the sanitizer's trace: record every
-    /// `n`-th warp (`0`/`1` = all warps). Sampling bounds trace memory on
-    /// long runs and can only hide violations, never invent them.
-    /// Ignored when [`GpuConfig::trace`] is set (full traces are
-    /// required for external checking).
-    pub sanitize_sample: u32,
 }
 
 impl GpuConfig {
@@ -147,7 +140,6 @@ impl GpuConfig {
             trace: false,
             timeline: false,
             sanitize: false,
-            sanitize_sample: 1,
         }
     }
 

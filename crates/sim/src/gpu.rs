@@ -158,15 +158,7 @@ impl Gpu {
             cfg: cfg.clone(),
             sms: (0..cfg.num_sms).map(|i| Sm::new(i, cfg)).collect(),
             ms: MemSubsystem::new(cfg),
-            tracer: (cfg.trace || cfg.sanitize).then(|| {
-                // A full trace is needed for external checks; sampling
-                // only applies to the sanitizer-only configuration.
-                if cfg.trace {
-                    TraceCapture::new()
-                } else {
-                    TraceCapture::with_sample(cfg.sanitize_sample)
-                }
-            }),
+            tracer: (cfg.trace || cfg.sanitize).then(TraceCapture::new),
             cycle: 0,
             active: None,
             fault_trigger: None,
@@ -281,9 +273,12 @@ impl Gpu {
 
     /// Runs the online sanitizer's verdict over the trace recorded so
     /// far (a no-op unless [`crate::config::GpuConfig::sanitize`] is
-    /// set). Non-consuming: the trace stays available for
-    /// [`Gpu::take_trace`] and later re-checks (e.g. a subsequent crash
-    /// point in the same campaign cell).
+    /// set): a §5.3 scoped persistency bug (an acquire that observed a
+    /// release whose scope excludes one of the threads) is a violation
+    /// outright; otherwise the verdict is [`TraceCapture::check`]'s.
+    /// Non-consuming: the trace stays available for [`Gpu::take_trace`]
+    /// and later re-checks (e.g. a subsequent crash point in the same
+    /// campaign cell).
     ///
     /// # Errors
     /// [`SimError::PmoViolation`] with the offending event pair.
@@ -294,7 +289,15 @@ impl Gpu {
         let Some(tc) = self.tracer.as_ref() else {
             return Ok(());
         };
-        tc.verify().map_err(|violation| SimError::PmoViolation {
+        let verdict = match tc.scope_bugs().first() {
+            Some(bug) => Err(sbrp_core::formal::PmoViolation {
+                before: bug.release,
+                after: bug.acquire,
+                message: bug.to_string(),
+            }),
+            None => tc.check(),
+        };
+        verdict.map_err(|violation| SimError::PmoViolation {
             cycle: self.cycle,
             violation,
         })

@@ -179,11 +179,6 @@ impl Backing {
     pub fn read_u32(&self, addr: u64) -> u32 {
         self.read_uint(addr, 4) as u32
     }
-
-    /// Writes a `u32`.
-    pub fn write_u32(&mut self, addr: u64, v: u32) {
-        self.write_uint(addr, u64::from(v), 4);
-    }
 }
 
 #[cfg(test)]

@@ -81,12 +81,6 @@ impl Cache {
         self.stats
     }
 
-    /// Total lines.
-    #[must_use]
-    pub fn num_lines(&self) -> u32 {
-        self.sets * self.ways
-    }
-
     /// Aligns an address to its line.
     #[must_use]
     pub fn line_align(&self, addr: u64) -> u64 {
@@ -240,12 +234,6 @@ impl Cache {
         let l = &self.lines[line as usize];
         assert!(l.valid, "addr_of on an invalid line");
         l.addr
-    }
-
-    /// Whether the line is valid.
-    #[must_use]
-    pub fn is_valid(&self, line: u32) -> bool {
-        self.lines[line as usize].valid
     }
 
     /// Whether a valid line is dirty.

@@ -717,17 +717,6 @@ impl MemSubsystem {
     pub fn nvm_read_bytes(&self) -> u64 {
         self.nvm_read.total_bytes()
     }
-
-    /// L2 hit/miss counters.
-    #[must_use]
-    pub fn l2_stats(&self) -> super::cache::CacheStats {
-        self.l2.stats()
-    }
-
-    /// Invalidate an address from the L2 (used by tests).
-    pub fn l2_invalidate(&mut self, addr: u64) {
-        self.l2.invalidate_addr(addr);
-    }
 }
 
 #[cfg(test)]

@@ -145,9 +145,10 @@ pub struct Sm {
     engine: Engine,
     warps: Vec<Option<WarpCtx>>,
     blocks: Vec<ResidentBlock>,
-    /// Trace tokens of dirty PM lines, by L1 line. Empty unless an epoch
-    /// engine runs with tracing on: untraced stores carry no tokens, and
-    /// SBRP's persist buffer carries its own.
+    /// Trace tokens of the persists accepted into each L1 line since its
+    /// last flush, which takes them. Empty unless tracing is on. Under
+    /// SBRP a line has at most one live persist-buffer entry, so a line's
+    /// tokens are exactly its entry's persists.
     line_tokens: Vec<Vec<u64>>,
     /// Per L1 line: which bytes *this SM* wrote since the line's last
     /// flush (bit i = byte i of the line). Flushes commit only these
@@ -219,10 +220,7 @@ impl Sm {
         };
         let slots = cfg.max_warps_per_sm as usize;
         let lines = cfg.l1_lines() as usize;
-        let token_lines = match &engine {
-            Engine::Epoch(_) if cfg.trace || cfg.sanitize => lines,
-            _ => 0,
-        };
+        let token_lines = if cfg.trace || cfg.sanitize { lines } else { 0 };
         Sm {
             id,
             l1: crate::mem::Cache::new(cfg.l1_kb * 1024, 4, cfg.line_bytes),
@@ -322,8 +320,7 @@ impl Sm {
             Engine::Sbrp(u) => u.set_drain_all(true),
             Engine::Epoch(_) => {
                 for line in self.l1.dirty_lines(true) {
-                    let tokens = self.take_line_tokens(line);
-                    self.flush_line(ms, now, line, PersistDest::Detached, tokens);
+                    self.flush_line(ms, now, line, PersistDest::Detached);
                     self.l1.invalidate(line);
                 }
             }
@@ -391,26 +388,16 @@ impl Sm {
         true
     }
 
-    /// Takes the trace tokens buffered for an epoch engine's dirty `line`
-    /// (none when tracing is off).
-    fn take_line_tokens(&mut self, line: u32) -> Vec<u64> {
-        self.line_tokens
+    /// Flushes the bytes this SM wrote in `line` toward durability: one
+    /// persist flush to `dest`, carrying the line's trace tokens (none
+    /// when tracing is off) and a snapshot of the line's current
+    /// functional NVM contents.
+    fn flush_line(&mut self, ms: &mut MemSubsystem, now: u64, line: u32, dest: PersistDest) {
+        let tokens = self
+            .line_tokens
             .get_mut(line as usize)
             .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// Flushes the bytes this SM wrote in `line` toward durability: one
-    /// persist flush to `dest`, carrying `tokens` and a snapshot of the
-    /// line's current functional NVM contents.
-    fn flush_line(
-        &mut self,
-        ms: &mut MemSubsystem,
-        now: u64,
-        line: u32,
-        dest: PersistDest,
-        tokens: Vec<u64>,
-    ) {
+            .unwrap_or_default();
         let addr = self.l1.addr_of(line);
         let mask = std::mem::take(&mut self.line_written[line as usize]);
         let write = LineWrite::snapshot(&ms.nvm_mem, addr, self.line_bytes as usize, mask);
@@ -479,12 +466,12 @@ impl Sm {
                 match &mut self.engine {
                     Engine::Sbrp(unit) => {
                         match unit.evict_request(WarpSlot::new(slot), LineIdx(v.line)) {
-                            EvictOutcome::Flushed { tokens, .. } => {
+                            EvictOutcome::Flushed { .. } => {
                                 let dest = PersistDest::Sbrp {
                                     sm: self.id,
                                     line: v.line,
                                 };
-                                self.flush_line(ms, now, v.line, dest, tokens);
+                                self.flush_line(ms, now, v.line, dest);
                             }
                             EvictOutcome::NotBuffered => {
                                 unreachable!("dirty PM line without a PB entry under SBRP");
@@ -493,8 +480,7 @@ impl Sm {
                         }
                     }
                     Engine::Epoch(_) => {
-                        let tokens = self.take_line_tokens(v.line);
-                        self.flush_line(ms, now, v.line, PersistDest::Detached, tokens);
+                        self.flush_line(ms, now, v.line, PersistDest::Detached);
                     }
                 }
             } else if v.dirty {
@@ -613,8 +599,7 @@ impl Sm {
         for line in self.l1.dirty_lines(false) {
             let addr = self.l1.addr_of(line);
             if self.l1.is_pm(line) {
-                let tokens = self.take_line_tokens(line);
-                self.flush_line(ms, now, line, PersistDest::Epoch { sm: self.id }, tokens);
+                self.flush_line(ms, now, line, PersistDest::Epoch { sm: self.id });
                 self.l1.invalidate(line);
                 count += 1;
             } else if !pm_only {
@@ -909,12 +894,12 @@ impl Sm {
         let progress = !actions.is_empty() || !resumable.is_empty();
         for action in actions.drain(..) {
             match action {
-                DrainAction::Flush { line, tokens, .. } => {
+                DrainAction::Flush { line, .. } => {
                     let dest = PersistDest::Sbrp {
                         sm: self.id,
                         line: line.0,
                     };
-                    self.flush_line(ms, cycle, line.0, dest, tokens);
+                    self.flush_line(ms, cycle, line.0, dest);
                     // The drained line stays resident but clean: the data
                     // is now (about to be) durable, and keeping it cached
                     // is what lets intra-block consumers keep hitting in
@@ -1239,18 +1224,12 @@ impl Sm {
                         });
                     }
                 }
-                let tokens = self.with_mem_op(slot, |op| op.groups[op.next].tokens.clone());
                 let accepted = match &mut self.engine {
                     Engine::Sbrp(unit) => matches!(
-                        unit.persist_store_traced(WarpSlot::new(slot), LineIdx(line), &tokens),
+                        unit.persist_store(WarpSlot::new(slot), LineIdx(line)),
                         StoreOutcome::Coalesced | StoreOutcome::NewEntry
                     ),
-                    Engine::Epoch(_) => {
-                        if !tokens.is_empty() {
-                            self.line_tokens[line as usize].extend(tokens);
-                        }
-                        true
-                    }
+                    Engine::Epoch(_) => true,
                 };
                 if !accepted {
                     // The store stalled on the line's earlier persist:
@@ -1258,14 +1237,19 @@ impl Sm {
                     // warp resumes after one round-trip instead of a
                     // whole FIFO drain.
                     if let Engine::Sbrp(unit) = &mut self.engine {
-                        if let Some((_, tokens)) = unit.try_early_flush(LineIdx(line)) {
+                        if unit.try_early_flush(LineIdx(line)).is_some() {
                             let dest = PersistDest::Sbrp { sm: self.id, line };
-                            self.flush_line(ms, cycle, line, dest, tokens);
+                            self.flush_line(ms, cycle, line, dest);
                             self.l1.clean(line);
                         }
                     }
                     self.set_blocked(slot, Blocked::Engine);
                     return;
+                }
+                if tracer.is_some() {
+                    let tokens =
+                        self.with_mem_op(slot, |op| std::mem::take(&mut op.groups[op.next].tokens));
+                    self.line_tokens[line as usize].extend(tokens);
                 }
                 self.l1.mark_dirty(line, true);
                 // Fold the group's written-byte ranges into one mask so
@@ -1509,7 +1493,7 @@ impl Sm {
                     lanes: lanes
                         .iter()
                         .map(|la| {
-                            let rel = tracer.as_mut().and_then(|tc| {
+                            let rel = tracer.as_mut().map(|tc| {
                                 let pos = self.thread_pos(slot, la.lane);
                                 tc.prel(pos, scope, la.addr)
                             });

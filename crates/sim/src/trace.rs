@@ -4,71 +4,48 @@
 //! When [`crate::config::GpuConfig::trace`] is set, the GPU records every
 //! persist, fence, and scoped acquire/release (per lane, i.e. per
 //! *thread*, matching the formal model's granularity), plus the cycle at
-//! which each persist became durable. After the run — or after a crash —
-//! the trace is checked against the model with [`TraceCapture::check`]
-//! (crash-cut downward closure, plus durability-order on complete runs).
+//! which each persist first became durable. After the run — or after a
+//! crash — [`TraceCapture::check`] checks the trace against the model
+//! in place: crash-cut downward closure, then durability order once
+//! every persist is durable.
 //!
 //! [`crate::config::GpuConfig::sanitize`] reuses the same capture as an
-//! *online sanitizer*: the trace may then be sampled per warp (see
-//! [`TraceCapture::with_sample`]) to bound memory, and is verified in
-//! place with [`TraceCapture::verify`], which additionally surfaces the
-//! scoped persistency bugs of §5.3 as violations.
+//! *online sanitizer*: [`crate::Gpu::sanitize_check`] reports any §5.3
+//! scoped persistency bug ([`TraceCapture::scope_bugs`]) and then runs
+//! the same check.
 
-use sbrp_core::formal::{EventId, PmoViolation, TraceBuilder};
+use sbrp_core::formal::{EventId, PmoGraph, PmoViolation, ScopeBugWarning, TraceBuilder};
 use sbrp_core::ops::PersistOpKind;
 use sbrp_core::scope::{Scope, ThreadPos};
-use std::collections::{HashMap, HashSet};
-
-/// Persist token standing in for an event the sampler chose not to
-/// record. Never a valid [`EventId`] index; [`TraceCapture::durable`]
-/// ignores it.
-pub const SKIP_TOKEN: u64 = u64::MAX;
+use std::collections::HashMap;
 
 /// Accumulates an execution trace during simulation.
 #[derive(Default)]
 pub struct TraceCapture {
     tb: TraceBuilder,
-    durable_at: HashMap<EventId, u64>,
-    durable: HashSet<EventId>,
+    /// Per event id: the cycle the persist first became durable.
+    durable_at: Vec<Option<u64>>,
+    /// Persists with a durable cycle.
+    durable: u64,
     /// Flag address → the latest release whose value is visible there.
     last_flag_rel: HashMap<u64, EventId>,
     persists: u64,
-    /// Persists skipped by warp sampling.
-    skipped: u64,
-    /// Per-warp sampling modulus; `0`/`1` records every warp.
-    sample: u32,
 }
 
 impl std::fmt::Debug for TraceCapture {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceCapture")
             .field("persists", &self.persists)
-            .field("skipped", &self.skipped)
-            .field("durable", &self.durable.len())
+            .field("durable", &self.durable)
             .finish()
     }
 }
 
 impl TraceCapture {
-    /// Creates an empty capture recording every warp.
+    /// Creates an empty capture.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty capture that records only every `sample`-th warp
-    /// (`0`/`1` record all).
-    ///
-    /// Sampling is all-or-nothing per warp, so the recorded sub-trace is
-    /// internally consistent: dropping a warp can only remove events and
-    /// PMO edges, never invent them — a sampled check reports no false
-    /// violations, it just sees fewer persists.
-    #[must_use]
-    pub fn with_sample(sample: u32) -> Self {
-        TraceCapture {
-            sample,
-            ..TraceCapture::default()
-        }
     }
 
     /// Number of persists recorded.
@@ -87,56 +64,32 @@ impl TraceCapture {
     /// if it has not (or `id` is not a persist).
     #[must_use]
     pub fn durable_cycle(&self, id: EventId) -> Option<u64> {
-        self.durable_at.get(&id).copied()
+        self.durable_at.get(id.index()).copied().flatten()
     }
 
-    /// Number of persists the warp sampler skipped.
+    /// Scoped persistency bugs (§5.3) recorded so far: acquires that
+    /// observed a release whose scope excludes one of the threads.
     #[must_use]
-    pub fn skipped_count(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Whether `thread`'s warp is recorded under the current sampling
-    /// modulus.
-    #[must_use]
-    pub fn sampled(&self, thread: ThreadPos) -> bool {
-        if self.sample <= 1 {
-            return true;
-        }
-        // Stripe across blocks so sampling is not aligned to warp 0 of
-        // every block (the leader warp is often the interesting one, but
-        // a stride keeps coverage representative for any modulus).
-        let w = u64::from(thread.block.0)
-            .wrapping_mul(31)
-            .wrapping_add(u64::from(thread.warp_in_block()));
-        w % u64::from(self.sample) == 0
+    pub fn scope_bugs(&self) -> &[ScopeBugWarning] {
+        self.tb.scope_bugs()
     }
 
     /// Records a persist by `thread` to `addr`; returns the opaque token
-    /// to hand to the persist engine ([`SKIP_TOKEN`] if the warp is not
-    /// sampled).
+    /// to hand back to [`TraceCapture::durable`] when it becomes durable.
     pub fn persist(&mut self, thread: ThreadPos, addr: u64) -> u64 {
-        if !self.sampled(thread) {
-            self.skipped += 1;
-            return SKIP_TOKEN;
-        }
         self.persists += 1;
         self.tb.persist(thread, addr).index() as u64
     }
 
     /// Records an `oFence`, `dFence`, or epoch barrier by `thread`.
     pub fn fence(&mut self, thread: ThreadPos, op: PersistOpKind) {
-        if self.sampled(thread) {
-            self.tb.op(thread, op, None);
-        }
+        self.tb.op(thread, op, None);
     }
 
     /// Records a `pRel` by `thread` on flag `var`; call
     /// [`TraceCapture::flag_released`] when its flag write is applied.
-    /// Returns `None` if the warp is not sampled.
-    pub fn prel(&mut self, thread: ThreadPos, scope: Scope, var: u64) -> Option<EventId> {
-        self.sampled(thread)
-            .then(|| self.tb.op(thread, PersistOpKind::PRel(scope), Some(var)))
+    pub fn prel(&mut self, thread: ThreadPos, scope: Scope, var: u64) -> EventId {
+        self.tb.op(thread, PersistOpKind::PRel(scope), Some(var))
     }
 
     /// The release `rel`'s flag write to `var` became visible.
@@ -147,84 +100,48 @@ impl TraceCapture {
     /// Records a `pAcq` by `thread` on flag `var` *at load completion*,
     /// linking it to the release whose value it observed (if any).
     pub fn pacq(&mut self, thread: ThreadPos, scope: Scope, var: u64) {
-        if !self.sampled(thread) {
-            return;
-        }
         let acq = self.tb.op(thread, PersistOpKind::PAcq(scope), Some(var));
         if let Some(&rel) = self.last_flag_rel.get(&var) {
             self.tb.observe(acq, rel);
         }
     }
 
-    /// Marks the persists behind `tokens` durable at `cycle`.
+    /// Marks the persists behind `tokens` durable at `cycle`, unless they
+    /// already were.
     pub fn durable(&mut self, tokens: &[u64], cycle: u64) {
         for &t in tokens {
-            if t == SKIP_TOKEN {
-                continue;
+            let i = t as usize;
+            if i >= self.durable_at.len() {
+                self.durable_at.resize(i + 1, None);
             }
-            let id = EventId::from_index(t as usize);
-            self.durable.insert(id);
-            self.durable_at.entry(id).or_insert(cycle);
+            if self.durable_at[i].is_none() {
+                self.durable_at[i] = Some(cycle);
+                self.durable += 1;
+            }
         }
     }
 
-    /// Verifies the trace in place, without consuming the capture: the
-    /// durable set must be PMO-downward-closed (crash-cut), durability
-    /// completion order must respect PMO (checked only once every
-    /// recorded persist is durable), and — unlike [`TraceCapture::check`]
-    /// — any §5.3 scoped persistency bug (an acquire that observed a
-    /// release whose scope excludes one of the threads) is reported as a
-    /// violation outright. This is the online sanitizer's verdict.
+    /// Checks the trace in place: the durable persists must be
+    /// PMO-downward-closed (the crash-cut property), and once every
+    /// persist is durable, durability completion order must respect PMO.
     ///
     /// # Errors
     /// Returns the first violation found.
-    pub fn verify(&self) -> Result<(), PmoViolation> {
-        let graph = self.tb.clone().finish();
-        if let Some(bug) = graph.scope_bugs().first() {
-            return Err(PmoViolation {
-                before: bug.release,
-                after: bug.acquire,
-                message: bug.to_string(),
-            });
-        }
-        graph.check_crash_cut(&self.durable)?;
-        if graph.persists().all(|p| self.durable_at.contains_key(&p)) {
-            graph.check_durability_order(&self.durable_at)?;
+    pub fn check(&self) -> Result<(), PmoViolation> {
+        let at = |id: EventId| self.durable_cycle(id);
+        self.tb.check_crash_cut(|id| at(id).is_some())?;
+        // Durability order is defined only over complete runs: in a
+        // crash state some persists are legally never durable.
+        if self.durable == self.persists {
+            self.tb.check_durability_order(at)?;
         }
         Ok(())
     }
 
-    /// Consumes the capture, verifying both model checks: durability
-    /// completion order respects PMO, and the durable set is
-    /// PMO-downward-closed (the crash-cut property; it subsumes complete
-    /// runs, where the cut is "everything").
-    ///
-    /// # Errors
-    /// Returns the first violation found.
-    pub fn check(self) -> Result<(), PmoViolation> {
-        let (graph, durable_at, durable) = self.into_parts();
-        graph.check_crash_cut(&durable)?;
-        // Durability-order can only be checked over the durable subset;
-        // restrict the map accordingly (non-durable persists are legal in
-        // crash states).
-        let complete = graph.persists().all(|p| durable_at.contains_key(&p));
-        if complete {
-            graph.check_durability_order(&durable_at)?;
-        }
-        Ok(())
-    }
-
-    /// Consumes the capture, returning the PMO graph plus durability data
-    /// for custom checks.
+    /// Consumes the capture, returning its PMO graph.
     #[must_use]
-    pub fn into_parts(
-        self,
-    ) -> (
-        sbrp_core::formal::PmoGraph,
-        HashMap<EventId, u64>,
-        HashSet<EventId>,
-    ) {
-        (self.tb.finish(), self.durable_at, self.durable)
+    pub fn into_graph(self) -> PmoGraph {
+        self.tb.finish()
     }
 }
 
@@ -243,8 +160,7 @@ mod tests {
         tc.fence(th(0, 0), PersistOpKind::OFence);
         let _w2 = tc.persist(th(0, 0), 0x2000);
         tc.durable(&[w1], 100);
-        let (g, _, d) = tc.into_parts();
-        assert!(g.check_crash_cut(&d).is_ok());
+        assert!(tc.check().is_ok());
     }
 
     #[test]
@@ -254,19 +170,49 @@ mod tests {
         tc.fence(th(0, 0), PersistOpKind::OFence);
         let w2 = tc.persist(th(0, 0), 0x2000);
         tc.durable(&[w2], 100); // w2 durable, w1 not: violation
-        let (g, _, d) = tc.into_parts();
-        assert!(g.check_crash_cut(&d).is_err());
+        let err = tc.check().expect_err("crash cut broken");
+        assert!(err.message.contains("crash state"), "{err}");
+    }
+
+    /// The in-place check verifies the borrowed trace, so it can run
+    /// again, and it agrees with the finished graph's checks; a persist
+    /// committed twice keeps its first durable cycle.
+    #[test]
+    fn verify_is_non_consuming_and_matches_check() {
+        let mut tc = TraceCapture::new();
+        let w1 = tc.persist(th(0, 0), 0x1000);
+        tc.fence(th(0, 0), PersistOpKind::OFence);
+        let w2 = tc.persist(th(0, 0), 0x2000);
+        tc.durable(&[w2], 100);
+        tc.durable(&[w1], 200);
+        tc.durable(&[w2], 300);
+        let (w1, w2) = (
+            EventId::from_index(w1 as usize),
+            EventId::from_index(w2 as usize),
+        );
+        assert_eq!(tc.durable_cycle(w2), Some(100));
+        let err = tc.check().expect_err("durability order inverted");
+        assert_eq!((err.before, err.after), (w1, w2));
+        assert_eq!(
+            tc.check(),
+            Err(err.clone()),
+            "check leaves the capture intact"
+        );
+        let graph = tc.into_graph();
+        let at = HashMap::from([(w1, 200), (w2, 100)]);
+        assert_eq!(graph.check_crash_cut(&[w1, w2].into()), Ok(()));
+        assert_eq!(graph.check_durability_order(&at), Err(err));
     }
 
     #[test]
     fn acquire_links_to_last_release() {
         let mut tc = TraceCapture::new();
         let w1 = tc.persist(th(0, 0), 0x1000);
-        let rel = tc.prel(th(0, 0), Scope::Block, 0x80).expect("sampled");
+        let rel = tc.prel(th(0, 0), Scope::Block, 0x80);
         tc.flag_released(0x80, rel);
         tc.pacq(th(0, 32), Scope::Block, 0x80);
         let w2 = tc.persist(th(0, 32), 0x2000);
-        let (g, _, _) = tc.into_parts();
+        let g = tc.into_graph();
         let (w1, w2) = (
             EventId::from_index(w1 as usize),
             EventId::from_index(w2 as usize),
@@ -278,11 +224,11 @@ mod tests {
     fn acquire_without_visible_release_links_nothing() {
         let mut tc = TraceCapture::new();
         let w1 = tc.persist(th(0, 0), 0x1000);
-        let _rel = tc.prel(th(0, 0), Scope::Block, 0x80).expect("sampled");
+        let _rel = tc.prel(th(0, 0), Scope::Block, 0x80);
         // Flag write not yet applied: the acquire reads the initial value.
         tc.pacq(th(0, 32), Scope::Block, 0x80);
         let w2 = tc.persist(th(0, 32), 0x2000);
-        let (g, _, _) = tc.into_parts();
+        let g = tc.into_graph();
         let (w1, w2) = (
             EventId::from_index(w1 as usize),
             EventId::from_index(w2 as usize),
@@ -291,48 +237,15 @@ mod tests {
     }
 
     #[test]
-    fn sampling_skips_whole_warps() {
-        // sample=2 with the block-31 stripe: block 0 records warps
-        // 0, 2, …; block 1 records odd warps (31+w ≡ 0 mod 2).
-        let mut tc = TraceCapture::with_sample(2);
-        assert!(tc.sampled(th(0, 0)));
-        assert!(!tc.sampled(th(0, 32)));
-        assert!(!tc.sampled(th(1, 0)));
-        assert!(tc.sampled(th(1, 32)));
-
-        let t0 = tc.persist(th(0, 0), 0x1000);
-        let t1 = tc.persist(th(0, 32), 0x2000);
-        assert_ne!(t0, SKIP_TOKEN);
-        assert_eq!(t1, SKIP_TOKEN);
-        assert_eq!(tc.persist_count(), 1);
-        assert_eq!(tc.skipped_count(), 1);
-        // Durable marking ignores the skip token.
-        tc.durable(&[t0, t1], 100);
-        assert!(tc.verify().is_ok());
-    }
-
-    #[test]
-    fn verify_is_non_consuming_and_matches_check() {
-        let mut tc = TraceCapture::new();
-        let _w1 = tc.persist(th(0, 0), 0x1000);
-        tc.fence(th(0, 0), PersistOpKind::OFence);
-        let w2 = tc.persist(th(0, 0), 0x2000);
-        tc.durable(&[w2], 100); // successor durable, predecessor not
-        assert!(tc.verify().is_err());
-        assert!(tc.verify().is_err(), "verify leaves the capture intact");
-        assert!(tc.check().is_err());
-    }
-
-    #[test]
-    fn verify_reports_scope_bugs_as_violations() {
+    fn scope_bugs_are_recorded_apart_from_the_check() {
         let mut tc = TraceCapture::new();
         tc.persist(th(0, 0), 0x1000);
         // Block-scoped release/acquire across different blocks: the
         // value flows, but no PMO edge exists (§5.3).
-        let rel = tc.prel(th(0, 0), Scope::Block, 0x80).expect("sampled");
+        let rel = tc.prel(th(0, 0), Scope::Block, 0x80);
         tc.flag_released(0x80, rel);
         tc.pacq(th(1, 0), Scope::Block, 0x80);
-        let err = tc.verify().expect_err("scope bug must surface");
-        assert!(err.message.contains("scope"), "{err}");
+        assert_eq!(tc.scope_bugs().len(), 1);
+        assert!(tc.check().is_ok(), "no persist is durable out of order");
     }
 }

@@ -185,7 +185,7 @@ fn block_scope_message_passing_orders_persists() {
     gpu.launch(&kernel, LaunchConfig::new(1, 64));
     gpu.run(LIMIT).expect("completes");
     let trace = gpu.take_trace().expect("trace");
-    let (graph, _, _) = trace.into_parts();
+    let graph = trace.into_graph();
     // Find a persist from warp 0 (addr < PM_BASE+4096) and one from
     // warp 1 (addr >= PM_BASE+4096): PMO must hold between them.
     let mut w0 = None;
@@ -511,7 +511,7 @@ fn scope_bug_block_ops_across_blocks_create_no_pmo() {
     let mut gpu = Gpu::new(&cfg);
     gpu.launch(&kernel, LaunchConfig::new(2, 32));
     gpu.run(LIMIT).expect("completes");
-    let (graph, _, _) = gpu.take_trace().expect("trace").into_parts();
+    let graph = gpu.take_trace().expect("trace").into_graph();
     let mut w1 = None;
     let mut w2 = None;
     for p in graph.persists() {
@@ -582,7 +582,7 @@ fn correct_device_scope_closes_the_bug() {
     let mut gpu = Gpu::new(&cfg);
     gpu.launch(&kernel, LaunchConfig::new(2, 32));
     gpu.run(LIMIT).expect("completes");
-    let (graph, _, _) = gpu.take_trace().expect("trace").into_parts();
+    let graph = gpu.take_trace().expect("trace").into_graph();
     let base = PM_BASE + (1 << 24);
     let mut w1 = None;
     let mut w2 = None;
@@ -657,4 +657,73 @@ fn narrow_lines_persist_every_store() {
             assert_eq!(gpu.read_durable_u64(PM_BASE + t * 8), t + 1, "{model:?}");
         }
     }
+}
+
+/// A persist buffered while its line's previous flush is still in
+/// flight belongs to the next flush: a crash between the two
+/// acknowledgements leaves exactly the first flush's persists durable.
+#[test]
+fn a_store_behind_an_in_flight_flush_is_attributed_to_the_next_flush() {
+    // Lanes 0-15 store 1 and then 2 to their own words of one line, 60
+    // cycles apart: the first store's line drains at once (it stays
+    // resident, clean), so the second store opens a new entry while
+    // that flush travels to PM-far's persistence domain.
+    let mut b = KernelBuilder::new();
+    b.set_params(vec![PM_BASE]);
+    let base = b.param(0);
+    let tid = b.special(Special::Tid);
+    let low = b.lti(tid, 16);
+    b.if_then(low, |b| {
+        let off = b.muli(tid, 8);
+        let addr = b.add(base, off);
+        let one = b.movi(1);
+        b.st(addr, 0, one, MemWidth::W8);
+        b.sleep(60);
+        let two = b.movi(2);
+        b.st(addr, 0, two, MemWidth::W8);
+    });
+    let kernel = b.build("store_twice");
+    let mut cfg = GpuConfig::small(ModelKind::Sbrp, SystemDesign::PmFar);
+    cfg.trace = true;
+    // Per store, the set of its persists' durable cycles, and the
+    // durable value of lane 0's word.
+    let run = |crash_at: Option<u64>| {
+        let mut gpu = Gpu::new(&cfg);
+        gpu.launch(&kernel, LaunchConfig::new(1, 32));
+        let report = match crash_at {
+            Some(c) => gpu.run_until(c),
+            None => gpu.run(LIMIT),
+        }
+        .expect("runs");
+        let trace = gpu.take_trace().expect("traced");
+        assert_eq!(trace.persist_count(), 32, "16 lanes store twice");
+        let cycles = [0..16, 16..32].map(|ids| {
+            ids.map(|i| trace.durable_cycle(sbrp_core::formal::EventId::from_index(i)))
+                .collect::<std::collections::BTreeSet<_>>()
+        });
+        (
+            report.outcome,
+            cycles,
+            gpu.durable_image().read_u64(PM_BASE),
+        )
+    };
+
+    let (outcome, cycles, value) = run(None);
+    assert_eq!((outcome, value), (RunOutcome::Completed, 2));
+    let one_cycle = |set: &std::collections::BTreeSet<Option<u64>>| {
+        assert_eq!(set.len(), 1, "one flush per store: {set:?}");
+        set.first().copied().flatten().expect("durable")
+    };
+    let (first, second) = (one_cycle(&cycles[0]), one_cycle(&cycles[1]));
+    // The second flush overlapped the first: its ack came back far
+    // sooner after the first ack than a whole round trip.
+    assert!(
+        first < second && second - first < first / 2,
+        "{first} {second}"
+    );
+
+    let (outcome, cycles, value) = run(Some(first));
+    assert_eq!(outcome, RunOutcome::Crashed);
+    assert_eq!(cycles, [[Some(first)].into(), [None].into()]);
+    assert_eq!(value, 1);
 }

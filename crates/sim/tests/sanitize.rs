@@ -165,39 +165,6 @@ fn device_scope_message_pass_sanitizes_clean() {
 }
 
 #[test]
-fn warp_sampling_bounds_the_trace_and_stays_clean() {
-    let mut cfg = sanitize_cfg(ModelKind::Sbrp, SystemDesign::PmNear);
-    cfg.sanitize_sample = 2;
-    let kernel = wal_kernel(PM_BASE, PM_BASE + 64 * 1024);
-    let mut gpu = Gpu::new(&cfg);
-    gpu.launch(&kernel, LaunchConfig::new(2, 64));
-    gpu.run(LIMIT).expect("sampled run is clean");
-    let trace = gpu.take_trace().expect("sanitize keeps a trace");
-    assert!(trace.persist_count() > 0, "some warps recorded");
-    assert!(trace.skipped_count() > 0, "some warps skipped");
-}
-
-#[test]
-fn sampling_can_miss_a_fault_but_never_invents_one() {
-    // Sample only one warp stripe and drop a WPQ entry: depending on
-    // which warp owned the entry the sanitizer may or may not see the
-    // violation, but a clean verdict plus completion must never become
-    // a false positive elsewhere. (Regression guard for the sampler's
-    // all-or-nothing-per-warp property.)
-    let mut cfg = sanitize_cfg(ModelKind::Sbrp, SystemDesign::PmNear);
-    cfg.sanitize_sample = 4;
-    let kernel = wal_kernel(PM_BASE, PM_BASE + 64 * 1024);
-    let mut gpu = Gpu::new(&cfg);
-    gpu.set_fault_plan(FaultPlan::default().with_nvm(NvmFault::DropWpqEntry(3)));
-    gpu.launch(&kernel, LaunchConfig::new(2, 64));
-    match gpu.run(LIMIT) {
-        Ok(report) => assert_eq!(report.outcome, RunOutcome::Completed),
-        Err(SimError::PmoViolation { .. }) => {}
-        Err(e) => panic!("unexpected error: {e}"),
-    }
-}
-
-#[test]
 fn sanitizer_checks_partial_trace_on_timeout() {
     // Regression: `Gpu::run` used to verify the trace only
     // on the completion path, so a cycle budget that expired mid-run

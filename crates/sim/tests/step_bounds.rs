@@ -52,12 +52,15 @@ fn reference_durable_cycles(cfg: &GpuConfig, threads: u64) -> Vec<(u64, u64)> {
     gpu.launch(&kernel, LaunchConfig::new(2, threads as u32 / 2));
     gpu.run(LIMIT).expect("reference run completes");
     let trace = gpu.take_trace().expect("tracing enabled");
-    let (graph, durable_at, durable) = trace.into_parts();
+    let durable_at: Vec<Option<u64>> = (0..trace.event_count())
+        .map(|i| trace.durable_cycle(sbrp_core::formal::EventId::from_index(i)))
+        .collect();
+    let graph = trace.into_graph();
     let mut out = Vec::new();
     for id in graph.persists() {
-        assert!(durable.contains(&id), "completed run: everything durable");
+        let cycle = durable_at[id.index()].expect("completed run: everything durable");
         if let sbrp_core::formal::EventKind::Persist { addr } = graph.event(id).kind {
-            out.push((addr, durable_at[&id]));
+            out.push((addr, cycle));
         }
     }
     assert_eq!(out.len() as u64, threads, "one persist per thread");
