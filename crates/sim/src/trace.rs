@@ -25,8 +25,6 @@ pub struct TraceCapture {
     tb: TraceBuilder,
     /// Per event id: the cycle the persist first became durable.
     durable_at: Vec<Option<u64>>,
-    /// Persists with a durable cycle.
-    durable: u64,
     /// Flag address → the latest release whose value is visible there.
     last_flag_rel: HashMap<u64, EventId>,
     persists: u64,
@@ -36,7 +34,7 @@ impl std::fmt::Debug for TraceCapture {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceCapture")
             .field("persists", &self.persists)
-            .field("durable", &self.durable)
+            .field("durable", &self.durable_count())
             .finish()
     }
 }
@@ -65,6 +63,11 @@ impl TraceCapture {
     #[must_use]
     pub fn durable_cycle(&self, id: EventId) -> Option<u64> {
         self.durable_at.get(id.index()).copied().flatten()
+    }
+
+    /// Number of persists that have become durable.
+    fn durable_count(&self) -> u64 {
+        self.durable_at.iter().flatten().count() as u64
     }
 
     /// Scoped persistency bugs (§5.3) recorded so far: acquires that
@@ -114,10 +117,7 @@ impl TraceCapture {
             if i >= self.durable_at.len() {
                 self.durable_at.resize(i + 1, None);
             }
-            if self.durable_at[i].is_none() {
-                self.durable_at[i] = Some(cycle);
-                self.durable += 1;
-            }
+            self.durable_at[i].get_or_insert(cycle);
         }
     }
 
@@ -132,7 +132,7 @@ impl TraceCapture {
         self.tb.check_crash_cut(|id| at(id).is_some())?;
         // Durability order is defined only over complete runs: in a
         // crash state some persists are legally never durable.
-        if self.durable == self.persists {
+        if self.durable_count() == self.persists {
             self.tb.check_durability_order(at)?;
         }
         Ok(())
