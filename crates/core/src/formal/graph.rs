@@ -1,9 +1,9 @@
-//! PMO graph construction and the two durability checkers.
+//! The flat PMO trace and the two durability checkers.
 
 use super::event::{Event, EventId, EventKind};
 use crate::ops::PersistOpKind;
 use crate::scope::ThreadPos;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A violation of the persistency model found by a checker.
@@ -94,16 +94,20 @@ impl EventSet {
     }
 }
 
-/// Per-thread state used while building the graph.
-#[derive(Clone, Default)]
-struct ThreadState {
-    /// Persists issued since the last ordering node.
-    segment: Vec<EventId>,
-    /// The thread's most recent ordering node (fence / acquire / release).
-    last_op: Option<EventId>,
+/// Marks a [`Link`] with no observed release.
+const NONE: u32 = u32::MAX;
+
+/// What a trace keeps per event besides the event itself: the dense
+/// index of its thread and, for an acquire, the release it observed
+/// with a sufficient scope ([`NONE`] otherwise). Every PMO edge follows
+/// from these two fields and trace order.
+#[derive(Clone, Copy)]
+struct Link {
+    thread: u32,
+    observed: u32,
 }
 
-/// Incrementally records an execution and derives its PMO graph.
+/// Incrementally records an execution; its PMO edges stay implicit.
 ///
 /// Events must be appended in a *valid global order*: per-thread order is
 /// program order, and an acquire must appear after the release it
@@ -129,9 +133,9 @@ struct ThreadState {
 #[derive(Clone, Default)]
 pub struct TraceBuilder {
     events: Vec<Event>,
-    /// Forward adjacency (edges point PMO-forward).
-    succ: Vec<Vec<EventId>>,
-    threads: HashMap<ThreadPos, ThreadState>,
+    links: Vec<Link>,
+    /// Thread -> its dense index in [`Link::thread`].
+    threads: HashMap<ThreadPos, u32>,
     scope_bugs: Vec<ScopeBugWarning>,
 }
 
@@ -154,30 +158,21 @@ impl TraceBuilder {
         self.events.is_empty()
     }
 
-    fn push(&mut self, ev: Event) -> EventId {
+    fn push(&mut self, thread: ThreadPos, kind: EventKind) -> EventId {
         let id = EventId(u32::try_from(self.events.len()).expect("trace too large"));
-        self.events.push(ev);
-        self.succ.push(Vec::new());
+        let next = self.threads.len() as u32;
+        let thread_idx = *self.threads.entry(thread).or_insert(next);
+        self.events.push(Event { thread, kind });
+        self.links.push(Link {
+            thread: thread_idx,
+            observed: NONE,
+        });
         id
-    }
-
-    fn edge(&mut self, from: EventId, to: EventId) {
-        debug_assert!(from < to, "edges must point forward in trace order");
-        self.succ[from.index()].push(to);
     }
 
     /// Records a persist (write to PM) by `thread`.
     pub fn persist(&mut self, thread: ThreadPos, addr: u64) -> EventId {
-        let id = self.push(Event {
-            thread,
-            kind: EventKind::Persist { addr },
-        });
-        let st = self.threads.entry(thread).or_default();
-        st.segment.push(id);
-        if let Some(op) = st.last_op {
-            self.succ[op.index()].push(id);
-        }
-        id
+        self.push(thread, EventKind::Persist { addr })
     }
 
     /// Records a persistency operation by `thread`.
@@ -185,20 +180,7 @@ impl TraceBuilder {
     /// For `pAcq`/`pRel`, `var` is the synchronization variable; link the
     /// acquire to the release it read with [`TraceBuilder::observe`].
     pub fn op(&mut self, thread: ThreadPos, op: PersistOpKind, var: Option<u64>) -> EventId {
-        let id = self.push(Event {
-            thread,
-            kind: EventKind::Op { op, var },
-        });
-        let st = self.threads.entry(thread).or_default();
-        let segment = std::mem::take(&mut st.segment);
-        let prev = st.last_op.replace(id);
-        for w in segment {
-            self.edge(w, id);
-        }
-        if let Some(p) = prev {
-            self.edge(p, id);
-        }
-        id
+        self.push(thread, EventKind::Op { op, var })
     }
 
     /// Records that acquire `acq` read the value released by `rel`.
@@ -211,7 +193,8 @@ impl TraceBuilder {
     /// # Panics
     ///
     /// Panics if `acq`/`rel` are not a `pAcq`/`pRel` pair on the same
-    /// variable, or if `rel` does not precede `acq` in the trace.
+    /// variable, if `rel` does not precede `acq` in the trace, or if
+    /// `acq` already observed a release with a sufficient scope.
     pub fn observe(&mut self, acq: EventId, rel: EventId) {
         assert!(rel < acq, "release must precede the acquire that reads it");
         let (rel_ev, acq_ev) = (self.events[rel.index()], self.events[acq.index()]);
@@ -233,7 +216,12 @@ impl TraceBuilder {
         // The pattern's scope is the narrowest of its constituents (§2).
         let effective = rel_scope.min(acq_scope);
         if rel_ev.thread.shares_scope(acq_ev.thread, effective) {
-            self.edge(rel, acq);
+            let observed = &mut self.links[acq.index()].observed;
+            assert!(
+                *observed == NONE,
+                "observe: {acq} already observed e{observed}; an acquire reads one release"
+            );
+            *observed = rel.0;
         } else {
             // §5.3: the value was communicated but the scope is too
             // narrow — record the scoped persistency bug.
@@ -256,16 +244,36 @@ impl TraceBuilder {
     /// without finishing (or copying) it; `durable` says whether a
     /// persist is durable.
     ///
+    /// The walk carries the first-reached non-durable PMO-predecessor
+    /// persist and reports the first durable persist it reaches.
+    ///
     /// # Errors
     ///
     /// Returns the first [`PmoViolation`] found.
     pub fn check_crash_cut(&self, durable: impl Fn(EventId) -> bool) -> Result<(), PmoViolation> {
-        crash_cut(&self.events, &self.succ, durable)
+        self.propagate(
+            |_: &EventId, _| false,
+            |id, missing| match (missing, durable(id)) {
+                (Some(w1), true) => Err(PmoViolation {
+                    before: w1,
+                    after: id,
+                    message: format!(
+                        "crash state contains persist {id} but not its PMO-predecessor {w1}"
+                    ),
+                }),
+                (Some(w1), false) => Ok(Some(w1)),
+                (None, here) => Ok((!here).then_some(id)),
+            },
+        )
     }
 
     /// [`PmoGraph::check_durability_order`] on the trace recorded so far,
     /// without finishing (or copying) it; `durable_at` gives the cycle a
     /// persist became durable, if it did.
+    ///
+    /// The walk carries the latest durable cycle of any PMO-predecessor
+    /// persist and reports the first persist durable before it, or never
+    /// durable after it.
     ///
     /// # Errors
     ///
@@ -274,32 +282,101 @@ impl TraceBuilder {
         &self,
         durable_at: impl Fn(EventId) -> Option<u64>,
     ) -> Result<(), PmoViolation> {
-        durability_order(&self.events, &self.succ, durable_at)
+        self.propagate(
+            |a: &(u64, EventId), b| a.0 > b.0,
+            |id, latest| {
+                let here = durable_at(id);
+                match (latest, here) {
+                    (Some((t_pred, pred)), Some(t)) if t < t_pred => Err(PmoViolation {
+                        before: pred,
+                        after: id,
+                        message: format!(
+                            "persist {id} durable at {t} before its PMO-predecessor \
+                             {pred} (durable at {t_pred})"
+                        ),
+                    }),
+                    (Some((_, pred)), None) => Err(PmoViolation {
+                        before: pred,
+                        after: id,
+                        message: format!(
+                            "persist {id} never became durable but PMO-orders after \
+                             {pred}; durability-order check requires complete runs"
+                        ),
+                    }),
+                    _ => Ok(here.map(|t| (t, id))),
+                }
+            },
+        )
+    }
+
+    /// The one forward walk over the implicit PMO edges, in trace (hence
+    /// topological) order. A persist's only predecessor is its thread's
+    /// last op; an op's are that previous op, the persists since it and
+    /// the release it observed. Each event takes the best value its
+    /// predecessors pass on (`better` ranks them; between equally good
+    /// ones the earliest source event wins); `at_persist` turns a
+    /// persist's incoming value into its outgoing one, while an op passes
+    /// its value on unchanged.
+    fn propagate<V: Copy, E>(
+        &self,
+        better: impl Fn(&V, &V) -> bool,
+        mut at_persist: impl FnMut(EventId, Option<V>) -> Result<Option<V>, E>,
+    ) -> Result<(), E> {
+        // Per thread, each value with the event it came from: the value
+        // at its last op, and the best over the persists issued since.
+        let mut open: Vec<[Option<(V, u32)>; 2]> = vec![[None; 2]; self.threads.len()];
+        // Per event: the value an op passes on (read back by the
+        // acquires that observe a release).
+        let mut at_op: Vec<Option<V>> = vec![None; self.events.len()];
+        for (i, (ev, link)) in self.events.iter().zip(&self.links).enumerate() {
+            let [last_op, segment] = &mut open[link.thread as usize];
+            let src = i as u32;
+            if ev.is_persist() {
+                // A later persist of the segment wins only if better.
+                let out = at_persist(EventId(src), last_op.map(|(v, _)| v))?;
+                if let Some(v) = out {
+                    if segment.is_none_or(|(s, _)| better(&v, &s)) {
+                        *segment = Some((v, src));
+                    }
+                }
+                continue;
+            }
+            // The segment follows the last op, which so wins a tie.
+            let mut incoming = match (*last_op, segment.take()) {
+                (Some((l, _)), Some((s, s_src))) if better(&s, &l) => Some((s, s_src)),
+                (None, seg) => seg,
+                (last, _) => last,
+            };
+            let rel = link.observed;
+            if let Some(r) = (rel != NONE).then(|| at_op[rel as usize]).flatten() {
+                let wins = incoming
+                    .is_none_or(|(v, v_src)| better(&r, &v) || (!better(&v, &r) && rel < v_src));
+                if wins {
+                    incoming = Some((r, rel));
+                }
+            }
+            *last_op = incoming.map(|(v, _)| (v, src));
+            at_op[i] = incoming.map(|(v, _)| v);
+        }
+        Ok(())
     }
 
     /// Finalizes the trace into an immutable [`PmoGraph`].
     #[must_use]
     pub fn finish(self) -> PmoGraph {
-        PmoGraph {
-            events: self.events,
-            succ: self.succ,
-            scope_bugs: self.scope_bugs,
-        }
+        PmoGraph(self)
     }
 }
 
-/// The PMO relation of a finished trace, as a DAG.
-pub struct PmoGraph {
-    events: Vec<Event>,
-    succ: Vec<Vec<EventId>>,
-    scope_bugs: Vec<ScopeBugWarning>,
-}
+/// The PMO relation of a finished trace: the trace itself, whose edges
+/// stay implicit in program order and the observations.
+pub struct PmoGraph(TraceBuilder);
 
 impl fmt::Debug for PmoGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PmoGraph")
-            .field("events", &self.events.len())
-            .field("edges", &self.succ.iter().map(Vec::len).sum::<usize>())
+            .field("events", &self.len())
+            .field("observations", &self.observations().count())
             .finish()
     }
 }
@@ -308,19 +385,19 @@ impl PmoGraph {
     /// Number of events in the trace.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.0.len()
     }
 
     /// Whether the trace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.0.is_empty()
     }
 
     /// The event at `id`.
     #[must_use]
     pub fn event(&self, id: EventId) -> &Event {
-        &self.events[id.index()]
+        &self.0.events[id.index()]
     }
 
     /// Scoped persistency bugs detected while the trace was recorded
@@ -328,30 +405,32 @@ impl PmoGraph {
     /// excludes one of the threads.
     #[must_use]
     pub fn scope_bugs(&self) -> &[ScopeBugWarning] {
-        &self.scope_bugs
+        self.0.scope_bugs()
     }
 
     /// All persist events in the trace.
     pub fn persists(&self) -> impl Iterator<Item = EventId> + '_ {
-        self.events
+        self.0
+            .events
             .iter()
             .enumerate()
             .filter(|(_, e)| e.is_persist())
             .map(|(i, _)| EventId(i as u32))
     }
 
-    /// All edges of the PMO DAG as `(from, to)` pairs, in trace order of
-    /// the source event.
-    ///
-    /// Cross-thread edges (a `pRel` to the `pAcq` that observed it) are
-    /// exactly the observations [`TraceBuilder::observe`] admitted, which
-    /// is what lets callers compare the *synchronization structure* of
-    /// two traces without caring about event numbering.
-    pub fn edges(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
-        self.succ.iter().enumerate().flat_map(|(i, outs)| {
-            outs.iter()
-                .map(move |&m| (EventId(u32::try_from(i).expect("trace too large")), m))
-        })
+    /// The observations that created a PMO edge, as `(release, acquire)`
+    /// pairs in trace order of the acquire: exactly those
+    /// [`TraceBuilder::observe`] admitted with a sufficient scope. They
+    /// are the trace's only cross-thread edges, which is what lets
+    /// callers compare the *synchronization structure* of two traces
+    /// without caring about event numbering.
+    pub fn observations(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
+        self.0
+            .links
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.observed != NONE)
+            .map(|(i, l)| (EventId(l.observed), EventId(i as u32)))
     }
 
     /// Whether `w1 →pmo w2` — i.e. the model guarantees that if `w2` is
@@ -363,24 +442,19 @@ impl PmoGraph {
     pub fn pmo_holds(&self, w1: EventId, w2: EventId) -> bool {
         assert!(self.event(w1).is_persist(), "{w1} is not a persist");
         assert!(self.event(w2).is_persist(), "{w2} is not a persist");
-        if w1 == w2 {
-            return false;
-        }
-        // Edges only point forward in trace order, so a simple BFS
-        // bounded by w2 suffices.
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([w1]);
-        while let Some(n) = queue.pop_front() {
-            for &m in &self.succ[n.index()] {
-                if m == w2 {
-                    return true;
+        // Reachability from `w1`, stopping at `w2`.
+        let mut holds = false;
+        let _ = self.0.propagate(
+            |_: &(), _| false,
+            |id, reached| {
+                if id == w2 {
+                    holds = reached.is_some();
+                    return Err(());
                 }
-                if m < w2 && seen.insert(m) {
-                    queue.push_back(m);
-                }
-            }
-        }
-        false
+                Ok(if id == w1 { Some(()) } else { reached })
+            },
+        );
+        holds
     }
 
     /// Checks that the observed durability times never invert PMO.
@@ -398,7 +472,8 @@ impl PmoGraph {
         &self,
         durable_at: &HashMap<EventId, u64>,
     ) -> Result<(), PmoViolation> {
-        durability_order(&self.events, &self.succ, |id| durable_at.get(&id).copied())
+        self.0
+            .check_durability_order(|id| durable_at.get(&id).copied())
     }
 
     /// Checks that the set of persists durable at a crash is
@@ -411,116 +486,7 @@ impl PmoGraph {
     ///
     /// Returns the first [`PmoViolation`] found.
     pub fn check_crash_cut(&self, durable: &HashSet<EventId>) -> Result<(), PmoViolation> {
-        crash_cut(&self.events, &self.succ, |id| durable.contains(&id))
-    }
-}
-
-/// The crash-cut check over a trace's events and forward edges:
-/// forward-propagates "some non-durable persist precedes this node" in
-/// trace (hence topological) order and reports the first durable
-/// persist it reaches.
-fn crash_cut(
-    events: &[Event],
-    succ: &[Vec<EventId>],
-    durable: impl Fn(EventId) -> bool,
-) -> Result<(), PmoViolation> {
-    let mut tainted: Vec<Option<EventId>> = vec![None; events.len()];
-    for (i, ev) in events.iter().enumerate() {
-        let id = EventId(i as u32);
-        let mut taint = tainted[i];
-        if ev.is_persist() {
-            let is_durable = durable(id);
-            if let (Some(w1), true) = (taint, is_durable) {
-                return Err(PmoViolation {
-                    before: w1,
-                    after: id,
-                    message: format!(
-                        "crash state contains persist {id} but not its PMO-predecessor {w1}"
-                    ),
-                });
-            }
-            if taint.is_none() && !is_durable {
-                taint = Some(id);
-            }
-        }
-        if let Some(w1) = taint {
-            for &m in &succ[i] {
-                tainted[m.index()].get_or_insert(w1);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The durability-order check over a trace's events and forward edges:
-/// propagates the latest durability time of any PMO-predecessor persist
-/// in trace (hence topological) order and reports the first persist
-/// durable before it, or never durable after it.
-fn durability_order(
-    events: &[Event],
-    succ: &[Vec<EventId>],
-    durable_at: impl Fn(EventId) -> Option<u64>,
-) -> Result<(), PmoViolation> {
-    let mut max_before: Vec<Option<(u64, EventId)>> = vec![None; events.len()];
-    for (i, ev) in events.iter().enumerate() {
-        let id = EventId(i as u32);
-        let inherited = max_before[i];
-        if ev.is_persist() {
-            let here = durable_at(id);
-            if let Some((t_pred, pred)) = inherited {
-                match here {
-                    Some(t) if t >= t_pred => {}
-                    Some(t) => {
-                        return Err(PmoViolation {
-                            before: pred,
-                            after: id,
-                            message: format!(
-                                "persist {id} durable at {t} before its PMO-predecessor \
-                                 {pred} (durable at {t_pred})"
-                            ),
-                        });
-                    }
-                    None => {
-                        return Err(PmoViolation {
-                            before: pred,
-                            after: id,
-                            message: format!(
-                                "persist {id} never became durable but PMO-orders after \
-                                 {pred}; durability-order check requires complete runs"
-                            ),
-                        });
-                    }
-                }
-            }
-            let out = match (inherited, here) {
-                (Some((tp, p)), Some(t)) => {
-                    if t >= tp {
-                        Some((t, id))
-                    } else {
-                        Some((tp, p))
-                    }
-                }
-                (None, Some(t)) => Some((t, id)),
-                (v, None) => v,
-            };
-            for &m in &succ[i] {
-                merge_max(&mut max_before[m.index()], out);
-            }
-        } else {
-            for &m in &succ[i] {
-                merge_max(&mut max_before[m.index()], inherited);
-            }
-        }
-    }
-    Ok(())
-}
-
-fn merge_max(slot: &mut Option<(u64, EventId)>, incoming: Option<(u64, EventId)>) {
-    if let Some((t, id)) = incoming {
-        match slot {
-            Some((cur, _)) if *cur >= t => {}
-            _ => *slot = Some((t, id)),
-        }
+        self.0.check_crash_cut(|id| durable.contains(&id))
     }
 }
 
@@ -722,12 +688,14 @@ mod tests {
 
     /// Builds a trace of persists, fences and acquire/release pairs over
     /// two warps in each of two blocks, so scopes both include and
-    /// exclude the observing thread.
-    fn random_trace(steps: &[Step]) -> TraceBuilder {
+    /// exclude the observing thread. Returns it with every
+    /// `(release, acquire)` pair it observed, whatever the scope.
+    fn random_trace(steps: &[Step]) -> (PmoGraph, Vec<(EventId, EventId)>) {
         let threads = [t(0, 0), t(0, 32), t(1, 0), t(1, 32)];
         let scopes = [Scope::Block, Scope::Device, Scope::System];
         let mut tb = TraceBuilder::new();
         let mut last_rel: [Option<EventId>; 2] = [None; 2];
+        let mut observed = Vec::new();
         for &(kind, th, sc, arg) in steps {
             let th = threads[usize::from(th)];
             let scope = scopes[usize::from(sc)];
@@ -750,56 +718,125 @@ mod tests {
                     let acq = tb.op(th, PersistOpKind::PAcq(scope), Some(var as u64));
                     if let (Some(rel), true) = (last_rel[var], arg & 2 != 0) {
                         tb.observe(acq, rel);
+                        observed.push((rel, acq));
                     }
                 }
             }
         }
-        tb
+        (tb.finish(), observed)
+    }
+
+    /// Whether the observation `rel -> acq` orders its threads: the
+    /// narrowest of the two scopes includes both.
+    fn admitted(g: &PmoGraph, rel: EventId, acq: EventId) -> bool {
+        let scope = |id: EventId| match g.event(id).kind {
+            EventKind::Op {
+                op: PersistOpKind::PRel(s) | PersistOpKind::PAcq(s),
+                ..
+            } => s,
+            other => panic!("not an acquire or release: {other:?}"),
+        };
+        let effective = scope(rel).min(scope(acq));
+        g.event(rel)
+            .thread
+            .shares_scope(g.event(acq).thread, effective)
+    }
+
+    /// The Box 2 relation over every event of `g`, by brute force:
+    /// program order (except between two persists with no op of their
+    /// thread between them), plus each admitted observation, closed
+    /// transitively. `reach[a][b]` says `a` precedes `b`.
+    fn closure(g: &PmoGraph, observed: &[(EventId, EventId)]) -> Vec<Vec<bool>> {
+        let n = g.len();
+        let ev = |i: usize| g.event(EventId::from_index(i));
+        let po = |a: usize, b: usize| {
+            a < b
+                && ev(a).thread == ev(b).thread
+                && (a..=b).any(|k| ev(k).thread == ev(a).thread && !ev(k).is_persist())
+        };
+        let mut reach: Vec<Vec<bool>> =
+            (0..n).map(|a| (0..n).map(|b| po(a, b)).collect()).collect();
+        for &(rel, acq) in observed {
+            if admitted(g, rel, acq) {
+                reach[rel.index()][acq.index()] = true;
+            }
+        }
+        for k in 0..n {
+            let via = reach[k].clone();
+            for row in &mut reach {
+                if row[k] {
+                    row.iter_mut().zip(&via).for_each(|(r, &v)| *r |= v);
+                }
+            }
+        }
+        reach
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// The builder's check on the borrowed trace and the finished
-        /// graph's check agree, down to the reported pair.
+        /// The implicit-edge walks agree with the brute-force closure:
+        /// `pmo_holds` is the closure on persists, each check reports
+        /// exactly the first persist that breaks it, and its `before` is
+        /// a predecessor that proves the break.
         #[test]
-        fn builder_and_graph_crash_cuts_agree(
-            steps in collection::vec((0u8..6, 0u8..4, 0u8..3, any::<u8>()), 1..48),
-            durable_bits in collection::vec(any::<u8>(), 48),
-            threshold in any::<u8>(),
-        ) {
-            let tb = random_trace(&steps);
-            let mut set = EventSet::new();
-            let mut hash = HashSet::new();
-            for (i, &b) in durable_bits.iter().enumerate().take(steps.len()) {
-                if b < threshold {
-                    set.insert(EventId::from_index(i));
-                    hash.insert(EventId::from_index(i));
-                }
-            }
-            let borrowed = tb.check_crash_cut(|id| set.contains(id));
-            let finished = tb.clone().finish().check_crash_cut(&hash);
-            prop_assert_eq!(borrowed, finished);
-        }
-
-        /// Likewise for the durability-order check, over durable cycles
-        /// that may tie, invert PMO or be missing.
-        #[test]
-        fn builder_and_graph_durability_orders_agree(
+        fn walks_match_the_box2_closure(
             steps in collection::vec((0u8..6, 0u8..4, 0u8..3, any::<u8>()), 1..48),
             cycles in collection::vec(any::<u8>(), 48),
             threshold in any::<u8>(),
         ) {
-            let tb = random_trace(&steps);
+            let (g, observed) = random_trace(&steps);
+            let reach = closure(&g, &observed);
+            let persists: Vec<EventId> = g.persists().collect();
+            let pmo = |a: EventId, b: EventId| reach[a.index()][b.index()];
+            for &a in &persists {
+                for &b in &persists {
+                    prop_assert_eq!(g.pmo_holds(a, b), pmo(a, b), "pmo({}, {})", a, b);
+                }
+            }
+            let linked: Vec<_> = observed.iter().copied().filter(|&(r, a)| admitted(&g, r, a)).collect();
+            prop_assert_eq!(g.observations().collect::<Vec<_>>(), linked);
+
+            // Durable cycles that may tie, invert PMO or be missing.
             let mut at = HashMap::new();
-            for (i, &c) in cycles.iter().enumerate().take(steps.len()) {
+            for (i, &c) in cycles.iter().enumerate().take(g.len()) {
                 if c < threshold {
                     at.insert(EventId::from_index(i), u64::from(c % 8));
                 }
             }
-            let borrowed = tb.check_durability_order(|id| at.get(&id).copied());
-            let finished = tb.clone().finish().check_durability_order(&at);
-            prop_assert_eq!(borrowed, finished);
+            let durable: HashSet<EventId> = at.keys().copied().collect();
+
+            let broken = persists.iter().copied().find(|&b| {
+                durable.contains(&b)
+                    && persists.iter().any(|&a| pmo(a, b) && !durable.contains(&a))
+            });
+            match (g.check_crash_cut(&durable), broken) {
+                (Ok(()), None) => {}
+                (Err(v), Some(b)) => {
+                    prop_assert_eq!(v.after, b);
+                    prop_assert!(pmo(v.before, b) && !durable.contains(&v.before), "{}", v);
+                }
+                (got, want) => prop_assert!(false, "crash cut {:?}, expected a break at {:?}", got, want),
+            }
+
+            // The latest durable cycle among each persist's predecessors.
+            let latest = |b: EventId| {
+                persists.iter().filter(|&&a| pmo(a, b)).filter_map(|a| at.get(a)).max().copied()
+            };
+            let broken = persists.iter().copied().find(|&b| match (latest(b), at.get(&b)) {
+                (Some(t_pred), Some(&t)) => t < t_pred,
+                (Some(_), None) => true,
+                (None, _) => false,
+            });
+            match (g.check_durability_order(&at), broken) {
+                (Ok(()), None) => {}
+                (Err(v), Some(b)) => {
+                    prop_assert_eq!(v.after, b);
+                    prop_assert!(pmo(v.before, b), "{}", v);
+                    prop_assert_eq!(at.get(&v.before).copied(), latest(b), "{}", v);
+                }
+                (got, want) => prop_assert!(false, "durability order {:?}, expected a break at {:?}", got, want),
+            }
         }
     }
 
@@ -863,5 +900,17 @@ mod tests {
         let f = tb.op(th, PersistOpKind::OFence, None);
         let acq = tb.op(th, PersistOpKind::PAcq(Scope::Block), Some(8));
         tb.observe(acq, f);
+    }
+
+    #[test]
+    #[should_panic(expected = "already observed")]
+    fn observe_rejects_a_second_release() {
+        let (a, b) = (t(0, 0), t(0, 32));
+        let mut tb = TraceBuilder::new();
+        let rel1 = tb.op(a, PersistOpKind::PRel(Scope::Block), Some(8));
+        let rel2 = tb.op(a, PersistOpKind::PRel(Scope::Block), Some(8));
+        let acq = tb.op(b, PersistOpKind::PAcq(Scope::Block), Some(8));
+        tb.observe(acq, rel1);
+        tb.observe(acq, rel2);
     }
 }

@@ -11,17 +11,25 @@
 //!   must become durable.
 //!
 //! [`TraceBuilder`] records an execution (persists, fences, scoped
-//! acquire/release pairs with their observations) and [`PmoGraph`] derives
-//! the PMO relation as reachability over a DAG whose edges each correspond
-//! to one rule of Box 2:
+//! acquire/release pairs with their observations) as a flat trace: the
+//! events in a valid global order, and per event only its thread's dense
+//! index plus, for an acquire, the release it observed with a sufficient
+//! scope. The PMO edges stay implicit, one per rule of Box 2:
 //!
 //! * `W →po F →po W'` (same thread, `F` an intra-thread persist fence)
-//!   implies `W →pmo W'`;
+//!   implies `W →pmo W'`: a persist's predecessor is its thread's last
+//!   op, and an op's are its thread's previous op and the persists since;
 //! * `W →po pRel(X,S)` , `pAcq(X,S) reads-from pRel`, `pAcq →po W'`, with
-//!   `S` sufficient to include both threads, implies `W →pmo W'`;
-//! * transitivity (Box 1) is reachability.
+//!   `S` sufficient to include both threads, implies `W →pmo W'`: an
+//!   acquire's further predecessor is the release it observed;
+//! * transitivity (Box 1) is reachability along these edges.
 //!
-//! Two checkers consume the graph:
+//! Every edge points forward in trace order, so one forward walk over the
+//! events, keeping per thread the value at its last op and the best value
+//! over the persists since, derives each query. [`PmoGraph`] is the
+//! finished trace; [`PmoGraph::pmo_holds`] is that walk as reachability,
+//! and two checkers are that walk with a durability verdict at each
+//! persist:
 //!
 //! * [`PmoGraph::check_durability_order`] — given the time each persist
 //!   became durable, verify durability never inverts PMO;

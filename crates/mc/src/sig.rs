@@ -16,7 +16,6 @@
 //! among them.
 
 use sbrp_core::formal::{EventKind, PmoGraph};
-use sbrp_core::ops::PersistOpKind;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A thread as `(block, tid_in_block)` — the ordered form of
@@ -46,10 +45,9 @@ impl ExecutionSig {
     /// Computes the signature of the execution `graph` records, with
     /// `durable` as the addresses durable at its end.
     ///
-    /// Observation edges are recovered from the graph structurally: an
-    /// edge from a `pRel` op to a `pAcq` op of a *different* thread is
-    /// exactly an observation (program-order edges never pair a release
-    /// with a later acquire across threads).
+    /// Observations are the graph's admitted `(release, acquire)`
+    /// pairs ([`PmoGraph::observations`]), less any acquire that read
+    /// its own thread's release.
     #[must_use]
     pub fn from_graph(graph: &PmoGraph, durable: impl IntoIterator<Item = u64>) -> Self {
         let mut sig = ExecutionSig {
@@ -65,25 +63,14 @@ impl ExecutionSig {
                     .push(addr);
             }
         }
-        for (from, to) in graph.edges() {
-            let f = graph.event(from);
-            let t = graph.event(to);
-            let (
-                EventKind::Op {
-                    op: fop,
-                    var: Some(var),
-                },
-                EventKind::Op { op: top, .. },
-            ) = (f.kind, t.kind)
-            else {
+        for (rel, acq) in graph.observations() {
+            let (r, a) = (graph.event(rel), graph.event(acq));
+            let EventKind::Op { var: Some(var), .. } = r.kind else {
                 continue;
             };
-            if matches!(fop, PersistOpKind::PRel(_))
-                && matches!(top, PersistOpKind::PAcq(_))
-                && f.thread != t.thread
-            {
+            if r.thread != a.thread {
                 sig.observations
-                    .insert((sig_thread(f.thread), sig_thread(t.thread), var));
+                    .insert((sig_thread(r.thread), sig_thread(a.thread), var));
             }
         }
         sig

@@ -214,17 +214,6 @@ impl Cache {
         self.lines[line as usize].valid = false;
     }
 
-    /// Invalidates the line holding `addr`, if resident. Returns whether
-    /// a line was dropped.
-    pub fn invalidate_addr(&mut self, addr: u64) -> bool {
-        if let Some(i) = self.peek(addr) {
-            self.invalidate(i);
-            true
-        } else {
-            false
-        }
-    }
-
     /// The line-aligned address held by a valid line.
     ///
     /// # Panics
@@ -325,16 +314,6 @@ mod tests {
         let v = victim.unwrap();
         assert!(v.dirty && v.pm);
         assert_eq!(v.addr, 0x0000, "LRU among pinned lines");
-    }
-
-    #[test]
-    fn invalidate_addr_drops_the_line() {
-        let mut c = cache();
-        let (w, _) = c.choose_victim(0x300);
-        c.install(w, 0x300, false, false);
-        assert!(c.invalidate_addr(0x340));
-        assert!(!c.invalidate_addr(0x340));
-        assert_eq!(c.peek(0x300), None);
     }
 
     #[test]
