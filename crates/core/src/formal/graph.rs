@@ -772,45 +772,67 @@ mod tests {
         reach
     }
 
+    /// Durable cycles drawn from `cycles`: event `i` is durable, at cycle
+    /// `cycles[i] % 8`, when `cycles[i] < threshold`. Cycles may tie,
+    /// invert PMO or be missing.
+    fn durable_cycles(g: &PmoGraph, cycles: &[u8], threshold: u8) -> HashMap<EventId, u64> {
+        cycles
+            .iter()
+            .enumerate()
+            .take(g.len())
+            .filter(|&(_, &c)| c < threshold)
+            .map(|(i, &c)| (EventId::from_index(i), u64::from(c % 8)))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// The implicit-edge walks agree with the brute-force closure:
-        /// `pmo_holds` is the closure on persists, each check reports
-        /// exactly the first persist that breaks it, and its `before` is
-        /// a predecessor that proves the break.
+        /// The implicit-edge walk agrees with the brute-force closure:
+        /// `pmo_holds` is the closure on persists, and `observations`
+        /// lists exactly the admitted observations.
         #[test]
         fn walks_match_the_box2_closure(
             steps in collection::vec((0u8..6, 0u8..4, 0u8..3, any::<u8>()), 1..48),
-            cycles in collection::vec(any::<u8>(), 48),
-            threshold in any::<u8>(),
         ) {
             let (g, observed) = random_trace(&steps);
             let reach = closure(&g, &observed);
             let persists: Vec<EventId> = g.persists().collect();
-            let pmo = |a: EventId, b: EventId| reach[a.index()][b.index()];
             for &a in &persists {
                 for &b in &persists {
-                    prop_assert_eq!(g.pmo_holds(a, b), pmo(a, b), "pmo({}, {})", a, b);
+                    prop_assert_eq!(g.pmo_holds(a, b), reach[a.index()][b.index()], "pmo({}, {})", a, b);
                 }
             }
             let linked: Vec<_> = observed.iter().copied().filter(|&(r, a)| admitted(&g, r, a)).collect();
             prop_assert_eq!(g.observations().collect::<Vec<_>>(), linked);
+        }
 
-            // Durable cycles that may tie, invert PMO or be missing.
-            let mut at = HashMap::new();
-            for (i, &c) in cycles.iter().enumerate().take(g.len()) {
-                if c < threshold {
-                    at.insert(EventId::from_index(i), u64::from(c % 8));
-                }
-            }
-            let durable: HashSet<EventId> = at.keys().copied().collect();
+        /// The builder's crash-cut check on the borrowed trace and the
+        /// finished graph's agree, down to the reported pair, and both
+        /// report exactly the first durable persist whose closure holds a
+        /// non-durable predecessor, with such a predecessor as `before`.
+        #[test]
+        fn builder_and_graph_crash_cuts_agree(
+            steps in collection::vec((0u8..6, 0u8..4, 0u8..3, any::<u8>()), 1..48),
+            durable_bits in collection::vec(any::<u8>(), 48),
+            threshold in any::<u8>(),
+        ) {
+            let (g, observed) = random_trace(&steps);
+            let reach = closure(&g, &observed);
+            let pmo = |a: EventId, b: EventId| reach[a.index()][b.index()];
+            let persists: Vec<EventId> = g.persists().collect();
+            let durable: HashSet<EventId> = durable_cycles(&g, &durable_bits, threshold).into_keys().collect();
+            let mut set = EventSet::new();
+            durable.iter().for_each(|&id| set.insert(id));
+
+            let finished = g.check_crash_cut(&durable);
+            prop_assert_eq!(g.0.check_crash_cut(|id| set.contains(id)), finished.clone());
 
             let broken = persists.iter().copied().find(|&b| {
                 durable.contains(&b)
                     && persists.iter().any(|&a| pmo(a, b) && !durable.contains(&a))
             });
-            match (g.check_crash_cut(&durable), broken) {
+            match (finished, broken) {
                 (Ok(()), None) => {}
                 (Err(v), Some(b)) => {
                     prop_assert_eq!(v.after, b);
@@ -818,8 +840,27 @@ mod tests {
                 }
                 (got, want) => prop_assert!(false, "crash cut {:?}, expected a break at {:?}", got, want),
             }
+        }
 
-            // The latest durable cycle among each persist's predecessors.
+        /// Likewise for the durability-order check: both report exactly
+        /// the first persist durable before, or never durable after, the
+        /// latest durable cycle among its closure predecessors, with a
+        /// predecessor durable at that latest cycle as `before`.
+        #[test]
+        fn builder_and_graph_durability_orders_agree(
+            steps in collection::vec((0u8..6, 0u8..4, 0u8..3, any::<u8>()), 1..48),
+            cycles in collection::vec(any::<u8>(), 48),
+            threshold in any::<u8>(),
+        ) {
+            let (g, observed) = random_trace(&steps);
+            let reach = closure(&g, &observed);
+            let pmo = |a: EventId, b: EventId| reach[a.index()][b.index()];
+            let persists: Vec<EventId> = g.persists().collect();
+            let at = durable_cycles(&g, &cycles, threshold);
+
+            let finished = g.check_durability_order(&at);
+            prop_assert_eq!(g.0.check_durability_order(|id| at.get(&id).copied()), finished.clone());
+
             let latest = |b: EventId| {
                 persists.iter().filter(|&&a| pmo(a, b)).filter_map(|a| at.get(a)).max().copied()
             };
@@ -828,7 +869,7 @@ mod tests {
                 (Some(_), None) => true,
                 (None, _) => false,
             });
-            match (g.check_durability_order(&at), broken) {
+            match (finished, broken) {
                 (Ok(()), None) => {}
                 (Err(v), Some(b)) => {
                     prop_assert_eq!(v.after, b);
