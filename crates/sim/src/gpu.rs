@@ -91,7 +91,8 @@ struct ActiveLaunch {
     code: Arc<Code>,
     launch: LaunchConfig,
     next_block: u32,
-    /// `completed_blocks` sum across SMs that marks launch completion.
+    /// Value of the GPU's running count of completed blocks that marks
+    /// launch completion.
     target_completed: u64,
     draining: bool,
 }
@@ -123,6 +124,21 @@ pub struct Gpu {
     /// The PCIe-backoff flag every SM's uncharged stall span accrues
     /// under; it flips only once every SM is charged up to the flip.
     backoff: bool,
+    /// Bit per SM: set for every SM that may not be idle
+    /// ([`Sm::is_idle_at`]), so a step visits only these. A completion
+    /// routed to an SM, a block placed on it, a tick that leaves it
+    /// [`Sm::busy`], a sleeper coming due, the final drain and the
+    /// start of a run set its bit; a visit that leaves it not busy
+    /// clears it.
+    awake: u64,
+    /// Per SM, its earliest sleeper's wake cycle as of its last visit
+    /// (`u64::MAX` when none sleeps): only a visit or a completion,
+    /// which wakes the SM, changes it in between.
+    wake_at: Vec<u64>,
+    /// The minimum of `wake_at`.
+    min_wake: u64,
+    /// Blocks completed on every SM so far.
+    completed: u64,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -142,9 +158,14 @@ impl Gpu {
     /// Panics if the SM has more warp slots than a persist buffer's warp
     /// bitmask can name, or if the line size is not a power of two of at
     /// most [`LineWrite::MAX_BYTES`] (the width of an SM's written-byte
-    /// mask and of a flush's line snapshot).
+    /// mask and of a flush's line snapshot), or if the SM count is not
+    /// between 1 and 64 (the width of the awake set).
     #[must_use]
     pub fn new(cfg: &GpuConfig) -> Self {
+        assert!(
+            (1..=64).contains(&cfg.num_sms),
+            "num_sms must be between 1 and 64"
+        );
         assert!(
             cfg.max_warps_per_sm as usize <= MAX_WARPS_PER_SM,
             "max_warps_per_sm exceeds the {MAX_WARPS_PER_SM} warp slots an SM supports"
@@ -167,7 +188,16 @@ impl Gpu {
             steps: 0,
             idle_until: 0,
             backoff: false,
+            awake: 0,
+            wake_at: vec![u64::MAX; cfg.num_sms as usize],
+            min_wake: u64::MAX,
+            completed: 0,
         }
+    }
+
+    /// The awake set with every SM's bit set.
+    fn all_sms(&self) -> u64 {
+        u64::MAX >> (64 - self.sms.len())
     }
 
     /// Forces strictly serial stepping, the test-only reference: the
@@ -319,12 +349,11 @@ impl Gpu {
             launch.warps_per_block() <= self.cfg.max_warps_per_sm,
             "block does not fit in an SM"
         );
-        let completed_now: u64 = self.sms.iter().map(|s| s.completed_blocks).sum();
         self.active = Some(ActiveLaunch {
             code: Arc::new(Code::lower(kernel)),
             launch,
             next_block: 0,
-            target_completed: completed_now + u64::from(launch.blocks),
+            target_completed: self.completed + u64::from(launch.blocks),
             draining: false,
         });
         self.dispatch();
@@ -337,19 +366,24 @@ impl Gpu {
         }
     }
 
-    fn dispatch(&mut self) {
+    /// Places queued blocks first-fit, waking each SM that takes one;
+    /// returns whether any block was placed.
+    fn dispatch(&mut self) -> bool {
         let Some(active) = self.active.as_mut() else {
-            return;
+            return false;
         };
+        let first = active.next_block;
         'outer: while active.next_block < active.launch.blocks {
-            for sm in &mut self.sms {
+            for (i, sm) in self.sms.iter_mut().enumerate() {
                 if sm.try_place_block(&active.code, active.launch, active.next_block) {
                     active.next_block += 1;
+                    self.awake |= 1 << i;
                     continue 'outer;
                 }
             }
             break;
         }
+        active.next_block > first
     }
 
     /// Opens a step: ends an expired backoff, then, in a timeline run,
@@ -379,6 +413,7 @@ impl Gpu {
     /// Charges SM `sm` up to `self.cycle - 1`, so a completion routed to
     /// it cannot re-attribute the span, and marks it for observation.
     fn before_route(&mut self, sm: u32) {
+        self.awake |= 1 << sm;
         let sm = &mut self.sms[sm as usize];
         sm.charge_stalls(self.cycle.saturating_sub(1), self.backoff);
         sm.unobserved = true;
@@ -482,23 +517,25 @@ impl Gpu {
     /// Whether the active launch (if any) has fully completed and
     /// drained.
     fn launch_finished(&mut self) -> bool {
+        let all = self.all_sms();
         let Some(active) = self.active.as_mut() else {
             return true;
         };
-        let completed: u64 = self.sms.iter().map(|s| s.completed_blocks).sum();
         let blocks_done =
-            active.next_block >= active.launch.blocks && completed >= active.target_completed;
+            active.next_block >= active.launch.blocks && self.completed >= active.target_completed;
         if !blocks_done {
             return false;
         }
         if !active.draining {
             active.draining = true;
+            self.awake = all;
             for sm in &mut self.sms {
                 sm.begin_final_drain(&mut self.ms, self.cycle);
             }
         }
-        let quiescent = self.sms.iter().all(Sm::engine_quiescent);
-        if quiescent && self.ms.next_event().is_none() {
+        // While the drain's acks are in flight, the event test alone
+        // answers, with no scan over every SM.
+        if self.ms.next_event().is_none() && self.sms.iter().all(Sm::engine_quiescent) {
             for sm in &mut self.sms {
                 sm.end_final_drain();
             }
@@ -511,8 +548,11 @@ impl Gpu {
 
     /// Advances one scheduling step, never moving `self.cycle` past
     /// `bound`. Returns `Ok(true)` when the active launch completed.
-    /// Only the SMs that are not [`Sm::is_idle_at`] tick, except under
-    /// the serial reference.
+    /// Only the awake SMs are visited, and of those only the ones that
+    /// are not [`Sm::is_idle_at`] tick, in ascending index order; blocks
+    /// dispatch only after a step in which one completed, since only a
+    /// retiring block frees warp slots. The serial reference instead
+    /// ticks every SM and dispatches at every step.
     ///
     /// Callers must only invoke this with `self.cycle < bound`; the
     /// landed cycle then satisfies `self.cycle <= bound` exactly, so run
@@ -530,33 +570,70 @@ impl Gpu {
                 sm.observe(cycle, self.backoff);
             }
         }
-        let mut progress = false;
-        for i in 0..self.sms.len() {
+        if cycle >= self.min_wake {
+            for (i, &wake) in self.wake_at.iter().enumerate() {
+                if wake <= cycle {
+                    self.awake |= 1 << i;
+                }
+            }
+        }
+        debug_assert!(
+            (0..self.sms.len()).all(|i| self.awake >> i & 1 == 1 || self.sms[i].is_idle_at(cycle)),
+            "an SM outside the awake set can act at cycle {cycle}"
+        );
+        let completed = self.completed;
+        let mut visit = if serial { self.all_sms() } else { self.awake };
+        let (mut progress, mut ready, mut stale_min) = (false, false, false);
+        while visit != 0 {
+            let i = visit.trailing_zeros() as usize;
+            visit &= visit - 1;
             let (sm, backoff) = (&mut self.sms[i], self.backoff);
             if serial || !sm.is_idle_at(cycle) {
+                let before = sm.completed_blocks;
                 progress |= sm.tick(cycle, self.steps, backoff, &mut self.ms, &mut self.tracer);
+                self.completed += sm.completed_blocks - before;
                 self.sync_backoff(i + 1);
             }
+            let sm = &self.sms[i];
+            ready |= sm.has_ready_warp();
+            self.awake = self.awake & !(1 << i) | u64::from(sm.busy()) << i;
+            let (wake, old) = (sm.next_wake(), self.wake_at[i]);
+            self.wake_at[i] = wake;
+            if wake < self.min_wake {
+                self.min_wake = wake;
+            } else {
+                stale_min |= old == self.min_wake && wake != old;
+            }
+        }
+        if stale_min {
+            self.min_wake = self.wake_at.iter().copied().min().unwrap_or(u64::MAX);
         }
         if self.cycle >= self.idle_until {
             self.steps += 1;
         }
-        self.dispatch();
+        if serial || self.completed != completed {
+            ready |= self.dispatch();
+        }
         // The final drain's flushes can set the flag too, but no warp is
         // left to charge or observe; the next step's test catches up.
         if self.launch_finished() {
             return Ok(true);
         }
-        if progress || self.sms.iter().any(Sm::has_ready_warp) {
+        if progress || ready {
             self.cycle += 1;
             return Ok(false);
         }
         // Nothing can issue: fast-forward to the next wakeup/event,
-        // clamped to the caller's bound.
-        let next = self
-            .sms
-            .iter()
-            .filter_map(Sm::next_wake)
+        // clamped to the caller's bound. The serial reference scans
+        // every SM instead of reading the wake table.
+        let wake = if serial {
+            self.sms.iter().map(Sm::next_wake).min().unwrap_or(u64::MAX)
+        } else {
+            self.min_wake
+        };
+        let next = (wake != u64::MAX)
+            .then_some(wake)
+            .into_iter()
             .chain(self.ms.next_event())
             .min();
         match next {
@@ -595,6 +672,7 @@ impl Gpu {
     /// the bug worth debugging.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunReport, SimError> {
         let limit = self.cycle.saturating_add(max_cycles);
+        self.awake = self.all_sms();
         // A cycle-window trigger is a bound of its own: fast-forwarding
         // must land exactly on the trigger cycle, not leap over it.
         let bound = match self.fault_trigger {

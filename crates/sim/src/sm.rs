@@ -1566,10 +1566,11 @@ impl Sm {
         }
     }
 
-    /// The earliest cycle a sleeping warp wakes, for fast-forwarding.
+    /// The earliest cycle a sleeping warp wakes (`u64::MAX` when none
+    /// sleeps), for the GPU's wake table.
     #[must_use]
-    pub fn next_wake(&self) -> Option<u64> {
-        (self.next_sleep_wake != u64::MAX).then_some(self.next_sleep_wake)
+    pub fn next_wake(&self) -> u64 {
+        self.next_sleep_wake
     }
 
     /// Whether any warp can issue right now.
@@ -1578,18 +1579,20 @@ impl Sm {
         self.ready > 0
     }
 
+    /// Whether the SM can act at its next tick whatever the cycle: a
+    /// warp can issue, or its [`PersistUnit`] is not idle (an epoch
+    /// engine acts only on completions). The GPU keeps a busy SM awake.
+    #[must_use]
+    pub fn busy(&self) -> bool {
+        self.ready > 0 || matches!(&self.engine, Engine::Sbrp(unit) if !unit.is_idle())
+    }
+
     /// Whether a tick at `cycle` would change nothing but the stall
-    /// accounts: no warp can issue, no sleeper is due, and the persist
-    /// engine is an epoch engine (it acts only on completions) or an
-    /// idle [`PersistUnit`]. The GPU skips such an SM's tick, except
-    /// under the serial reference; its skipped stalls are charged later.
+    /// accounts: the SM is not [`Sm::busy`] and no sleeper is due. The
+    /// GPU skips such an SM's tick, except under the serial reference;
+    /// its skipped stalls are charged later.
     #[must_use]
     pub fn is_idle_at(&self, cycle: u64) -> bool {
-        self.ready == 0
-            && self.next_sleep_wake > cycle
-            && match &self.engine {
-                Engine::Sbrp(unit) => unit.is_idle(),
-                Engine::Epoch(_) => true,
-            }
+        !self.busy() && self.next_sleep_wake > cycle
     }
 }

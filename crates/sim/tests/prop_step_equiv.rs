@@ -252,6 +252,32 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// A multi-wave launch: on the small GPU a 1024-thread block fills
+    /// an SM, so 5-12 blocks queue behind the first four and dispatch
+    /// only as blocks retire, while SMs whose warps all sleep wait to be
+    /// woken. The default scheduler, which visits only awake SMs and
+    /// dispatches only after a block retires, must match the serial
+    /// reference, which ticks every SM and dispatches at every step.
+    #[test]
+    fn queued_blocks_dispatch_as_the_serial_reference_dispatches_them(
+        crash_at in prop_oneof![Just(0u64), 100u64..40_000],
+        blocks in 5u32..13,
+        sleep in 1u32..300,
+        skew in prop_oneof![Just(0u32), 1u32..600],
+        model_ix in 0usize..3,
+        system_ix in 0usize..2,
+    ) {
+        let model = ModelKind::ALL[model_ix];
+        let system = [SystemDesign::PmNear, SystemDesign::PmFar][system_ix];
+        if !valid(model, system) {
+            return Ok(());
+        }
+        let cfg = GpuConfig::small(model, system);
+        let kernel = skewed_kernel(PM_BASE, PM_BASE + (1 << 20), sleep, skew);
+        let launch = LaunchConfig::new(blocks, 1024);
+        assert_matches_serial_reference(&cfg, &kernel, launch, crash_drive(crash_at))?;
+    }
+
     /// Barrier and sleep waits that a fast-forward jump leaps over are
     /// charged exactly as serial stepping charges them cycle by cycle.
     #[test]
