@@ -25,7 +25,8 @@ use sbrp_core::scope::{Scope, WARP_SIZE};
 use std::sync::Arc;
 
 /// The set bits of a lane mask, in ascending order: the lanes of a warp
-/// mask, or positions in a list of at most 32 lanes.
+/// mask, positions in a list of at most 32 lanes, or the warp slots of
+/// one of an SM's warp-state masks.
 pub fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {

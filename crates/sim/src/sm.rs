@@ -11,7 +11,7 @@ use sbrp_core::ops::PersistOpKind;
 use sbrp_core::pbuffer::{
     BlockReason, DrainAction, EvictOutcome, LineIdx, OpOutcome, PersistUnit, StoreOutcome,
 };
-use sbrp_core::scope::{Scope, ThreadPos, WarpSlot};
+use sbrp_core::scope::{Scope, ThreadPos, WarpSlot, MAX_WARPS_PER_SM};
 use sbrp_core::stall::{StallBreakdown, StallCause};
 use sbrp_core::ModelKind;
 use sbrp_isa::{
@@ -19,6 +19,23 @@ use sbrp_isa::{
     WarpInterp,
 };
 use std::sync::Arc;
+
+// Every warp slot has one bit in each of the SM's `u32` warp-state
+// masks (`ready_mask`, `sleep_mask`, `vacant_mask`, `engine_mask`),
+// whose slots `lanes_of` walks in ascending order.
+const _: () = assert!(MAX_WARPS_PER_SM <= u32::BITS as usize);
+
+/// The mask of the first `n` warp slots.
+fn first_slots(n: usize) -> u32 {
+    ((1u64 << n) - 1) as u32
+}
+
+/// `mask` over a ring of `n` slots, rotated so that slot `start` is
+/// bit 0: bit `k` of the result is slot `(start + k) % n`.
+fn rotate_slots(mask: u32, start: usize, n: usize) -> u32 {
+    let m = u64::from(mask);
+    (((m >> start) | (m << (n - start))) & u64::from(first_slots(n))) as u32
+}
 
 /// The per-SM persistency hardware. One instance per SM, held inline:
 /// the PersistUnit's size is fine unboxed and stays off the heap on
@@ -158,11 +175,19 @@ pub struct Sm {
     issue_width: u32,
     l1_hit_latency: u64,
     line_bytes: u32,
-    /// Resident warps that can issue right now (`blocked == None`,
-    /// `!done`). Maintained by [`Sm::set_blocked`]/[`Sm::clear_blocked`]
-    /// and the warp lifecycle, so the per-cycle issue scan and the GPU's
-    /// ready check are O(1) instead of O(warp slots).
-    ready: u32,
+    /// Bit per warp slot: set iff that slot holds a warp that can issue
+    /// right now (`blocked == None`, `!done`). Maintained by
+    /// [`Sm::set_blocked`]/[`Sm::clear_blocked`] and the warp lifecycle,
+    /// so the issue scan visits only ready slots and the GPU's ready
+    /// check is one compare.
+    ready_mask: u32,
+    /// Bit per warp slot: set iff that slot holds a `Blocked::Sleep`
+    /// warp, so the wake scan visits only sleepers.
+    sleep_mask: u32,
+    /// Bit per warp slot: set iff that slot is vacant, so a failing
+    /// `try_place_block` is a popcount and a placing one takes the
+    /// lowest bits instead of scanning the slots.
+    vacant_mask: u32,
     /// Bit per warp slot: set iff that slot holds a `Blocked::Engine`
     /// warp, the only kind whose stall cause `charge_stalls` samples.
     engine_mask: u32,
@@ -170,12 +195,10 @@ pub struct Sm {
     /// spans' stamps was made under.
     pending_backoff: bool,
     /// Cached minimum of all `Blocked::Sleep(until)` targets
-    /// (`u64::MAX` when no warp sleeps). Sleepers only wake in the tick
-    /// scan, which recomputes the minimum, so the cache is exact.
+    /// (`u64::MAX` when no warp sleeps). Sleepers only wake in the
+    /// tick's wake scan, which recomputes the minimum over the sleepers
+    /// left in `sleep_mask`, so the cache is exact.
     next_sleep_wake: u64,
-    /// Vacant warp slots, so a failing `try_place_block` is a single
-    /// compare instead of a slot scan plus an allocation.
-    free_slots: u32,
     /// Reused lane-value buffer for load completions, so `finish_mem`
     /// does not allocate per completed memory op.
     scratch_vals: Vec<u64>,
@@ -232,11 +255,12 @@ impl Sm {
             issue_width: cfg.issue_width,
             l1_hit_latency: u64::from(cfg.l1_hit_latency),
             line_bytes: cfg.line_bytes,
-            ready: 0,
+            ready_mask: 0,
+            sleep_mask: 0,
+            vacant_mask: first_slots(slots),
             engine_mask: 0,
             pending_backoff: false,
             next_sleep_wake: u64::MAX,
-            free_slots: slots as u32,
             scratch_vals: Vec::new(),
             scratch_actions: Vec::new(),
             scratch_resumable: Vec::new(),
@@ -343,10 +367,10 @@ impl Sm {
         block_id: u32,
     ) -> bool {
         let need = launch.warps_per_block() as usize;
-        // The maintained count makes the common failing case (every SM
-        // probed each dispatch cycle while blocks queue) a bare compare,
-        // with no slot scan and no allocation.
-        if (self.free_slots as usize) < need {
+        // The vacant mask makes the common failing case (every SM probed
+        // each dispatch cycle while blocks queue) a popcount, with no
+        // slot scan and no allocation.
+        if (self.vacant_mask.count_ones() as usize) < need {
             return false;
         }
         let block_slot = match self.blocks.iter().position(|b| b.live == 0) {
@@ -363,14 +387,12 @@ impl Sm {
         let blk = &mut self.blocks[block_slot];
         debug_assert!(blk.arrived.is_empty());
         blk.slots.clear();
-        blk.slots.extend(
-            (0..self.warps.len())
-                .filter(|&i| self.warps[i].is_none())
-                .take(need),
-        );
+        blk.slots.extend(lanes_of(self.vacant_mask).take(need));
         debug_assert_eq!(blk.slots.len(), need);
         blk.live = need as u32;
         for (w, &slot) in blk.slots.iter().enumerate() {
+            self.vacant_mask &= !(1 << slot);
+            self.ready_mask |= 1 << slot;
             self.warps[slot] = Some(WarpCtx {
                 interp: WarpInterp::with_code(code, launch, block_id, w as u32),
                 block_slot,
@@ -382,8 +404,6 @@ impl Sm {
                 since: 0,
             });
         }
-        self.free_slots -= need as u32;
-        self.ready += need as u32;
         self.unobserved = true;
         true
     }
@@ -616,26 +636,28 @@ impl Sm {
     // The per-cycle tick
     // ------------------------------------------------------------------
 
-    /// Blocks warp `slot`, maintaining the ready count, the engine mask,
-    /// the cached sleep minimum and the warp's stall stamp. Callers only
-    /// block currently-ready warps (a warp must have issued to hit a
-    /// stall condition).
+    /// Blocks warp `slot`, maintaining the warp-state masks, the cached
+    /// sleep minimum and the warp's stall stamp. Callers only block
+    /// currently-ready warps (a warp must have issued to hit a stall
+    /// condition).
     fn set_blocked(&mut self, slot: usize, b: Blocked) {
         self.settle(slot);
         let ctx = self.warps[slot].as_mut().expect("warp");
         debug_assert!(!ctx.done, "blocking a finished warp");
-        if ctx.blocked.is_none() {
-            self.ready -= 1;
-        }
         ctx.blocked = Some(b);
         ctx.since = self.last_charge;
+        let bit = 1 << slot;
+        self.ready_mask &= !bit;
         if b == Blocked::Engine {
-            self.engine_mask |= 1 << slot;
+            self.engine_mask |= bit;
         } else {
-            self.engine_mask &= !(1 << slot);
+            self.engine_mask &= !bit;
         }
         if let Blocked::Sleep(until) = b {
+            self.sleep_mask |= bit;
             self.next_sleep_wake = self.next_sleep_wake.min(until);
+        } else {
+            self.sleep_mask &= !bit;
         }
     }
 
@@ -647,15 +669,26 @@ impl Sm {
         let ctx = self.warps[slot].as_mut().expect("warp");
         if ctx.blocked.take().is_some() {
             debug_assert!(!ctx.done, "a finished warp cannot be blocked");
-            self.ready += 1;
-            self.engine_mask &= !(1 << slot);
+            let bit = 1 << slot;
+            self.ready_mask |= bit;
+            self.engine_mask &= !bit;
+            self.sleep_mask &= !bit;
         }
     }
 
     /// Runs one cycle: engine drain, wakeups, and warp issue. Returns
-    /// whether any externally visible progress happened. `step` is the
-    /// GPU's scheduling-step count; the round-robin issue scan starts at
-    /// slot `step % warp slots`; `backoff` is the PCIe-backoff flag.
+    /// whether any externally visible progress happened. `backoff` is
+    /// the PCIe-backoff flag.
+    ///
+    /// Issue is loose round-robin over the SM's `n` warp slots: the scan
+    /// starts at slot `step % n` (`step` is the GPU's scheduling-step
+    /// count) and issues ready warps in slot order, wrapping once past
+    /// the last slot, until `issue_width` have issued. It reads the
+    /// ready mask afresh before each pick, because an issue can ready
+    /// other slots (a barrier release, an epoch round's end): one still
+    /// ahead of the scan issues in this cycle, one behind it does not.
+    /// The scan visits only ready slots, and the wake scan only
+    /// sleepers, in the order a slot-by-slot walk would reach them.
     pub fn tick(
         &mut self,
         cycle: u64,
@@ -671,13 +704,14 @@ impl Sm {
         let mut progress = self.engine_tick(cycle, ms, tracer);
 
         // Wake sleepers — only when the cached minimum says one is due,
-        // recomputing it over the sleepers that remain.
+        // recomputing it over the sleepers that remain. Waking a sleeper
+        // changes no other slot, so the mask is read once.
         if self.next_sleep_wake <= cycle {
             let mut next = u64::MAX;
-            for slot in 0..self.warps.len() {
+            for slot in lanes_of(self.sleep_mask) {
                 let until = match self.warps[slot].as_ref().and_then(|c| c.blocked) {
                     Some(Blocked::Sleep(until)) => until,
-                    _ => continue,
+                    _ => unreachable!("the sleep mask names only sleepers"),
                 };
                 if until > cycle {
                     next = next.min(until);
@@ -697,30 +731,62 @@ impl Sm {
             self.next_sleep_wake = next;
         }
 
-        // Issue warps round-robin. With no ready warp the scan is a
-        // no-op (issuing is the only thing that could unblock one
-        // mid-scan).
+        // Issue warps round-robin from slot `rr`; `k` is the offset from
+        // `rr` of the next slot the scan may visit.
         let n = self.warps.len();
         let rr = (step % n as u64) as usize;
         let mut issued = 0;
-        if self.ready > 0 {
-            for k in 0..n {
-                if issued >= self.issue_width {
-                    break;
-                }
-                let slot = (rr + k) % n;
-                let ready = matches!(
-                    self.warps[slot].as_ref(),
-                    Some(ctx) if ctx.blocked.is_none() && !ctx.done
-                );
-                if !ready {
-                    continue;
-                }
-                self.issue(slot, cycle, ms, tracer);
-                issued += 1;
+        let mut k = 0;
+        while issued < self.issue_width && k < n {
+            let ahead = rotate_slots(self.ready_mask, rr, n) >> k;
+            if ahead == 0 {
+                break;
+            }
+            k += ahead.trailing_zeros() as usize;
+            let slot = if k < n - rr { rr + k } else { k - (n - rr) };
+            self.issue(slot, cycle, ms, tracer);
+            issued += 1;
+            k += 1;
+        }
+        debug_assert_eq!(
+            (
+                self.ready_mask,
+                self.sleep_mask,
+                self.vacant_mask,
+                self.engine_mask
+            ),
+            self.derived_masks(),
+            "warp-state masks (ready, sleep, vacant, engine) disagree with the warp slots"
+        );
+        progress | (issued > 0)
+    }
+
+    /// The warp-state masks (ready, sleep, vacant, engine) as the slots
+    /// define them, for the invariant check: ready = a warp neither
+    /// blocked nor done, sleep = `Blocked::Sleep`, vacant = no warp,
+    /// engine = `Blocked::Engine`.
+    fn derived_masks(&self) -> (u32, u32, u32, u32) {
+        let (mut ready, mut sleep, mut vacant, mut engine) = (0, 0, 0, 0);
+        for (slot, warp) in self.warps.iter().enumerate() {
+            let bit = 1 << slot;
+            match warp {
+                None => vacant |= bit,
+                Some(ctx) => match ctx.blocked {
+                    None if !ctx.done => ready |= bit,
+                    Some(Blocked::Sleep(_)) => sleep |= bit,
+                    Some(Blocked::Engine) => engine |= bit,
+                    _ => {}
+                },
             }
         }
-        progress | (issued > 0)
+        (ready, sleep, vacant, engine)
+    }
+
+    /// The slots that may hold a pending fixed-cause stall span: every
+    /// occupied slot that is neither ready nor engine-blocked (done
+    /// warps included; their span is always empty).
+    fn fixed_cause_slots(&self) -> u32 {
+        !(self.vacant_mask | self.ready_mask | self.engine_mask) & first_slots(self.warps.len())
     }
 
     /// Attributes every warp-stall cycle since the last charge to one
@@ -749,16 +815,13 @@ impl Sm {
     pub(crate) fn charge_stalls(&mut self, cycle: u64, backoff: bool) {
         if cycle > self.last_charge {
             if backoff != self.pending_backoff {
-                for slot in 0..self.warps.len() {
+                for slot in lanes_of(self.fixed_cause_slots()) {
                     self.settle(slot);
                 }
                 self.pending_backoff = backoff;
             }
             let delta = cycle - self.last_charge;
-            let mut mask = self.engine_mask;
-            while mask != 0 {
-                let slot = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
+            for slot in lanes_of(self.engine_mask) {
                 let ctx = self.warps[slot].as_ref().expect("masked slot has a warp");
                 let cause = Self::stall_cause_of(&self.engine, ctx, Blocked::Engine, backoff, slot);
                 self.stall.charge(cause, delta);
@@ -820,7 +883,7 @@ impl Sm {
 
     /// Every uncharged span: (slot, cause, cycles).
     fn pending_spans(&self) -> impl Iterator<Item = (usize, StallCause, u64)> + '_ {
-        (0..self.warps.len()).filter_map(|slot| {
+        lanes_of(self.fixed_cause_slots()).filter_map(|slot| {
             self.pending_span(slot)
                 .map(|(cause, span)| (slot, cause, span))
         })
@@ -1053,18 +1116,18 @@ impl Sm {
         };
         // The warp was issuing (hence ready); done warps are neither
         // ready nor blocked.
-        self.ready -= 1;
+        self.ready_mask &= !(1 << slot);
         let blk = &mut self.blocks[block_slot];
         debug_assert!(blk.live > 0, "resident block");
         blk.live -= 1;
         if blk.live == 0 {
-            self.free_slots += blk.slots.len() as u32;
             for &s in &blk.slots {
                 debug_assert!(self.warps[s].as_ref().is_some_and(|c| c.done));
                 self.warps[s] = None;
+                self.vacant_mask |= 1 << s;
             }
             self.completed_blocks += 1;
-            if self.free_slots as usize == self.warps.len() {
+            if self.vacant_mask == first_slots(self.warps.len()) {
                 // An idle SM returns its spare buffers: otherwise every
                 // SM would hold its busiest moment's worth for the rest
                 // of the run, which raised the crash benchmark's peak
@@ -1576,7 +1639,7 @@ impl Sm {
     /// Whether any warp can issue right now.
     #[must_use]
     pub fn has_ready_warp(&self) -> bool {
-        self.ready > 0
+        self.ready_mask != 0
     }
 
     /// Whether the SM can act at its next tick whatever the cycle: a
@@ -1584,7 +1647,7 @@ impl Sm {
     /// engine acts only on completions). The GPU keeps a busy SM awake.
     #[must_use]
     pub fn busy(&self) -> bool {
-        self.ready > 0 || matches!(&self.engine, Engine::Sbrp(unit) if !unit.is_idle())
+        self.ready_mask != 0 || matches!(&self.engine, Engine::Sbrp(unit) if !unit.is_idle())
     }
 
     /// Whether a tick at `cycle` would change nothing but the stall
